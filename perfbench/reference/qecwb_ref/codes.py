@@ -1,0 +1,154 @@
+"""Concrete quantum codes and the four-qubit self-complementary family.
+
+A code is a pair of orthonormal logical codewords; the projector onto their
+span is cached on construction.  The four-qubit self-complementary states
+(|a> + |a-complement>)/sqrt(2) come in eight flavors, giving 28 candidate
+codeword pairs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from itertools import combinations, permutations
+from typing import Optional, Sequence
+
+import numpy as np
+
+from .linalg import ket, max_abs, projector
+
+# Bitstrings generating the eight self-complementary four-qubit states, in
+# the conventional listing order (index 1..8).
+SELF_COMPLEMENTARY_STRINGS = (
+    "0000", "1000", "0100", "0010", "0001", "1100", "1010", "1001",
+)
+
+
+@dataclass(frozen=True)
+class QuantumCode:
+    """A [[n, 1]] code given by its two logical codewords."""
+
+    n_qubits: int
+    zero_logical: np.ndarray
+    one_logical: np.ndarray
+    projector: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        dim = 2 ** self.n_qubits
+        zero = np.asarray(self.zero_logical, dtype=complex)
+        one = np.asarray(self.one_logical, dtype=complex)
+        if zero.shape != (dim,) or one.shape != (dim,):
+            raise ValueError("codeword dimension mismatch")
+        for v in (zero, one):
+            if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+                raise ValueError("codewords must be normalized")
+        if abs(np.vdot(zero, one)) > 1e-12:
+            raise ValueError("codewords must be orthogonal")
+        object.__setattr__(self, "zero_logical", zero)
+        object.__setattr__(self, "one_logical", one)
+        object.__setattr__(self, "projector", projector([zero, one]))
+
+    @property
+    def codewords(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.zero_logical, self.one_logical
+
+    def contains(self, state: np.ndarray, tol: float = 1e-10) -> bool:
+        state = np.asarray(state, dtype=complex)
+        return max_abs(self.projector @ state - state) <= tol
+
+    def to_json_dict(self) -> dict:
+        def sparse(v: np.ndarray) -> list[dict]:
+            return [
+                {"index": int(i), "amplitude_re": float(z.real), "amplitude_im": float(z.imag)}
+                for i, z in enumerate(v)
+                if abs(z) > 1e-15
+            ]
+
+        return {
+            "n_qubits": self.n_qubits,
+            "codewords": [sparse(self.zero_logical), sparse(self.one_logical)],
+        }
+
+
+@dataclass(frozen=True)
+class SelfComplementaryPair:
+    """One of the 28 candidate (i, j) codeword pairs, indices 1-based."""
+
+    index_pair: tuple[int, int]
+    codewords: tuple[np.ndarray, np.ndarray]
+
+    def as_code(self) -> QuantumCode:
+        return QuantumCode(4, self.codewords[0], self.codewords[1])
+
+
+def _equal_superposition(bits: str) -> np.ndarray:
+    comp = "".join("1" if c == "0" else "0" for c in bits)
+    return (ket(bits) + ket(comp)) / np.sqrt(2)
+
+
+def repetition3() -> QuantumCode:
+    """Three-qubit repetition code |0> -> |000>, |1> -> |111>."""
+    return QuantumCode(3, ket("000"), ket("111"))
+
+
+def leung4() -> QuantumCode:
+    """Four-qubit code (|0000>+|1111>, |0011>+|1100>)/sqrt(2)."""
+    return QuantumCode(4, _equal_superposition("0000"), _equal_superposition("0011"))
+
+
+def grassl4() -> QuantumCode:
+    """Four-qubit erasure code (|0000>+|1111>, |1001>+|0110>)/sqrt(2)."""
+    return QuantumCode(4, _equal_superposition("0000"), _equal_superposition("1001"))
+
+
+def third4() -> QuantumCode:
+    """The remaining good four-qubit pair (|0000>+|1111>, |0101>+|1010>)/sqrt(2)."""
+    return QuantumCode(4, _equal_superposition("0000"), _equal_superposition("0101"))
+
+
+def self_complementary_basis() -> list[np.ndarray]:
+    """The eight orthonormal self-complementary states on four qubits."""
+    return [_equal_superposition(bits) for bits in SELF_COMPLEMENTARY_STRINGS]
+
+
+def enumerate_pairs() -> list[SelfComplementaryPair]:
+    """All 28 ordered-index pairs (i, j), i < j, from the eight-state basis."""
+    basis = self_complementary_basis()
+    return [
+        SelfComplementaryPair((i + 1, j + 1), (basis[i], basis[j]))
+        for i, j in combinations(range(len(basis)), 2)
+    ]
+
+
+def permute_qubits_matrix(perm: Sequence[int], n_qubits: int) -> np.ndarray:
+    """Unitary that rearranges qubits so new qubit j is old qubit perm[j].
+
+    ``perm`` uses 0-based qubit positions with qubit 0 the leftmost
+    (most significant) bit.
+    """
+    if sorted(perm) != list(range(n_qubits)):
+        raise ValueError("not a permutation of qubit positions")
+    dim = 2 ** n_qubits
+    m = np.zeros((dim, dim), dtype=complex)
+    for b in range(dim):
+        bits = format(b, "0%db" % n_qubits)
+        c = int("".join(bits[perm[j]] for j in range(n_qubits)), 2)
+        m[c, b] = 1.0
+    return m
+
+
+def permutation_equivalent(
+    c1: QuantumCode, c2: QuantumCode, tol: float = 1e-10
+) -> Optional[tuple[int, ...]]:
+    """Search all qubit permutations mapping the codespace of c1 onto c2's.
+
+    Compares codespace projectors rather than individual codewords, so a
+    logical relabeling |0_L> <-> |1_L> does not break equivalence.  Returns
+    the first matching permutation (0-based positions) or None.
+    """
+    if c1.n_qubits != c2.n_qubits:
+        raise ValueError("codes act on different qubit counts")
+    for perm in permutations(range(c1.n_qubits)):
+        m = permute_qubits_matrix(perm, c1.n_qubits)
+        if max_abs(m @ c1.projector @ m.conj().T - c2.projector) <= tol:
+            return perm
+    return None
