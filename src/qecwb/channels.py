@@ -10,7 +10,7 @@ basis kets read off directly from labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .linalg import (
     PAULI_X,
     PAULI_Z,
     dagger,
-    kron_all,
     max_abs,
 )
 
@@ -136,12 +135,30 @@ def _label_order_key(label: str) -> tuple:
     return (label.count("1"), tuple(-int(c) for c in label))
 
 
+@lru_cache(maxsize=None)
+def _label_order(n: int) -> tuple[tuple[tuple[str, int], ...], np.ndarray]:
+    """(label, weight) of every n-qubit product in output order, and its stack row.
+
+    The stack built by ``enlarge`` holds the product for label ``b`` at row
+    int(b, 2).
+    """
+    labels = sorted((format(i, "0%db" % n) for i in range(2 ** n)), key=_label_order_key)
+    order = np.array([int(label, 2) for label in labels])
+    return tuple((label, label.count("1")) for label in labels), order
+
+
 def enlarge(channel: KrausChannel, n: int) -> KrausChannel:
     """Tensor ``n`` independent uses of a single-qubit channel.
 
     Produces 2**n labeled product operators grouped by error weight.  Zero
     coefficient operators (p = 0 or gamma = 0) are kept as zero matrices so
     the label set is stable across parameter sweeps.
+
+    All products are built at once as a (2**n, 2**n, 2**n) stack: each step
+    multiplies the stack so far by the single-qubit pair (A_0, A_1) with
+    broadcasting, which forms the same entrywise products, leftmost factor
+    first, as ``np.kron``.  The stack is then put in label order once, and
+    every ``KrausTerm.op`` is a view into it.
     """
     if channel.n_qubits != 1:
         raise ValueError("enlarge expects a single-qubit channel")
@@ -150,11 +167,16 @@ def enlarge(channel: KrausChannel, n: int) -> KrausChannel:
     if n == 1:
         return channel
     single = {t.label: t.op for t in channel.kraus}
-    labels = sorted(("".join(bits) for bits in product("01", repeat=n)), key=_label_order_key)
-    terms = tuple(
-        KrausTerm(label, label.count("1"), kron_all([single[c] for c in label]))
-        for label in labels
-    )
+    pair = np.array([single["0"], single["1"]], dtype=complex)
+    stack = pair
+    for _ in range(n - 1):
+        k, d = stack.shape[:2]
+        stack = (stack[:, None, :, None, :, None] * pair[None, :, None, :, None, :]).reshape(
+            2 * k, 2 * d, 2 * d
+        )
+    labels, order = _label_order(n)
+    stack = stack[order]
+    terms = tuple(KrausTerm(label, weight, op) for (label, weight), op in zip(labels, stack))
     return KrausChannel(n, channel.param, terms)
 
 

@@ -64,18 +64,24 @@ def _parse_grid(expr: Optional[str], default: np.ndarray, lo: float, hi: float) 
         grid = default
     elif ":" in expr:
         parts = expr.split(":")
-        if parts[0] == "log":
+        if parts[0] == "log" and len(parts) == 4:
             start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
             grid = np.logspace(np.log10(start), np.log10(stop), count)
-        else:
+        elif len(parts) == 3:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
             grid = np.linspace(start, stop, count)
+        else:
+            raise SystemExit("error: grid must be a,b,c, start:stop:count or log:start:stop:count")
+    elif not expr.strip():
+        raise SystemExit("error: grid is empty")
     else:
         grid = np.array([float(tok) for tok in expr.split(",")], dtype=float)
+    if grid.size == 0:
+        raise SystemExit("error: grid is empty")
     if np.any(np.diff(grid) <= 0):
-        raise SystemExit("grid must be strictly increasing")
+        raise SystemExit("error: grid must be strictly increasing")
     if grid[0] < lo or grid[-1] > hi:
-        raise SystemExit("grid leaves the valid parameter domain [%g, %g]" % (lo, hi))
+        raise SystemExit("error: grid leaves the valid parameter domain [%g, %g]" % (lo, hi))
     return grid
 
 
@@ -160,45 +166,34 @@ def cmd_bitflip(args) -> int:
     return 0 if ok else 1
 
 
-def _ad_curve(kind: str):
-    code = leung4()
-
-    def curve(gamma: float) -> float:
-        channel = enlarge(ad_single(gamma), 4)
-        if kind == "qec":
-            rec = standard_ad_recovery(gamma)
-        elif kind == "cp":
-            rec = cp_recovery()
-        elif kind == "fletcher":
-            opt = closed_form_optimum(gamma)
-            rec = fletcher_recovery(opt.a_bar, opt.b_bar)
-        else:  # fletcher-opt: closed-form route
-            return closed_form_optimum(gamma).f_star
-        return entanglement_fidelity(code, rec, channel).value
-
-    return curve
-
-
 def cmd_ad_fidelity(args) -> int:
     tol = _tolerance()
     grid = _parse_grid(args.grid, np.logspace(-4, -2, 9), 0.0, 1.0)
-    curve = _ad_curve(args.recovery)
-    rows = [[g, curve(g)] for g in grid]
+    kind = args.recovery
+    code = leung4()
     ok = True
+    rows = []
+    optima = []
     for g in grid:
-        ok &= enlarge(ad_single(g), 4).completeness_defect() <= CHANNEL_TOL
-    if args.recovery in ("qec", "cp", "fletcher"):
-        sample = {
-            "qec": lambda g: standard_ad_recovery(g),
-            "cp": lambda g: cp_recovery(),
-            "fletcher": lambda g: fletcher_recovery(
-                closed_form_optimum(g).a_bar, closed_form_optimum(g).b_bar
-            ),
-        }[args.recovery]
-        ok &= all(sample(g).completeness_defect() <= tol for g in grid)
+        channel = enlarge(ad_single(g), 4)
+        ok &= channel.completeness_defect() <= CHANNEL_TOL
+        if kind in ("fletcher", "fletcher-opt"):
+            optima.append(closed_form_optimum(g))
+        if kind == "fletcher-opt":
+            f = optima[-1].f_star
+        else:
+            if kind == "qec":
+                rec = standard_ad_recovery(g)
+            elif kind == "cp":
+                rec = cp_recovery()
+            else:
+                rec = fletcher_recovery(optima[-1].a_bar, optima[-1].b_bar)
+            ok &= rec.completeness_defect() <= tol
+            f = entanglement_fidelity(code, rec, channel).value
+        rows.append([g, f])
     fit = None
     if len(grid) >= 3 and grid[0] > 0 and grid[-1] <= 1e-2:
-        fit = second_order_coeff(curve, grid)
+        fit = second_order_coeff(dict(zip(grid, (f for _, f in rows))).__getitem__, grid)
     footer = []
     if fit is not None:
         footer = [
@@ -207,19 +202,16 @@ def cmd_ad_fidelity(args) -> int:
             "c2 = " + _num(fit.c2),
         ]
     json_obj = {
-        "recovery": args.recovery,
+        "recovery": kind,
         "rows": [{"gamma": r[0], "fidelity": r[1]} for r in rows],
         "fit": None
         if fit is None
         else {"c0": fit.c0, "c1": fit.c1, "c2": fit.c2, "residual": fit.residual},
     }
-    if args.recovery == "fletcher-opt":
-        reports = []
-        for g in grid:
-            closed = closed_form_optimum(g)
-            numeric = numeric_optimum(g)
-            reports.append(closed.to_json_dict(g, numeric))
-        json_obj["optima"] = reports
+    if kind == "fletcher-opt":
+        json_obj["optima"] = [
+            closed.to_json_dict(g, numeric_optimum(g)) for g, closed in zip(grid, optima)
+        ]
     _emit(_render(args.format, ["gamma", "fidelity"], rows, footer, json_obj), args.out)
     return 0 if ok else 1
 
@@ -258,26 +250,30 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_fig1(args) -> int:
+    if args.points < 1:
+        raise SystemExit("error: --points must be at least 1")
     tol = _tolerance()
     grid = np.linspace(0.0, args.gamma_max, args.points)
-    curves = {k: _ad_curve(k) for k in ("qec", "cp", "fletcher")}
-    ok = all(enlarge(ad_single(g), 4).completeness_defect() <= CHANNEL_TOL for g in grid)
-    ok &= cp_recovery().completeness_defect() <= tol
-    for g in (grid[0], grid[-1]):
-        opt = closed_form_optimum(g)
-        ok &= standard_ad_recovery(g).completeness_defect() <= tol
-        ok &= fletcher_recovery(opt.a_bar, opt.b_bar).completeness_defect() <= tol
+    code = leung4()
+    cp = cp_recovery()
+    ok = cp.completeness_defect() <= tol
     rows = []
-    for g in grid:
+    for i, g in enumerate(grid):
+        channel = enlarge(ad_single(g), 4)
+        ok &= channel.completeness_defect() <= CHANNEL_TOL
+        opt = closed_form_optimum(g)
+        qec = standard_ad_recovery(g)
+        fletcher = fletcher_recovery(opt.a_bar, opt.b_bar)
+        if i in (0, len(grid) - 1):
+            ok &= qec.completeness_defect() <= tol
+            ok &= fletcher.completeness_defect() <= tol
         rows.append(
             [
                 g,
                 1.0 - 2.0 * g**2,
                 1.0 - 1.75 * g**2,
                 1.0 - 1.5 * g**2,
-                curves["qec"](g),
-                curves["cp"](g),
-                curves["fletcher"](g),
+                *(entanglement_fidelity(code, rec, channel).value for rec in (qec, cp, fletcher)),
                 baseline_no_qec(ad_single(g)),
             ]
         )

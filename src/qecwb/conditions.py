@@ -135,29 +135,22 @@ def detectable_to_first_order(
 
 
 def kl_gram(code: QuantumCode, errors: Sequence[LabeledError]) -> KLGram:
-    """Restricted Gram data for every ordered pair of errors."""
-    zero, one = code.codewords
-    images = {label: (op @ zero, op @ one) for label, op in errors}
+    """Restricted Gram data for every ordered pair of errors.
+
+    With the codeword isometry V = [|0_L> |1_L>], block (l, m) is
+    (A_l V)^dag (A_m V); all blocks come from one contraction of the stacked
+    images A_l V, and the diagonal blocks' eigenvalues from one batched
+    ``eigvalsh``.
+    """
     labels = tuple(label for label, _ in errors)
-    blocks = {}
-    diag_eigs = {}
-    max_off = 0.0
-    max_mismatch = 0.0
-    for l in labels:
-        for m in labels:
-            li, mi = images[l], images[m]
-            block = np.array(
-                [
-                    [np.vdot(li[0], mi[0]), np.vdot(li[0], mi[1])],
-                    [np.vdot(li[1], mi[0]), np.vdot(li[1], mi[1])],
-                ]
-            )
-            blocks[(l, m)] = block
-            max_off = max(max_off, abs(block[0, 1]), abs(block[1, 0]))
-            max_mismatch = max(max_mismatch, abs(block[0, 0] - block[1, 1]))
-            if l == m:
-                eigs = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
-                diag_eigs[l] = (float(eigs[0]), float(eigs[1]))
+    images = np.stack([op for _, op in errors]) @ np.stack(code.codewords, axis=1)
+    grams = np.einsum("lai,maj->lmij", images.conj(), images)
+    diag = grams[np.arange(len(labels)), np.arange(len(labels))]
+    eigs = np.linalg.eigvalsh(0.5 * (diag + diag.conj().swapaxes(1, 2)))
+    blocks = {(l, m): grams[i, j] for i, l in enumerate(labels) for j, m in enumerate(labels)}
+    diag_eigs = {l: (float(lo), float(hi)) for l, (lo, hi) in zip(labels, eigs)}
+    max_off = np.abs(grams[:, :, [0, 1], [1, 0]]).max()
+    max_mismatch = np.abs(grams[:, :, 0, 0] - grams[:, :, 1, 1]).max()
     return KLGram(labels, blocks, diag_eigs, float(max_off), float(max_mismatch))
 
 

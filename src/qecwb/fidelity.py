@@ -5,13 +5,16 @@ The figure of merit for a (code, recovery, channel) triple is
     F = (1/4) * sum_{k,l} |<0_L| R_k A_l |0_L> + <1_L| R_k A_l |1_L>|**2,
 
 the squared codespace-restricted traces of all composed operation elements.
-The leftover projector of a recovery, when present, contributes its own row
-of terms, tagged "O" in the term table.
+With the codeword isometry V = [|0_L> |1_L>] (d x 2), every restricted trace
+is Tr(V^dag R_k A_l V), so the whole (k, l) trace table is one contraction of
+the stacked V^dag R_k against the stacked A_l V.  The leftover projector of a
+recovery, when present, adds one more row to the table, keyed "O".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -33,10 +36,28 @@ class TermContribution:
     contribution: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # eq=False: the table is an array
 class FidelityResult:
+    """Fidelity value with its table of restricted traces.
+
+    ``table[r, l]`` is <0_L|R A_l|0_L> + <1_L|R A_l|1_L> for the recovery
+    operator keyed ``row_keys[r]``: the operator index k, or "O" for the
+    leftover projector in the last row.  ``terms`` lists the same table as
+    ``TermContribution``s with keys (k, l), row by row; it is built from the
+    table the first time it is read.
+    """
+
     value: float
-    terms: tuple[TermContribution, ...]
+    table: np.ndarray
+    row_keys: tuple[Union[int, str], ...]
+
+    @cached_property
+    def terms(self) -> tuple[TermContribution, ...]:
+        return tuple(
+            TermContribution((k, l), tr, 0.25 * abs(tr) ** 2)
+            for k, row in zip(self.row_keys, self.table.tolist())
+            for l, tr in enumerate(row)
+        )
 
     def recompute(self) -> float:
         return 0.25 * sum(abs(t.trace) ** 2 for t in self.terms)
@@ -53,36 +74,30 @@ class SeriesEstimate:
     gammas_used: tuple[float, ...]
 
 
-def _restricted_trace(code: QuantumCode, op: np.ndarray) -> complex:
-    zero, one = code.codewords
-    return complex(zero.conj() @ op @ zero + one.conj() @ op @ one)
-
-
 def entanglement_fidelity(
     code: QuantumCode, recovery: RecoveryOperation, errors: KrausChannel
 ) -> FidelityResult:
-    """Entanglement fidelity with the full (k, l) contribution table.
+    """Entanglement fidelity with the full (k, l) trace table.
 
     Traces are taken directly against the codewords,
     <0_L|R A|0_L> + <1_L|R A|1_L>, with the encoded dimension fixed at 2.
-    Leftover rows use the key ("O", l).
+    The leftover row is keyed "O".
     """
     if recovery.dim != errors.dim:
         raise ValueError("recovery and channel dimensions differ")
     if recovery.completeness_defect() > 1e-10:
         raise ValueError("recovery is not trace preserving")
-    recovery_rows: list[tuple[Union[int, str], np.ndarray]] = list(
-        enumerate(recovery.operators())
-    )
+    rows = recovery.operators()
+    row_keys: tuple[Union[int, str], ...] = tuple(range(len(rows)))
     if recovery.leftover is not None:
-        recovery_rows.append(("O", recovery.leftover))
-    terms = []
-    for k, r_op in recovery_rows:
-        for l, kraus in enumerate(errors.kraus):
-            tr = _restricted_trace(code, r_op @ kraus.op)
-            terms.append(TermContribution((k, l), tr, 0.25 * abs(tr) ** 2))
-    value = float(sum(t.contribution for t in terms))
-    return FidelityResult(value, tuple(terms))
+        rows.append(recovery.leftover)
+        row_keys += ("O",)
+    v = np.stack(code.codewords, axis=1)
+    left = dagger(v) @ np.stack(rows)  # (K, 2, d): V^dag R_k
+    right = np.stack(errors.operators()) @ v  # (L, d, 2): A_l V
+    table = np.einsum("kia,lai->kl", left, right)
+    value = 0.25 * float(np.vdot(table, table).real)
+    return FidelityResult(value, table, row_keys)
 
 
 def nonvanishing_terms(

@@ -132,3 +132,25 @@ def test_invalid_grid_rejected(capsys):
         main(["bitflip", "--grid", "0.5,0.1"])
     with pytest.raises(SystemExit):
         main(["bitflip", "--grid", "0,0.5,1.5"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bitflip", "--grid", "0:1:0"],
+        ["bitflip", "--grid", ""],
+        ["bitflip", "--grid", " "],
+        ["bitflip", "--grid", "0:1"],
+        ["bitflip", "--grid", "0,nan"],
+        ["ad-fidelity", "--grid", "log:1e-4:1e-2:0"],
+        ["ad-fidelity", "--grid", "log:1e-4:1e-2"],
+        ["fig1", "--points", "0"],
+        ["fig1", "--points", "-3"],
+    ],
+)
+def test_empty_or_malformed_grid_rejected(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    message = excinfo.value.code
+    assert isinstance(message, str) and message.startswith("error: ")
+    assert "\n" not in message
