@@ -3,7 +3,8 @@
 Subcommands drive every analysis in the package and emit tables as CSV,
 JSON, or plain text.  All output is deterministic: identical inputs produce
 byte-identical CSV/JSON.  The environment variable ``QECWB_TOL`` overrides
-the default 1e-10 verdict tolerance used by the internal certificates.
+the default 1e-10 verdict tolerance used by the internal certificates; it
+must be a finite positive number.
 
     qecwb bitflip [--grid 0:1:101] [--format csv] [--out table.csv]
     qecwb ad-fidelity --recovery qec|cp|fletcher|fletcher-opt
@@ -52,7 +53,14 @@ CHANNEL_TOL = 1e-12
 
 
 def _tolerance() -> float:
-    return float(os.environ.get("QECWB_TOL", DEFAULT_TOL))
+    raw = os.environ.get("QECWB_TOL", repr(DEFAULT_TOL))
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = float("nan")
+    if not 0.0 < tol < float("inf"):
+        raise SystemExit("error: QECWB_TOL must be a finite positive number, got %r" % raw)
+    return tol
 
 
 def _num(x: float) -> str:
@@ -118,6 +126,7 @@ def _render(fmt: str, header, rows, footer_lines, json_obj) -> str:
 
 
 def cmd_bitflip(args) -> int:
+    """Fidelity table over ``--grid``; threshold and useful range use 101 points on [0, 1]."""
     tol = _tolerance()
     grid = _parse_grid(args.grid, np.linspace(0.0, 1.0, 101), 0.0, 1.0)
     recovery = repetition_recovery()
@@ -407,7 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json", "text"), default="text")
 
-    p = sub.add_parser("bitflip", help="repetition-code fidelity table over p")
+    p = sub.add_parser("bitflip", help="repetition-code fidelity table over p", description=(
+        "Repetition-code fidelity table over the --grid values of p. The failure threshold "
+        "and the coding-useful range always use the fixed 101-point grid on [0, 1], "
+        "whatever --grid says."))
     common(p)
     p.set_defaults(func=cmd_bitflip)
 

@@ -147,8 +147,12 @@ def permutation_equivalent(
     """
     if c1.n_qubits != c2.n_qubits:
         raise ValueError("codes act on different qubit counts")
-    for perm in permutations(range(c1.n_qubits)):
-        m = permute_qubits_matrix(perm, c1.n_qubits)
-        if max_abs(m @ c1.projector @ m.conj().T - c2.projector) <= tol:
+    n = c1.n_qubits
+    # As a (2,)*2n tensor the projector's row and column axes are the qubits;
+    # permuting both the same way is M P M^dag of ``permute_qubits_matrix``.
+    tensor = c1.projector.reshape((2,) * (2 * n))
+    for perm in permutations(range(n)):
+        moved = tensor.transpose(perm + tuple(n + p for p in perm)).reshape(c1.projector.shape)
+        if max_abs(moved - c2.projector) <= tol:
             return perm
     return None

@@ -97,10 +97,17 @@ def detectability(code: QuantumCode, a: np.ndarray, tol: float = EXACT_TOL,
     return DetectabilityReport(label, lam, float(residual), off, residual <= tol)
 
 
-def _fit_slope(gammas: Sequence[float], values: Sequence[float]) -> float:
-    logs = np.log(np.asarray(gammas, dtype=float))
-    logv = np.log(np.asarray(values, dtype=float))
-    return float(np.polyfit(logs, logv, 1)[0])
+def _fit_slope(gammas: Sequence[float], values) -> np.ndarray:
+    """Log-log slope of a (G,) array, or of each column of a (G, k) one; zeros clamp to 1e-300."""
+    logv = np.log(np.maximum(np.asarray(values, dtype=float), 1e-300))
+    return np.polyfit(np.log(np.asarray(gammas, dtype=float)), logv, 1)[0]
+
+
+def _noise_samples(gammas: Sequence[float]) -> tuple[float, ...]:
+    gammas = tuple(float(g) for g in gammas)
+    if len(set(gammas)) < 2 or not all(0.0 < g <= 1e-2 for g in gammas):
+        raise ValueError("need >= 2 distinct noise samples in (0, 1e-2], got %r" % (gammas,))
+    return gammas
 
 
 def detectable_to_first_order(
@@ -116,22 +123,36 @@ def detectable_to_first_order(
     on top of lambda = O(1) passes, while an error whose entire amplitude is
     O(gamma**2) (so residual ~ lambda) fails.
     """
-    residuals, lams = [], []
-    for g in gammas:
-        code, op = family(g)
-        rep = detectability(code, op, tol=np.inf)
-        residuals.append(rep.residual)
-        lams.append(abs(rep.lam))
-    residuals = np.asarray(residuals)
-    lams = np.asarray(lams)
+    gammas = _noise_samples(gammas)
+    reports = [detectability(*family(g), tol=np.inf) for g in gammas]
+    residuals = np.array([rep.residual for rep in reports])
+    lams = np.array([abs(rep.lam) for rep in reports])
     if np.all(residuals <= ZERO_FLOOR):
         return True
-    if np.all(lams <= ZERO_FLOOR):
-        return False
     if np.any(residuals <= ZERO_FLOOR) or np.any(lams <= ZERO_FLOOR):
         return False
-    slope_gap = _fit_slope(gammas, residuals) - _fit_slope(gammas, lams)
-    return slope_gap >= 1.0 - 0.1
+    return _fit_slope(gammas, residuals) - _fit_slope(gammas, lams) >= 1.0 - 0.1
+
+
+def _gram_blocks(images: np.ndarray) -> np.ndarray:
+    """Blocks (A_l V)^dag (A_m V), (G, L, L, 2, 2), of images A_l V stacked as (G, L, d, 2)."""
+    return np.einsum("glai,gmaj->glmij", images.conj(), images)
+
+
+def _upper_pairs(items: Sequence) -> list[tuple]:
+    """Pairs (items[i], items[j]), i <= j, in row-major order."""
+    return [(a, b) for i, a in enumerate(items) for b in items[i:]]
+
+
+def _pair_violations(grams: np.ndarray) -> np.ndarray:
+    """max(|b01|, |b10|, |b00 - b11|) of each block, in ``_upper_pairs`` order.
+
+    ``grams`` is (G, L, L, 2, 2); the result is (G, L (L + 1) / 2).
+    """
+    rows, cols = zip(*_upper_pairs(range(grams.shape[1])))
+    b = grams[:, rows, cols]
+    off = np.maximum(np.abs(b[..., 0, 1]), np.abs(b[..., 1, 0]))
+    return np.maximum(off, np.abs(b[..., 0, 0] - b[..., 1, 1]))
 
 
 def kl_gram(code: QuantumCode, errors: Sequence[LabeledError]) -> KLGram:
@@ -144,7 +165,7 @@ def kl_gram(code: QuantumCode, errors: Sequence[LabeledError]) -> KLGram:
     """
     labels = tuple(label for label, _ in errors)
     images = np.stack([op for _, op in errors]) @ np.stack(code.codewords, axis=1)
-    grams = np.einsum("lai,maj->lmij", images.conj(), images)
+    grams = _gram_blocks(images[None])[0]
     diag = grams[np.arange(len(labels)), np.arange(len(labels))]
     eigs = np.linalg.eigvalsh(0.5 * (diag + diag.conj().swapaxes(1, 2)))
     blocks = {(l, m): grams[i, j] for i, l in enumerate(labels) for j, m in enumerate(labels)}
@@ -154,29 +175,21 @@ def kl_gram(code: QuantumCode, errors: Sequence[LabeledError]) -> KLGram:
     return KLGram(labels, blocks, diag_eigs, float(max_off), float(max_mismatch))
 
 
-def _pair_violation(block: np.ndarray) -> float:
-    return float(
-        max(abs(block[0, 1]), abs(block[1, 0]), abs(block[0, 0] - block[1, 1]))
-    )
-
-
 def exact_correctable(
     code: QuantumCode, errors: Sequence[LabeledError], tol: float = EXACT_TOL
 ) -> CorrectabilityVerdict:
     """Exact Knill-Laflamme verdict for an error set.
 
     The violation is the worst off-diagonal magnitude or diagonal mismatch
-    over all error pairs; the witness is a pair achieving it.
+    over all error pairs; the witness is the first pair (l <= m, row-major)
+    achieving it, or None when every pair satisfies the conditions exactly.
     """
-    gram = kl_gram(code, errors)
-    labels = gram.labels
-    worst = 0.0
-    witness = None
-    for i, l in enumerate(labels):
-        for m in labels[i:]:
-            v = _pair_violation(gram.blocks[(l, m)])
-            if v > worst:
-                worst, witness = v, (l, m)
+    labels = tuple(label for label, _ in errors)
+    images = np.stack([op for _, op in errors]) @ np.stack(code.codewords, axis=1)
+    violations = _pair_violations(_gram_blocks(images[None]))[0]
+    k = int(np.argmax(violations))
+    worst = float(violations[k])
+    witness = _upper_pairs(labels)[k] if worst > 0.0 else None
     return CorrectabilityVerdict(labels, worst <= tol, worst, witness)
 
 
@@ -188,20 +201,18 @@ def violation_order(
 
     Violations below 1e-13 at every sample are reported as exact; a slope of
     at least ~2 marks the set as first-order correctable (violations are
-    O(gamma**2) while detection probabilities carry O(gamma) weight).
+    O(gamma**2) while detection probabilities carry O(gamma) weight).  The
+    family must return the same number of errors at every sample.
     """
-    gammas = tuple(float(g) for g in gammas)
-    if len(gammas) < 2 or min(gammas) <= 0 or max(gammas) > 1e-2:
-        raise ValueError("need >= 2 noise samples in (0, 1e-2]")
-    violations = []
-    for g in gammas:
-        code, errors = family(g)
-        violations.append(exact_correctable(code, errors, tol=np.inf).violation)
-    violations = tuple(violations)
+    gammas = _noise_samples(gammas)
+    samples = [family(g) for g in gammas]
+    ops = np.array([[op for _, op in errors] for _, errors in samples])
+    isometries = np.array([np.stack(code.codewords, axis=1) for code, _ in samples])
+    grams = _gram_blocks(ops @ isometries[:, None])
+    violations = tuple(float(v) for v in _pair_violations(grams).max(axis=1))
     if all(v <= ZERO_FLOOR for v in violations):
         return ViolationOrder(True, None, violations, gammas)
-    slope = _fit_slope(gammas, np.maximum(violations, 1e-300))
-    return ViolationOrder(False, slope, violations, gammas)
+    return ViolationOrder(False, float(_fit_slope(gammas, violations)), violations, gammas)
 
 
 def weight_le1_ad_errors(gamma: float) -> list[LabeledError]:
@@ -219,38 +230,19 @@ def classify_pair(
     A pair is good when the weight <= 1 damping error set is first-order
     correctable.  Every error pair (l, m) is classified separately by its
     violation slope; the reported witness is the last failing pair in
-    (l, m) index order.
+    (l, m) index order.  The pair slopes and the overall slope (of the
+    worst pair violation) come from one fit.
     """
-    code = pair.as_code()
-    if code.n_qubits != 4:
-        raise ValueError("classification is defined for four-qubit pairs")
-    grams = [kl_gram(code, weight_le1_ad_errors(g)) for g in gammas]
-    labels = grams[0].labels
-    failing: list[tuple[int, int]] = []
-    overall = [
-        max(
-            _pair_violation(gram.blocks[(l, m)])
-            for i, l in enumerate(labels)
-            for m in labels[i:]
-        )
-        for gram in grams
-    ]
-    for i, l in enumerate(labels):
-        for j, m in enumerate(labels[i:], start=i):
-            vio = [_pair_violation(g.blocks[(l, m)]) for g in grams]
-            if all(v <= ZERO_FLOOR for v in vio):
-                continue
-            if _fit_slope(gammas, np.maximum(vio, 1e-300)) < FIRST_ORDER_SLOPE:
-                failing.append((i, j))
-    if all(v <= ZERO_FLOOR for v in overall):
-        slope = None
-    else:
-        slope = _fit_slope(gammas, np.maximum(overall, 1e-300))
-    witness = None
-    if failing:
-        i, j = max(failing)
-        witness = (labels[i], labels[j])
-    return PairClassification(pair.index_pair, not failing, witness, slope)
+    gammas = _noise_samples(gammas)
+    ops = np.array([[op for _, op in weight_le1_ad_errors(g)] for g in gammas])
+    violations = _pair_violations(_gram_blocks(ops @ np.stack(pair.as_code().codewords, axis=1)))
+    columns = np.column_stack([violations, violations.max(axis=1)])
+    slopes = _fit_slope(gammas, columns)
+    vanishing = np.all(columns <= ZERO_FLOOR, axis=0)
+    failing = np.flatnonzero(~vanishing[:-1] & (slopes[:-1] < FIRST_ORDER_SLOPE))
+    slope = None if vanishing[-1] else float(slopes[-1])
+    witness = _upper_pairs(WEIGHT_LE1_LABELS)[failing[-1]] if failing.size else None
+    return PairClassification(pair.index_pair, not failing.size, witness, slope)
 
 
 def detection_probability(

@@ -108,6 +108,16 @@ def test_certify_passes_and_env_override(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-1", "0", "abc"])
+def test_invalid_tolerance_rejected(monkeypatch, value):
+    monkeypatch.setenv("QECWB_TOL", value)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["certify"])
+    assert excinfo.value.code == (
+        "error: QECWB_TOL must be a finite positive number, got '%s'" % value
+    )
+
+
 def test_deterministic_output(capsys):
     _, first = run_cli(capsys, "fig1", "--points", "7", "--format", "csv")
     _, second = run_cli(capsys, "fig1", "--points", "7", "--format", "csv")

@@ -201,6 +201,19 @@ def test_classify_pair_examples():
     assert not bad.good and bad.witness == ("0010", "0001")
 
 
+@pytest.mark.parametrize(
+    "gammas", [(), (1e-3,), (1e-3, 1e-3, 1e-3), (0.0, 1e-3, 1e-2)]
+)
+def test_noise_sweep_needs_two_distinct_samples_in_range(gammas):
+    pair = {p.index_pair: p for p in q.enumerate_pairs()}[(1, 7)]
+    with pytest.raises(ValueError):
+        q.classify_pair(pair, gammas)
+    with pytest.raises(ValueError):
+        q.violation_order(lambda g: (q.leung4(), ad_errors(g)), gammas=gammas)
+    with pytest.raises(ValueError):
+        q.detectable_to_first_order(lambda g: (q.leung4(), dict(ad_errors(g))["1000"]), gammas)
+
+
 def test_detection_probability_completeness_and_values():
     gamma = 0.1
     code = q.leung4()

@@ -2,13 +2,16 @@
 
 The loop forms here are the plain definitions: one ``np.kron`` per label in
 ``enlarge``, a double loop over (k, l) codespace-restricted traces in
-``entanglement_fidelity``, and ``np.vdot`` blocks in ``kl_gram``.  Random
+``entanglement_fidelity``, ``np.vdot`` blocks in ``kl_gram``, a strict ``>``
+scan over error pairs in ``exact_correctable``, one block set per gamma and
+one ``polyfit`` per error pair in ``classify_pair``, and one dense
+permutation matrix per candidate in ``permutation_equivalent``.  Random
 single-qubit channels are cut from random 4 x 2 isometries, random
 recoveries from random (K d) x d isometries on three and four qubits.
 """
 
 from functools import reduce
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 from hypothesis import given, settings
@@ -93,6 +96,61 @@ def loop_kl(code, errors):
     return blocks, eigs, max_off, max_mismatch
 
 
+def loop_pair_violation(block):
+    return float(max(abs(block[0, 1]), abs(block[1, 0]), abs(block[0, 0] - block[1, 1])))
+
+
+def loop_exact_correctable(code, errors):
+    """Scan pairs l <= m in order; a later pair wins only when strictly worse."""
+    blocks = loop_kl(code, errors)[0]
+    labels = [label for label, _ in errors]
+    worst, witness = 0.0, None
+    for i, l in enumerate(labels):
+        for m in labels[i:]:
+            v = loop_pair_violation(blocks[(l, m)])
+            if v > worst:
+                worst, witness = v, (l, m)
+    return worst, witness
+
+
+def loop_classify(pair, gammas):
+    """(good, witness, slope) from per-gamma blocks and one fit per error pair."""
+    code = pair.as_code()
+    labels = q.conditions.WEIGHT_LE1_LABELS
+    per_gamma = [loop_kl(code, q.weight_le1_ad_errors(g))[0] for g in gammas]
+
+    def vanishing(values):
+        return all(v <= q.conditions.ZERO_FLOOR for v in values)
+
+    def slope(values):
+        return float(np.polyfit(np.log(gammas), np.log(np.maximum(values, 1e-300)), 1)[0])
+
+    failing = []
+    for i, l in enumerate(labels):
+        for j, m in enumerate(labels[i:], start=i):
+            vio = [loop_pair_violation(blocks[(l, m)]) for blocks in per_gamma]
+            if not vanishing(vio) and slope(vio) < q.conditions.FIRST_ORDER_SLOPE:
+                failing.append((i, j))
+    overall = [
+        max(loop_pair_violation(blocks[(l, m)]) for i, l in enumerate(labels) for m in labels[i:])
+        for blocks in per_gamma
+    ]
+    witness = None
+    if failing:
+        i, j = max(failing)
+        witness = (labels[i], labels[j])
+    return not failing, witness, None if vanishing(overall) else slope(overall)
+
+
+def loop_permutation_equivalent(c1, c2, tol=1e-10):
+    n = c1.n_qubits
+    for perm in permutations(range(n)):
+        m = q.permute_qubits_matrix(perm, n)
+        if np.max(np.abs(m @ c1.projector @ m.conj().T - c2.projector)) <= tol:
+            return perm
+    return None
+
+
 # ---- properties ------------------------------------------------------------
 
 
@@ -159,3 +217,48 @@ def test_standard_recovery_terms_end_in_leftover_row(gamma):
         q.leung4(), q.standard_ad_recovery(gamma), q.enlarge(q.ad_single(gamma), 4)
     )
     assert max(abs(t.trace - tr) for t, (_, tr) in zip(result.terms, expected)) <= TOL
+
+
+search_gammas = st.tuples(st.floats(1e-4, 3e-4), st.floats(1e-3, 3e-3), st.floats(4e-3, 1e-2))
+
+
+@oracle_settings
+@given(gammas=search_gammas)
+def test_classify_pair_matches_per_pair_fits(gammas):
+    for pair in q.enumerate_pairs():
+        got = q.classify_pair(pair, gammas)
+        good, witness, slope = loop_classify(pair, gammas)
+        assert (got.good, got.witness) == (good, witness), pair.index_pair
+        assert (got.slope is None) == (slope is None)
+        if slope is not None:
+            assert abs(got.slope - slope) <= TOL
+
+
+@oracle_settings
+@given(seed=seeds, n=qubits, size=st.integers(1, 8))
+def test_exact_correctable_matches_strict_scan(seed, n, size):
+    rng = np.random.default_rng(seed)
+    code = random_code(rng, n)
+    channel = q.enlarge(random_single_channel(rng), n)
+    picks = rng.choice(len(channel.kraus), size=min(size, len(channel.kraus)), replace=False)
+    errors = [(channel.kraus[i].label, channel.kraus[i].op) for i in picks]
+    verdict = q.exact_correctable(code, errors)
+    worst, witness = loop_exact_correctable(code, errors)
+    assert verdict.errors == tuple(label for label, _ in errors)
+    assert abs(verdict.violation - worst) <= TOL
+    assert verdict.witness_pair == witness
+
+
+@oracle_settings
+@given(seed=seeds, n=qubits, related=st.booleans())
+def test_permutation_equivalent_matches_dense_matrices(seed, n, related):
+    rng = np.random.default_rng(seed)
+    c1 = random_code(rng, n)
+    if related:
+        m = q.permute_qubits_matrix(tuple(rng.permutation(n)), n)
+        c2 = q.QuantumCode(n, m @ c1.zero_logical, m @ c1.one_logical)
+    else:
+        c2 = random_code(rng, n)
+    expected = loop_permutation_equivalent(c1, c2)
+    assert q.permutation_equivalent(c1, c2) == expected
+    assert (expected is not None) == related
