@@ -19,6 +19,7 @@ from .linalg import (
     PAULI_I,
     PAULI_X,
     PAULI_Z,
+    completeness_defect,
     dagger,
     max_abs,
 )
@@ -55,33 +56,7 @@ class KrausChannel:
 
     def completeness_defect(self) -> float:
         """Max-norm deviation of sum(A^dag A) from the identity."""
-        acc = sum(dagger(t.op) @ t.op for t in self.kraus)
-        return max_abs(acc - np.eye(self.dim))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "param": self.param,
-            "kraus": [
-                {
-                    "label": t.label,
-                    "entries": [[float(z.real), float(z.imag)] for z in t.op.ravel()],
-                }
-                for t in self.kraus
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "KrausChannel":
-        n = int(data["n_qubits"])
-        dim = 2 ** n
-        terms = []
-        for item in data["kraus"]:
-            flat = np.array([complex(re, im) for re, im in item["entries"]])
-            label = str(item["label"])
-            weight = label.count("1") if set(label) <= {"0", "1"} else 0
-            terms.append(KrausTerm(label, weight, flat.reshape(dim, dim)))
-        return cls(n, float(data["param"]), tuple(terms))
+        return completeness_defect(self.operators())
 
 
 @dataclass(frozen=True)
@@ -197,9 +172,9 @@ def apply_channel(channel: KrausChannel, rho: np.ndarray, tol: float = 1e-10) ->
 
 def certify(channel: KrausChannel, tol: float = CERT_TOL) -> ChannelCertificate:
     """Check trace preservation (sum A^dag A = I) and unitality (sum A A^dag = I)."""
-    eye = np.eye(channel.dim)
-    tp_dev = max_abs(sum(dagger(t.op) @ t.op for t in channel.kraus) - eye)
-    un_dev = max_abs(sum(t.op @ dagger(t.op) for t in channel.kraus) - eye)
+    ops = channel.operators()
+    tp_dev = completeness_defect(ops)
+    un_dev = completeness_defect([dagger(op) for op in ops])
     return ChannelCertificate(tp_dev <= tol, un_dev <= tol, float(tp_dev), float(un_dev))
 
 

@@ -6,11 +6,15 @@ byte-identical CSV/JSON.  The environment variable ``QECWB_TOL`` overrides
 the default 1e-10 verdict tolerance used by the internal certificates; it
 must be a finite positive number.
 
+Exit status 1 means a certificate failed; each failed one is named on
+stderr as ``check failed: <name> (deviation <x>)``.  Bad input exits with
+one ``error: ...`` line.
+
     qecwb bitflip [--grid 0:1:101] [--format csv] [--out table.csv]
-    qecwb ad-fidelity --recovery qec|cp|fletcher|fletcher-opt
+    qecwb ad-fidelity --recovery qec|cp|fletcher|fletcher-opt [--grid log:1e-4:1e-2:9]
     qecwb enumerate
     qecwb fig1 [--gamma-max 1e-2] [--points 101]
-    qecwb appendix-a [--gamma 0.1]
+    qecwb appendix-a [--gamma 0.1]      # needs (1-gamma)^2 > 1e-12
     qecwb certify
 """
 
@@ -31,6 +35,7 @@ from . import (
     classify_pair,
     closed_form_optimum,
     cp_recovery,
+    detection_probability,
     entanglement_fidelity,
     enumerate_pairs,
     enlarge,
@@ -50,6 +55,10 @@ from .linalg import dagger, ket, restrict
 
 DEFAULT_TOL = 1e-10
 CHANNEL_TOL = 1e-12
+
+Check = tuple[str, bool, float]  # (name, passed, deviation)
+# header, table rows, footer lines, JSON object, checks
+Report = tuple[list[str], list[list], list[str], dict, list[Check]]
 
 
 def _tolerance() -> float:
@@ -101,37 +110,48 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _csv(header: list[str], rows: list[list[float]], footer: list[str]) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(_num(x) for x in row) for row in rows]
-    lines += ["# " + f for f in footer]
-    return "\n".join(lines) + "\n"
+def _cell(x, fmt: str) -> str:
+    if isinstance(x, str):
+        return x
+    return _num(x) if fmt == "csv" else "%.12g" % x
 
 
-def _text_table(header: list[str], rows: list[list[float]], footer: list[str]) -> str:
-    widths = [max(len(h), 24) for h in header]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for row in rows:
-        lines.append("  ".join(("%.12g" % x).ljust(w) for x, w in zip(row, widths)))
-    lines += footer
-    return "\n".join(lines) + "\n"
-
-
-def _render(fmt: str, header, rows, footer_lines, json_obj) -> str:
-    if fmt == "csv":
-        return _csv(header, rows, footer_lines)
+def _render(fmt: str, header: list[str], rows: list[list], footer: list[str], json_obj) -> str:
+    """JSON as is; a table when there is a header; otherwise the footer lines verbatim."""
     if fmt == "json":
         return json.dumps(json_obj, indent=2) + "\n"
-    return _text_table(header, rows, footer_lines)
+    if not header:
+        lines = list(footer)
+    elif fmt == "csv":
+        lines = [",".join(header)]
+        lines += [",".join(_cell(x, fmt) for x in row) for row in rows]
+        lines += ["# " + f for f in footer]
+    else:
+        widths = [max(len(h), 24) for h in header]
+        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
+        lines += ["  ".join(_cell(x, fmt).ljust(w) for x, w in zip(row, widths)) for row in rows]
+        lines += footer
+    return "\n".join(lines) + "\n"
 
 
-def cmd_bitflip(args) -> int:
+def _complete(name: str, ops, tol: float) -> Check:
+    """Completeness check of a channel or a recovery."""
+    deviation = ops.completeness_defect()
+    return (name, deviation <= tol, deviation)
+
+
+def _trace_preserving(name: str, channel) -> Check:
+    name = "%s %d-qubit trace preservation" % (name, channel.n_qubits)
+    return _complete(name, channel, CHANNEL_TOL)
+
+
+def cmd_bitflip(args) -> Report:
     """Fidelity table over ``--grid``; threshold and useful range use 101 points on [0, 1]."""
     tol = _tolerance()
     grid = _parse_grid(args.grid, np.linspace(0.0, 1.0, 101), 0.0, 1.0)
     recovery = repetition_recovery()
     code = repetition3()
-    ok = recovery.completeness_defect() <= tol
+    checks = [_complete("repetition recovery completeness", recovery, tol)]
 
     def coded(p: float) -> float:
         return entanglement_fidelity(code, recovery, enlarge(bitflip_single(p), 3)).value
@@ -142,7 +162,7 @@ def cmd_bitflip(args) -> int:
     rows = []
     for p in grid:
         channel = enlarge(bitflip_single(p), 3)
-        ok &= channel.completeness_defect() <= CHANNEL_TOL
+        checks.append(_trace_preserving("bitflip(p=%g)" % p, channel))
         f = entanglement_fidelity(code, recovery, channel).value
         b = baseline(p)
         rows.append(
@@ -155,37 +175,28 @@ def cmd_bitflip(args) -> int:
         "coding_useful_range = "
         + ("none" if useful is None else "[%s, %s]" % (_num(useful[0]), _num(useful[1]))),
     ]
+    header = ["p", "f_code", "f_baseline", "p_failure", "useful", "below_threshold"]
     json_obj = {
         "rows": [
-            {
-                "p": r[0],
-                "f_code": r[1],
-                "f_baseline": r[2],
-                "p_failure": r[3],
-                "useful": bool(r[4]),
-                "below_threshold": bool(r[5]),
-            }
-            for r in rows
+            dict(zip(header, r[:4]), useful=bool(r[4]), below_threshold=bool(r[5])) for r in rows
         ],
         "failure_threshold": report.failure_threshold,
         "coding_useful_range": None if useful is None else list(useful),
     }
-    header = ["p", "f_code", "f_baseline", "p_failure", "useful", "below_threshold"]
-    _emit(_render(args.format, header, rows, footer, json_obj), args.out)
-    return 0 if ok else 1
+    return header, rows, footer, json_obj, checks
 
 
-def cmd_ad_fidelity(args) -> int:
+def cmd_ad_fidelity(args) -> Report:
     tol = _tolerance()
     grid = _parse_grid(args.grid, np.logspace(-4, -2, 9), 0.0, 1.0)
     kind = args.recovery
     code = leung4()
-    ok = True
+    checks = []
     rows = []
     optima = []
     for g in grid:
         channel = enlarge(ad_single(g), 4)
-        ok &= channel.completeness_defect() <= CHANNEL_TOL
+        checks.append(_trace_preserving("damping(gamma=%g)" % g, channel))
         if kind in ("fletcher", "fletcher-opt"):
             optima.append(closed_form_optimum(g))
         if kind == "fletcher-opt":
@@ -197,7 +208,7 @@ def cmd_ad_fidelity(args) -> int:
                 rec = cp_recovery()
             else:
                 rec = fletcher_recovery(optima[-1].a_bar, optima[-1].b_bar)
-            ok &= rec.completeness_defect() <= tol
+            checks.append(_complete("%s recovery (gamma=%g) completeness" % (kind, g), rec, tol))
             f = entanglement_fidelity(code, rec, channel).value
         rows.append([g, f])
     fit = None
@@ -205,11 +216,7 @@ def cmd_ad_fidelity(args) -> int:
         fit = second_order_coeff(dict(zip(grid, (f for _, f in rows))).__getitem__, grid)
     footer = []
     if fit is not None:
-        footer = [
-            "c0 = " + _num(fit.c0),
-            "c1 = " + _num(fit.c1),
-            "c2 = " + _num(fit.c2),
-        ]
+        footer = ["c%d = %s" % (k, _num(c)) for k, c in enumerate((fit.c0, fit.c1, fit.c2))]
     json_obj = {
         "recovery": kind,
         "rows": [{"gamma": r[0], "fidelity": r[1]} for r in rows],
@@ -221,24 +228,26 @@ def cmd_ad_fidelity(args) -> int:
         json_obj["optima"] = [
             closed.to_json_dict(g, numeric_optimum(g)) for g, closed in zip(grid, optima)
         ]
-    _emit(_render(args.format, ["gamma", "fidelity"], rows, footer, json_obj), args.out)
-    return 0 if ok else 1
+    return ["gamma", "fidelity"], rows, footer, json_obj, checks
 
 
-def cmd_enumerate(args) -> int:
-    pairs = enumerate_pairs()
-    results = [classify_pair(p) for p in pairs]
+def cmd_enumerate(args) -> Report:
+    results = [classify_pair(p) for p in enumerate_pairs()]
     good = [r for r in results if r.good]
-    header = ["i", "j", "good", "witness", "slope"]
-    lines = [",".join(header)]
-    for r in results:
-        witness = "-" if r.witness is None else "+".join(r.witness)
-        slope = "" if r.slope is None else _num(r.slope)
-        lines.append(
-            "%d,%d,%s,%s,%s" % (r.index_pair[0], r.index_pair[1], str(r.good).lower(), witness, slope)
-        )
-    lines.append("# good_pairs = %d" % len(good))
-    lines.append("# good_set = " + " ".join("(%d,%d)" % r.index_pair for r in good))
+    rows = [
+        [
+            r.index_pair[0],
+            r.index_pair[1],
+            str(r.good).lower(),
+            "-" if r.witness is None else "+".join(r.witness),
+            "" if r.slope is None else r.slope,
+        ]
+        for r in results
+    ]
+    footer = [
+        "good_pairs = %d" % len(good),
+        "good_set = " + " ".join("(%d,%d)" % r.index_pair for r in good),
+    ]
     json_obj = {
         "pairs": [
             {
@@ -251,31 +260,28 @@ def cmd_enumerate(args) -> int:
         ],
         "good_count": len(good),
     }
-    if args.format == "json":
-        _emit(json.dumps(json_obj, indent=2) + "\n", args.out)
-    else:
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if len(good) == 3 else 1
+    checks = [("number of good pairs is 3", len(good) == 3, float(abs(len(good) - 3)))]
+    return ["i", "j", "good", "witness", "slope"], rows, footer, json_obj, checks
 
 
-def cmd_fig1(args) -> int:
+def cmd_fig1(args) -> Report:
     if args.points < 1:
         raise SystemExit("error: --points must be at least 1")
     tol = _tolerance()
     grid = np.linspace(0.0, args.gamma_max, args.points)
     code = leung4()
     cp = cp_recovery()
-    ok = cp.completeness_defect() <= tol
+    checks = [_complete("code-projected recovery completeness", cp, tol)]
     rows = []
     for i, g in enumerate(grid):
         channel = enlarge(ad_single(g), 4)
-        ok &= channel.completeness_defect() <= CHANNEL_TOL
+        checks.append(_trace_preserving("damping(gamma=%g)" % g, channel))
         opt = closed_form_optimum(g)
         qec = standard_ad_recovery(g)
         fletcher = fletcher_recovery(opt.a_bar, opt.b_bar)
         if i in (0, len(grid) - 1):
-            ok &= qec.completeness_defect() <= tol
-            ok &= fletcher.completeness_defect() <= tol
+            for kind, rec in (("qec", qec), ("fletcher", fletcher)):
+                checks.append(_complete("%s recovery (gamma=%g) completeness" % (kind, g), rec, tol))
         rows.append(
             [
                 g,
@@ -297,11 +303,10 @@ def cmd_fig1(args) -> int:
         "baseline",
     ]
     json_obj = {"rows": [dict(zip(header, r)) for r in rows]}
-    _emit(_render(args.format, header, rows, [], json_obj), args.out)
-    return 0 if ok else 1
+    return header, rows, [], json_obj, checks
 
 
-def cmd_appendix_a(args) -> int:
+def cmd_appendix_a(args) -> Report:
     gamma = args.gamma
     code = leung4()
     channel = enlarge(ad_single(gamma), 4)
@@ -311,13 +316,15 @@ def cmd_appendix_a(args) -> int:
     restricted = restrict(p @ dagger(a) @ a @ p, sub_basis)
     eigs = np.linalg.eigvalsh(restricted)
     nonzero = sorted(float(x) for x in eigs if x > 1e-12)
-    pol = polar_decompose(a, p)
-    u_sub = restrict(pol.u, sub_basis)
     if len(nonzero) != 2:
-        raise ValueError("expected two nonzero restricted eigenvalues, got %d" % len(nonzero))
+        raise ValueError("appendix-a needs the restricted eigenvalue (1-gamma)^2 above 1e-12, "
+                         "i.e. gamma below about 1 - 1e-6; got gamma = %r" % gamma)
     lam_min, lam_max = nonzero
+    u_sub = restrict(polar_decompose(a, p).u, sub_basis)
     res = residue(a, p, p_l=lam_max, lambda_l=lam_min / lam_max)
     pi_sub = restrict(res.pi, sub_basis)
+    excess = max(0.0, float(np.linalg.norm(pi_sub, 2)) - (np.sqrt(lam_max) - np.sqrt(lam_min)))
+    checks = [("residue singular values within bound", res.bound_ok, excess)]
 
     def mat_lines(name: str, m: np.ndarray) -> list[str]:
         out = [name + " (basis 0000, 0011, 1100, 1111):"]
@@ -325,83 +332,65 @@ def cmd_appendix_a(args) -> int:
             out.append("  " + "  ".join("%+.12f%+.12fj" % (z.real, z.imag) for z in row))
         return out
 
-    if args.format == "json":
-        payload = {
-            "gamma": gamma,
-            "eigenvalues": nonzero,
-            "u_matrix": [[[z.real, z.imag] for z in row] for row in u_sub],
-            "pi_matrix": [[[z.real, z.imag] for z in row] for row in pi_sub],
-            "residue_bound_ok": res.bound_ok,
-            "pi_corner_small_gamma": 0.5 * gamma**2,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = ["gamma = " + _num(gamma)]
-        lines.append(
-            "restricted eigenvalues: " + ", ".join(_num(x) for x in nonzero)
-        )
-        lines += mat_lines("recovery unitary", u_sub)
-        lines += mat_lines("residue operator", pi_sub)
-        lines.append("residue bound ok: %s" % res.bound_ok)
-        lines.append("small-damping corner value gamma^2/2 = " + _num(0.5 * gamma**2))
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if res.bound_ok else 1
+    json_obj = {
+        "gamma": gamma,
+        "eigenvalues": nonzero,
+        "u_matrix": [[[z.real, z.imag] for z in row] for row in u_sub],
+        "pi_matrix": [[[z.real, z.imag] for z in row] for row in pi_sub],
+        "residue_bound_ok": res.bound_ok,
+        "pi_corner_small_gamma": 0.5 * gamma**2,
+    }
+    lines = ["gamma = " + _num(gamma)]
+    lines.append("restricted eigenvalues: " + ", ".join(_num(x) for x in nonzero))
+    lines += mat_lines("recovery unitary", u_sub)
+    lines += mat_lines("residue operator", pi_sub)
+    lines.append("residue bound ok: %s" % res.bound_ok)
+    lines.append("small-damping corner value gamma^2/2 = " + _num(0.5 * gamma**2))
+    return [], [], lines, json_obj, checks
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> Report:
     tol = _tolerance()
     rng = np.random.default_rng(20240601)
-    checks: list[tuple[str, bool, float]] = []
+    checks: list[Check] = []
 
     for p in (0.0, 0.1, 0.3, 0.5, 1.0):
         for maker, name in ((bitflip_single, "bitflip"), (phaseflip_single, "phaseflip")):
-            d = enlarge(maker(p), 3).completeness_defect()
-            checks.append(("%s(p=%g) 3-qubit trace preservation" % (name, p), d <= CHANNEL_TOL, d))
+            checks.append(_trace_preserving("%s(p=%g)" % (name, p), enlarge(maker(p), 3)))
     for g in (0.0, 0.05, 0.1, 0.2, 0.9):
-        d = enlarge(ad_single(g), 4).completeness_defect()
-        checks.append(("damping(gamma=%g) 4-qubit trace preservation" % g, d <= CHANNEL_TOL, d))
+        checks.append(_trace_preserving("damping(gamma=%g)" % g, enlarge(ad_single(g), 4)))
 
+    opt = closed_form_optimum(0.1)
     recoveries = [
         ("repetition recovery", repetition_recovery()),
         ("standard damping recovery (gamma=0.1)", standard_ad_recovery(0.1)),
         ("code-projected recovery", cp_recovery()),
+        ("channel-adapted recovery (gamma=0.1)", fletcher_recovery(opt.a_bar, opt.b_bar)),
     ]
-    opt = closed_form_optimum(0.1)
-    recoveries.append(("channel-adapted recovery (gamma=0.1)", fletcher_recovery(opt.a_bar, opt.b_bar)))
     for name, rec in recoveries:
-        d = rec.completeness_defect()
-        checks.append((name + " completeness", d <= tol, d))
+        checks.append(_complete(name + " completeness", rec, tol))
 
     code = leung4()
-    channel = enlarge(ad_single(0.1), 4)
+    errors = [(t.label, t.op) for t in enlarge(ad_single(0.1), 4).kraus]
     worst = 0.0
     for _ in range(100):
         alpha, beta = rng.normal(size=2) + 1j * rng.normal(size=2)
         norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
         state = (alpha * code.zero_logical + beta * code.one_logical) / norm
-        total = sum(
-            float(np.real(np.vdot(t.op @ state, t.op @ state))) for t in channel.kraus
-        )
-        worst = max(worst, abs(total - 1.0))
+        worst = max(worst, abs(detection_probability(code, errors, state) - 1.0))
     checks.append(("damping probability bookkeeping (100 random code states)", worst <= 1e-12, worst))
 
-    lines = []
-    all_ok = True
-    for name, ok, value in checks:
-        all_ok &= ok
-        lines.append("%s: %s (deviation %.3e)" % (name, "pass" if ok else "FAIL", value))
+    all_ok = all(ok for _, ok, _ in checks)
+    lines = [
+        "%s: %s (deviation %.3e)" % (name, "pass" if ok else "FAIL", value)
+        for name, ok, value in checks
+    ]
     lines.append("overall: %s" % ("pass" if all_ok else "FAIL"))
-    if args.format == "json":
-        payload = {
-            "checks": [
-                {"name": n, "pass": bool(ok), "deviation": v} for n, ok, v in checks
-            ],
-            "overall": bool(all_ok),
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if all_ok else 1
+    json_obj = {
+        "checks": [{"name": n, "pass": bool(ok), "deviation": v} for n, ok, v in checks],
+        "overall": all_ok,
+    }
+    return [], [], lines, json_obj, checks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,8 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--grid", default=None, help="a,b,c or start:stop:count or log:start:stop:count")
+    def common(p, grid=False):
+        if grid:
+            p.add_argument("--grid", default=None, help="a,b,c or start:stop:count or log:start:stop:count")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json", "text"), default="text")
 
@@ -420,11 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
         "Repetition-code fidelity table over the --grid values of p. The failure threshold "
         "and the coding-useful range always use the fixed 101-point grid on [0, 1], "
         "whatever --grid says."))
-    common(p)
+    common(p, grid=True)
     p.set_defaults(func=cmd_bitflip)
 
     p = sub.add_parser("ad-fidelity", help="damping fidelity table over gamma")
-    common(p)
+    common(p, grid=True)
     p.add_argument(
         "--recovery",
         choices=("qec", "cp", "fletcher", "fletcher-opt"),
@@ -444,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("appendix-a", help="recovery unitary and residue for the no-damp error")
     common(p)
-    p.add_argument("--gamma", type=float, default=0.1)
+    p.add_argument("--gamma", type=float, default=0.1,
+                   help="damping rate; needs (1-gamma)^2 > 1e-12, i.e. gamma below about 1 - 1e-6")
     p.set_defaults(func=cmd_appendix_a)
 
     p = sub.add_parser("certify", help="structural certificates for channels and recoveries")
@@ -454,11 +445,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand, write its output, name each failed check on stderr; 1 iff one failed."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        header, rows, footer, json_obj, checks = args.func(args)
     except ValueError as exc:
         raise SystemExit("error: %s" % exc)
+    _emit(_render(args.format, header, rows, footer, json_obj), args.out)
+    failed = [(name, deviation) for name, ok, deviation in checks if not ok]
+    for name, deviation in failed:
+        sys.stderr.write("check failed: %s (deviation %.3e)\n" % (name, deviation))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -55,19 +55,6 @@ class QuantumCode:
         state = np.asarray(state, dtype=complex)
         return max_abs(self.projector @ state - state) <= tol
 
-    def to_json_dict(self) -> dict:
-        def sparse(v: np.ndarray) -> list[dict]:
-            return [
-                {"index": int(i), "amplitude_re": float(z.real), "amplitude_im": float(z.imag)}
-                for i, z in enumerate(v)
-                if abs(z) > 1e-15
-            ]
-
-        return {
-            "n_qubits": self.n_qubits,
-            "codewords": [sparse(self.zero_logical), sparse(self.one_logical)],
-        }
-
 
 @dataclass(frozen=True)
 class SelfComplementaryPair:

@@ -46,17 +46,11 @@ def assert_finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the left factor acts on the more significant bits."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of a sequence, leftmost factor first."""
-    out = as_matrix(factors[0])
-    for f in factors[1:]:
-        out = np.kron(out, as_matrix(f))
-    return out
+def completeness_defect(ops) -> float:
+    """Max-norm deviation of sum_k A_k^dag A_k from I; pass the A_k^dag for unitality."""
+    stack = np.asarray(ops, dtype=complex)
+    gram = (stack.conj().transpose(0, 2, 1) @ stack).sum(axis=0)
+    return max_abs(gram - np.eye(stack.shape[-1]))
 
 
 def ket(bits: str) -> np.ndarray:
@@ -71,11 +65,6 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return v
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    m = as_matrix(m)
-    return m.shape[0] == m.shape[1] and max_abs(m - dagger(m)) <= tol
 
 
 def _fix_phases(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 from .codes import QuantumCode, leung4, repetition3
 from .linalg import (
     basis_state,
+    completeness_defect,
     dagger,
     gram_schmidt,
     hermitian_eig,
@@ -53,7 +54,6 @@ class RecoveryOperation:
     name: str
     ops: tuple[tuple[str, np.ndarray], ...]
     leftover: Optional[np.ndarray] = None
-    params: Optional[tuple[complex, complex]] = None
 
     @property
     def dim(self) -> int:
@@ -64,28 +64,10 @@ class RecoveryOperation:
 
     def completeness_defect(self) -> float:
         """Max-norm deviation of sum(R^dag R) (+ O^dag O) from the identity."""
-        acc = sum(dagger(op) @ op for _, op in self.ops)
+        ops = self.operators()
         if self.leftover is not None:
-            acc = acc + dagger(self.leftover) @ self.leftover
-        return max_abs(acc - np.eye(self.dim))
-
-    def to_json_dict(self) -> dict:
-        def encode(m: np.ndarray) -> list:
-            return [[float(z.real), float(z.imag)] for z in m.ravel()]
-
-        data = {
-            "name": self.name,
-            "ops": [{"label": lab, "entries": encode(op)} for lab, op in self.ops],
-        }
-        if self.leftover is not None:
-            data["leftover"] = encode(self.leftover)
-        if self.params is not None:
-            a, b = self.params
-            data["params"] = {
-                "a": [float(a.real), float(a.imag)],
-                "b": [float(b.real), float(b.imag)],
-            }
-        return data
+            ops.append(self.leftover)
+        return completeness_defect(ops)
 
 
 def _complete_basis(seed: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
@@ -279,4 +261,4 @@ def fletcher_recovery(a: complex, b: complex) -> RecoveryOperation:
     r1 = np.outer(zero, r1_row) + np.outer(one, one.conj())
     r2 = np.outer(zero, r2_row) + np.outer(one, (ket("0011") - ket("1100")) / np.sqrt(2))
     ops = [("adapted-1", r1), ("adapted-2", r2)] + _damping_syndrome_ops(code)
-    return RecoveryOperation("fletcher", tuple(ops), params=(a, b))
+    return RecoveryOperation("fletcher", tuple(ops))

@@ -1,4 +1,3 @@
-import json
 from math import comb
 
 import numpy as np
@@ -151,13 +150,3 @@ def test_probability_bookkeeping_on_code_states():
         psi = (alpha * code.zero_logical + beta * code.one_logical) / norm
         total = sum(np.vdot(t.op @ psi, t.op @ psi).real for t in ch.kraus)
         assert abs(total - 1.0) <= 1e-12
-
-
-def test_channel_json_round_trip():
-    ch = q.enlarge(q.ad_single(0.11), 2)
-    data = json.loads(json.dumps(ch.to_json_dict()))
-    back = q.KrausChannel.from_json_dict(data)
-    assert back.n_qubits == ch.n_qubits
-    assert back.labels() == ch.labels()
-    for t_old, t_new in zip(ch.kraus, back.kraus):
-        assert max_abs(t_old.op - t_new.op) == 0.0

@@ -3,13 +3,27 @@ import json
 import numpy as np
 import pytest
 
+import qecwb.cli
 from qecwb.cli import main
+
+SUBCOMMANDS = ("bitflip", "ad-fidelity", "enumerate", "fig1", "appendix-a", "certify")
+
+
+def run_cli_streams(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out
+    code, out, _ = run_cli_streams(capsys, *argv)
+    return code, out
+
+
+def csv_rows(out):
+    lines = [line for line in out.strip().split("\n") if not line.startswith("#")]
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
 def test_bitflip_table_values(capsys):
@@ -164,3 +178,94 @@ def test_empty_or_malformed_grid_rejected(argv):
     message = excinfo.value.code
     assert isinstance(message, str) and message.startswith("error: ")
     assert "\n" not in message
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_subcommand_and_format_runs_clean(capsys, command, fmt):
+    code, out, err = run_cli_streams(capsys, command, "--format", fmt)
+    assert code == 0
+    assert err == ""
+    assert out.endswith("\n")
+    if fmt == "json":
+        json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv, n_failed",
+    [
+        (["fig1", "--points", "3"], 5),
+        (["ad-fidelity", "--recovery", "qec", "--grid", "1e-3,2e-3,5e-3"], 3),
+        (["ad-fidelity", "--recovery", "fletcher", "--grid", "1e-3,2e-3,5e-3"], 3),
+    ],
+)
+def test_failed_checks_named_on_stderr(capsys, monkeypatch, argv, n_failed):
+    code, passing, err = run_cli_streams(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    monkeypatch.setenv("QECWB_TOL", "1e-30")
+    code, out, err = run_cli_streams(capsys, *argv, "--format", "csv")
+    assert code == 1
+    assert out == passing
+    lines = err.splitlines()
+    assert len(lines) == n_failed
+    for line in lines:
+        assert line.startswith("check failed: ") and " completeness (deviation " in line
+
+
+def test_bitflip_failed_checks_named_on_stderr(capsys, monkeypatch):
+    argv = ("bitflip", "--grid", "0,0.5,1", "--format", "csv")
+    _, passing, _ = run_cli_streams(capsys, *argv)
+    # the repetition recovery is complete to exactly 0, so QECWB_TOL cannot fail
+    # bitflip; a negative channel tolerance fails every trace-preservation check
+    monkeypatch.setenv("QECWB_TOL", "1e-30")
+    assert run_cli_streams(capsys, *argv) == (0, passing, "")
+    monkeypatch.setattr(qecwb.cli, "CHANNEL_TOL", -1.0)
+    code, out, err = run_cli_streams(capsys, *argv)
+    assert (code, out) == (1, passing)
+    lines = err.splitlines()
+    assert [line.split(" (deviation ")[0] for line in lines] == [
+        "check failed: bitflip(p=%s) 3-qubit trace preservation" % p for p in ("0", "0.5", "1")
+    ]
+
+
+def test_csv_cells_parse_back_to_json_values(capsys):
+    for argv, key in (
+        (["bitflip", "--grid", "0,0.1,0.5,0.75"], "rows"),
+        (["ad-fidelity", "--recovery", "cp"], "rows"),
+        (["fig1", "--points", "11"], "rows"),
+    ):
+        _, out = run_cli(capsys, *argv, "--format", "csv")
+        payload = json.loads(run_cli(capsys, *argv, "--format", "json")[1])
+        rows = csv_rows(out)
+        assert len(rows) == len(payload[key])
+        for row, expected in zip(rows, payload[key]):
+            assert row.keys() == expected.keys()
+            for column, value in expected.items():
+                assert float(row[column]) == float(value)
+    _, out = run_cli(capsys, "enumerate", "--format", "csv")
+    payload = json.loads(run_cli(capsys, "enumerate", "--format", "json")[1])
+    for row, expected in zip(csv_rows(out), payload["pairs"]):
+        assert [float(row["i"]), float(row["j"])] == expected["indices"]
+        assert row["good"] == str(expected["good"]).lower()
+        if expected["slope"] is None:
+            assert row["slope"] == ""
+        else:
+            assert float(row["slope"]) == expected["slope"]
+
+
+@pytest.mark.parametrize("command", ["enumerate", "fig1", "appendix-a", "certify"])
+def test_grid_only_on_sweeping_subcommands(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--grid", "0,1"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", ["0.999999", "1"])
+def test_appendix_a_outside_domain_rejected(gamma):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["appendix-a", "--gamma", gamma])
+    message = excinfo.value.code
+    assert isinstance(message, str) and message.startswith("error: ")
+    assert "\n" not in message
+    assert "(1-gamma)^2 above 1e-12" in message

@@ -99,13 +99,3 @@ def test_permutation_equivalence_negative_case():
 def test_permutation_equivalent_dimension_mismatch():
     with pytest.raises(ValueError):
         q.permutation_equivalent(q.repetition3(), q.leung4())
-
-
-def test_code_json_sparse_form():
-    data = q.leung4().to_json_dict()
-    assert data["n_qubits"] == 4
-    zero_support = {item["index"] for item in data["codewords"][0]}
-    assert zero_support == {0, 15}
-    amp = data["codewords"][0][0]
-    assert abs(amp["amplitude_re"] - 1 / np.sqrt(2)) <= 1e-15
-    assert amp["amplitude_im"] == 0.0

@@ -1,6 +1,7 @@
 """The stacked-array kernel against the per-term loops it replaced.
 
-The loop forms here are the plain definitions: one ``np.kron`` per label in
+The loop forms here are the plain definitions: a per-operator sum of
+A^dag A in ``completeness_defect``, one ``np.kron`` per label in
 ``enlarge``, a double loop over (k, l) codespace-restricted traces in
 ``entanglement_fidelity``, ``np.vdot`` blocks in ``kl_gram``, a strict ``>``
 scan over error pairs in ``exact_correctable``, one block set per gamma and
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import qecwb as q
 from qecwb.channels import KrausChannel, KrausTerm
+from qecwb.linalg import completeness_defect
 from qecwb.recovery import RecoveryOperation
 
 TOL = 1e-12
@@ -55,6 +57,12 @@ def random_recovery(rng, n, n_ops, with_leftover):
 
 
 # ---- the loop forms --------------------------------------------------------
+
+
+def loop_completeness_defect(ops):
+    """max |sum_k A_k^dag A_k - I|, one product per operator."""
+    acc = sum(op.conj().T @ op for op in ops)
+    return np.max(np.abs(acc - np.eye(ops[0].shape[0])))
 
 
 def loop_enlarge(channel, n):
@@ -152,6 +160,31 @@ def loop_permutation_equivalent(c1, c2, tol=1e-10):
 
 
 # ---- properties ------------------------------------------------------------
+
+
+@oracle_settings
+@given(seed=seeds, n_ops=st.integers(1, 16), dim=st.sampled_from((2, 4, 8, 16)))
+def test_completeness_defect_matches_operator_loop(seed, n_ops, dim):
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / np.sqrt(2 * n_ops * dim)
+    ops = [scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+           for _ in range(n_ops)]
+    assert abs(completeness_defect(ops) - loop_completeness_defect(ops)) <= TOL
+    daggered = [op.conj().T for op in ops]
+    unital = np.max(np.abs(sum(op @ op.conj().T for op in ops) - np.eye(dim)))
+    assert abs(completeness_defect(daggered) - unital) <= TOL
+
+
+@oracle_settings
+@given(seed=seeds, n_ops=st.integers(2, 16), dim=st.sampled_from((2, 4, 8, 16)))
+def test_random_isometry_kraus_sets_are_trace_preserving(seed, n_ops, dim):
+    w = random_isometry(np.random.default_rng(seed), n_ops * dim, dim)
+    ops = [w[k * dim:(k + 1) * dim] for k in range(n_ops)]
+    assert completeness_defect(ops) <= TOL
+    terms = tuple(KrausTerm("k%d" % k, 0, op) for k, op in enumerate(ops))
+    assert q.certify(KrausChannel(dim.bit_length() - 1, 0.0, terms), tol=TOL).trace_preserving
+    labeled = tuple(("r%d" % k, op) for k, op in enumerate(ops[:-1]))
+    assert RecoveryOperation("random", labeled, leftover=ops[-1]).completeness_defect() <= TOL
 
 
 @oracle_settings

@@ -3,13 +3,10 @@ import pytest
 
 import qecwb as q
 from qecwb.linalg import (
-    PAULI_X,
     dagger,
     gram_schmidt,
     hermitian_eig,
     ket,
-    kron,
-    kron_all,
     max_abs,
     psd_sqrt,
     restrict,
@@ -18,40 +15,6 @@ from qecwb.linalg import (
 
 def random_complex(rng, rows, cols):
     return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-
-
-def test_kron_identity():
-    assert max_abs(kron(np.eye(2), np.eye(2)) - np.eye(4)) == 0.0
-
-
-def test_kron_flip_times_identity_entries():
-    m = kron(PAULI_X, np.eye(2))
-    expected = np.zeros((4, 4))
-    for pos in ((0, 2), (1, 3), (2, 0), (3, 1)):
-        expected[pos] = 1.0
-    assert max_abs(m - expected) == 0.0
-
-
-def test_kron_matches_index_oracle():
-    rng = np.random.default_rng(11)
-    a = random_complex(rng, 2, 2)
-    b = random_complex(rng, 2, 2)
-    m = kron(a, b)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    assert abs(m[i * 2 + k, j * 2 + l] - a[i, j] * b[k, l]) <= 1e-14
-
-
-def test_kron_associative():
-    rng = np.random.default_rng(12)
-    a, b, c = (random_complex(rng, 2, 2) for _ in range(3))
-    left = kron(kron(a, b), c)
-    right = kron(a, kron(b, c))
-    assert max_abs(left - right) <= 1e-15
-    # the left-fold helper reproduces the pairwise association exactly
-    assert max_abs(kron_all([a, b, c]) - left) == 0.0
 
 
 def test_hermitian_eig_diagonal():

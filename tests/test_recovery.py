@@ -240,14 +240,3 @@ def test_all_recoveries_trace_preserving():
     recoveries.append(q.fletcher_recovery(opt.a_bar, opt.b_bar))
     for rec in recoveries:
         assert rec.completeness_defect() <= 1e-10
-
-
-def test_recovery_json_shape():
-    rec = q.standard_ad_recovery(0.1)
-    data = rec.to_json_dict()
-    assert data["name"] == "standard_qec"
-    assert len(data["ops"]) == 5
-    assert len(data["ops"][0]["entries"]) == 256
-    assert "leftover" in data
-    fletcher = q.fletcher_recovery(0.6, 0.8)
-    assert fletcher.to_json_dict()["params"]["a"] == [0.6, 0.0]
