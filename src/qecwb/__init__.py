@@ -12,13 +12,10 @@ from .channels import (
     KrausChannel,
     KrausTerm,
     ad_single,
-    apply_channel,
     bitflip_single,
     certify,
     enlarge,
-    hadamard_conjugate,
     phaseflip_single,
-    truncate,
 )
 from .codes import (
     QuantumCode,

@@ -1,10 +1,10 @@
 """Single-qubit noise channels and their n-qubit enlarged Kraus sets.
 
-A channel is a labeled list of Kraus operators together with the noise
-parameter that generated them.  Labels of enlarged operators are bitstrings
-of error positions ("0100" = error on qubit 2), with qubit 1 the leftmost
-character and the leftmost character the leftmost Kronecker factor, so that
-basis kets read off directly from labels.
+A channel is a labeled list of Kraus operators.  Labels of enlarged
+operators are bitstrings of error positions ("0100" = error on qubit 2),
+with qubit 1 the leftmost character and the leftmost character the leftmost
+Kronecker factor, so that basis kets read off directly from labels; the
+error weight of an operator is the number of 1s in its label.
 """
 
 from __future__ import annotations
@@ -14,25 +14,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (
-    HADAMARD,
-    PAULI_I,
-    PAULI_X,
-    PAULI_Z,
-    completeness_defect,
-    dagger,
-    max_abs,
-)
+from .linalg import PAULI_I, PAULI_X, PAULI_Z, completeness_defect, dagger
 
 CERT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class KrausTerm:
-    """One Kraus operator with its label and error weight."""
+    """One Kraus operator with its label (the bitstring of error positions)."""
 
     label: str
-    weight: int
     op: np.ndarray
 
 
@@ -41,7 +32,6 @@ class KrausChannel:
     """Labeled Kraus decomposition of a channel on ``n_qubits`` qubits."""
 
     n_qubits: int
-    param: float
     kraus: tuple[KrausTerm, ...]
 
     @property
@@ -66,19 +56,15 @@ class ChannelCertificate:
     tp_deviation: float
     unital_deviation: float
 
-    @property
-    def max_deviation(self) -> float:
-        return max(self.tp_deviation, self.unital_deviation)
-
 
 def _two_outcome_channel(p: float, flip_op: np.ndarray) -> KrausChannel:
     if not 0.0 <= p <= 1.0:
         raise ValueError("error probability must lie in [0, 1]")
     terms = (
-        KrausTerm("0", 0, np.sqrt(1.0 - p) * PAULI_I),
-        KrausTerm("1", 1, np.sqrt(p) * flip_op.astype(complex)),
+        KrausTerm("0", np.sqrt(1.0 - p) * PAULI_I),
+        KrausTerm("1", np.sqrt(p) * flip_op.astype(complex)),
     )
-    return KrausChannel(1, p, terms)
+    return KrausChannel(1, terms)
 
 
 def bitflip_single(p: float) -> KrausChannel:
@@ -101,7 +87,7 @@ def ad_single(gamma: float) -> KrausChannel:
         raise ValueError("damping rate must lie in [0, 1]")
     a0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)
     a1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel(1, gamma, (KrausTerm("0", 0, a0), KrausTerm("1", 1, a1)))
+    return KrausChannel(1, (KrausTerm("0", a0), KrausTerm("1", a1)))
 
 
 def _label_order_key(label: str) -> tuple:
@@ -111,15 +97,15 @@ def _label_order_key(label: str) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _label_order(n: int) -> tuple[tuple[tuple[str, int], ...], np.ndarray]:
-    """(label, weight) of every n-qubit product in output order, and its stack row.
+def _label_order(n: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """Label of every n-qubit product in output order, and its stack row.
 
     The stack built by ``enlarge`` holds the product for label ``b`` at row
     int(b, 2).
     """
     labels = sorted((format(i, "0%db" % n) for i in range(2 ** n)), key=_label_order_key)
     order = np.array([int(label, 2) for label in labels])
-    return tuple((label, label.count("1")) for label in labels), order
+    return tuple(labels), order
 
 
 def enlarge(channel: KrausChannel, n: int) -> KrausChannel:
@@ -151,23 +137,7 @@ def enlarge(channel: KrausChannel, n: int) -> KrausChannel:
         )
     labels, order = _label_order(n)
     stack = stack[order]
-    terms = tuple(KrausTerm(label, weight, op) for (label, weight), op in zip(labels, stack))
-    return KrausChannel(n, channel.param, terms)
-
-
-def apply_channel(channel: KrausChannel, rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Apply the channel to a density matrix: sum_k A_k rho A_k^dag."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (channel.dim, channel.dim):
-        raise ValueError("density matrix dimension mismatch")
-    if max_abs(rho - dagger(rho)) > tol or abs(np.trace(rho) - 1.0) > tol:
-        raise ValueError("input is not a density matrix")
-    if np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min() < -tol:
-        raise ValueError("input is not positive semidefinite")
-    out = np.zeros_like(rho)
-    for t in channel.kraus:
-        out += t.op @ rho @ dagger(t.op)
-    return out
+    return KrausChannel(n, tuple(KrausTerm(label, op) for label, op in zip(labels, stack)))
 
 
 def certify(channel: KrausChannel, tol: float = CERT_TOL) -> ChannelCertificate:
@@ -176,22 +146,3 @@ def certify(channel: KrausChannel, tol: float = CERT_TOL) -> ChannelCertificate:
     tp_dev = completeness_defect(ops)
     un_dev = completeness_defect([dagger(op) for op in ops])
     return ChannelCertificate(tp_dev <= tol, un_dev <= tol, float(tp_dev), float(un_dev))
-
-
-def truncate(channel: KrausChannel, labels: list[str]) -> KrausChannel:
-    """Keep only the Kraus terms with the given labels (a CP, generally non-TP map)."""
-    keep = [t for t in channel.kraus if t.label in set(labels)]
-    if len(keep) != len(labels):
-        raise ValueError("unknown label in truncation set")
-    return KrausChannel(channel.n_qubits, channel.param, tuple(keep))
-
-
-def hadamard_conjugate(channel: KrausChannel) -> KrausChannel:
-    """Conjugate every Kraus operator by the Hadamard gate (single qubit)."""
-    if channel.n_qubits != 1:
-        raise ValueError("expected a single-qubit channel")
-    terms = tuple(
-        KrausTerm(t.label, t.weight, HADAMARD @ t.op @ dagger(HADAMARD))
-        for t in channel.kraus
-    )
-    return KrausChannel(1, channel.param, terms)

@@ -128,8 +128,8 @@ def _render(fmt: str, header: list[str], rows: list[list], footer: list[str], js
         lines += ["# " + f for f in footer]
     else:
         widths = [max(len(h), 24) for h in header]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-        lines += ["  ".join(_cell(x, fmt).ljust(w) for x, w in zip(row, widths)) for row in rows]
+        table = [header] + [[_cell(x, fmt) for x in row] for row in rows]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip() for cells in table]
         lines += footer
     return "\n".join(lines) + "\n"
 
@@ -226,7 +226,9 @@ def cmd_ad_fidelity(args) -> Report:
     }
     if kind == "fletcher-opt":
         json_obj["optima"] = [
-            closed.to_json_dict(g, numeric_optimum(g)) for g, closed in zip(grid, optima)
+            {"gamma": g, "a_bar": c.a_bar, "b_bar": c.b_bar, "f_star_closed": c.f_star,
+             "f_star_numeric": n.f_star, "delta": abs(c.f_star - n.f_star)}
+            for g, c, n in zip(grid, optima, map(numeric_optimum, grid))
         ]
     return ["gamma", "fidelity"], rows, footer, json_obj, checks
 
@@ -314,11 +316,11 @@ def cmd_appendix_a(args) -> Report:
     p = code.projector
     sub_basis = [ket("0000"), ket("0011"), ket("1100"), ket("1111")]
     restricted = restrict(p @ dagger(a) @ a @ p, sub_basis)
-    eigs = np.linalg.eigvalsh(restricted)
-    nonzero = sorted(float(x) for x in eigs if x > 1e-12)
-    if len(nonzero) != 2:
+    if not (1.0 - gamma) ** 2 > 1e-12:
         raise ValueError("appendix-a needs the restricted eigenvalue (1-gamma)^2 above 1e-12, "
                          "i.e. gamma below about 1 - 1e-6; got gamma = %r" % gamma)
+    # the restricted matrix has rank 2: keep its two largest eigenvalues
+    nonzero = [float(x) for x in np.linalg.eigvalsh(restricted)[-2:]]
     lam_min, lam_max = nonzero
     u_sub = restrict(polar_decompose(a, p).u, sub_basis)
     res = residue(a, p, p_l=lam_max, lambda_l=lam_min / lam_max)

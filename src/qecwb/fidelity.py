@@ -59,9 +59,6 @@ class FidelityResult:
             for l, tr in enumerate(row)
         )
 
-    def recompute(self) -> float:
-        return 0.25 * sum(abs(t.trace) ** 2 for t in self.terms)
-
 
 @dataclass(frozen=True)
 class SeriesEstimate:
@@ -143,8 +140,10 @@ class ThresholdReport:
     failure_threshold: float
 
 
-def _bisect_root(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    flo = fn(lo)
+def _bisect_root(
+    fn: Callable[[float], float], lo: float, hi: float, flo: float, tol: float
+) -> float:
+    """Bisect a sign change of ``fn`` on [lo, hi], given flo = fn(lo)."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol:
@@ -167,24 +166,27 @@ def threshold_analysis(
 
     Reports the contiguous range from 0 on which the coded fidelity stays at
     or above the baseline, and the first crossing of 1 - F(p) = p located by
-    bisection (1.0 when the failure probability never exceeds p).
+    bisection (1.0 when the failure probability never exceeds p).  Each curve
+    is evaluated once per grid point; only the bisection evaluates more.
     """
     if grid is None:
         grid = np.linspace(0.0, 1.0, 101)
     grid = np.asarray(grid, dtype=float)
-    last_useful = -1
-    for i, p in enumerate(grid):
-        if fidelity_curve(p) < baseline_curve(p) - 1e-12:
-            break
-        last_useful = i
+    coded = np.array([fidelity_curve(p) for p in grid], dtype=float)
+    base = np.array([baseline_curve(p) for p in grid], dtype=float)
+    harmful = coded < base - 1e-12
+    last_useful = int(np.argmax(harmful)) - 1 if harmful.any() else len(grid) - 1
     useful = (float(grid[0]), float(grid[last_useful])) if last_useful >= 0 else None
 
-    margin = lambda p: p - (1.0 - fidelity_curve(p))
+    margin = grid - (1.0 - coded)
+    crossings = np.flatnonzero((margin[1:] < -1e-15) & (margin[:-1] >= 0))
     threshold = float(grid[-1])
-    for i in range(1, len(grid)):
-        if margin(grid[i]) < -1e-15 and margin(grid[i - 1]) >= 0:
-            threshold = _bisect_root(margin, float(grid[i - 1]), float(grid[i]), tol)
-            break
+    if crossings.size:
+        i = int(crossings[0])
+        threshold = _bisect_root(
+            lambda p: p - (1.0 - fidelity_curve(p)), float(grid[i]), float(grid[i + 1]),
+            float(margin[i]), tol,
+        )
     return ThresholdReport(useful, threshold)
 
 

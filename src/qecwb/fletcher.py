@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -32,29 +32,19 @@ class FletcherParams:
     a_im: float
     b_re: float
     b_im: float
-    radius: Optional[float] = None
 
     def __post_init__(self):
-        norm = math.sqrt(self.a_re**2 + self.a_im**2 + self.b_re**2 + self.b_im**2)
-        if self.radius is None:
-            object.__setattr__(self, "radius", norm)
-        elif abs(norm**2 - self.radius**2) > 1e-12:
-            raise ValueError("radius inconsistent with parameter norm")
         if self.radius > 1.0 + 1e-12:
             raise ValueError("radius must not exceed 1")
+
+    @property
+    def radius(self) -> float:
+        return math.sqrt(self.a_re**2 + self.a_im**2 + self.b_re**2 + self.b_im**2)
 
     @classmethod
     def from_complex(cls, a: complex, b: complex) -> "FletcherParams":
         a, b = complex(a), complex(b)
         return cls(a.real, a.imag, b.real, b.imag)
-
-    @property
-    def a(self) -> complex:
-        return complex(self.a_re, self.a_im)
-
-    @property
-    def b(self) -> complex:
-        return complex(self.b_re, self.b_im)
 
 
 @dataclass(frozen=True)
@@ -62,21 +52,6 @@ class Optimum:
     a_bar: float
     b_bar: float
     f_star: float
-    method: str
-
-    def to_json_dict(self, gamma: float, other: Optional["Optimum"] = None) -> dict:
-        data = {
-            "gamma": gamma,
-            "a_bar": self.a_bar,
-            "b_bar": self.b_bar,
-            "f_star_closed": self.f_star if self.method == "closed_form" else None,
-            "f_star_numeric": self.f_star if self.method == "numeric" else None,
-        }
-        if other is not None:
-            key = "f_star_closed" if other.method == "closed_form" else "f_star_numeric"
-            data[key] = other.f_star
-            data["delta"] = abs(self.f_star - other.f_star)
-        return data
 
 
 def base_fidelity(gamma: float) -> float:
@@ -114,7 +89,7 @@ def closed_form_optimum(gamma: float) -> Optimum:
     a_bar = 1.0 / scale
     b_bar = c2 / scale
     f_star = fletcher_fidelity_closed(FletcherParams(a_bar, 0.0, b_bar, 0.0), gamma)
-    return Optimum(a_bar, b_bar, f_star, "closed_form")
+    return Optimum(a_bar, b_bar, f_star)
 
 
 def numeric_optimum(gamma: float, resolution: int = 200) -> Optimum:
@@ -156,7 +131,7 @@ def numeric_optimum(gamma: float, resolution: int = 200) -> Optimum:
     curvature = left - 2.0 * middle + right
     if curvature < 0.0:
         theta = center + 0.5 * step * (left - right) / curvature
-    return Optimum(math.cos(theta), math.sin(theta), score(theta), "numeric")
+    return Optimum(math.cos(theta), math.sin(theta), score(theta))
 
 
 def radius_sweep(gamma: float, radii: Sequence[float]) -> list[tuple[float, float]]:

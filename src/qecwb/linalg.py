@@ -20,9 +20,7 @@ EIGENVALUE_CLAMP_TOL = 1e-10
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -57,12 +55,6 @@ def ket(bits: str) -> np.ndarray:
     """Computational basis state for a bitstring, leftmost bit most significant."""
     index = int(bits, 2)
     v = np.zeros(2 ** len(bits), dtype=complex)
-    v[index] = 1.0
-    return v
-
-
-def basis_state(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return v
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .codes import QuantumCode, leung4, repetition3
 from .linalg import (
-    basis_state,
     completeness_defect,
     dagger,
     gram_schmidt,
@@ -35,7 +34,6 @@ class PolarDecomposition:
 
     u: np.ndarray
     j: np.ndarray
-    basis_used: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -43,15 +41,21 @@ class ResidueResult:
     """Deviation of sqrt(P A^dag A P) from a multiple of the projector."""
 
     pi: np.ndarray
-    lambda_min_times_p: float
     bound_ok: bool
 
 
 @dataclass(frozen=True)
 class RecoveryOperation:
-    """Labeled recovery operators, optionally with a leftover projector."""
+    """Labeled recovery operators, optionally with a leftover projector.
 
-    name: str
+    The leftover stays apart from ``ops`` on purpose.  It enters the
+    completeness check and the fidelity table (as row "O") like any operator,
+    but ``nonvanishing_terms`` lists recovery operators only: at gamma = 0.1
+    the leftover's ("O", 15) term contributes 5.4e-8, above the 1e-14 cutoff,
+    so as an ordinary operator 5 it would add (5, 15) to the (0,0)...(4,4),
+    (0,15) lattice the paper derives for the standard recovery.
+    """
+
     ops: tuple[tuple[str, np.ndarray], ...]
     leftover: Optional[np.ndarray] = None
 
@@ -77,7 +81,7 @@ def _complete_basis(seed: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
     residuals below the kernel tolerance are discarded, so the completion is
     deterministic and stays on computational axes wherever possible.
     """
-    vectors = list(seed) + [basis_state(dim, i) for i in range(dim)]
+    vectors = list(seed) + list(np.eye(dim, dtype=complex))
     full = gram_schmidt(vectors, KERNEL_TOL)
     if len(full) != dim:
         raise ValueError("basis completion failed to reach full rank")
@@ -112,7 +116,7 @@ def polar_decompose(a: np.ndarray, p: np.ndarray) -> PolarDecomposition:
     u = np.zeros((dim, dim), dtype=complex)
     for d, e in zip(domain_full, image_full):
         u += np.outer(e, d.conj())
-    return PolarDecomposition(u, j, tuple(domain_full))
+    return PolarDecomposition(u, j)
 
 
 def residue(a: np.ndarray, p: np.ndarray, p_l: float, lambda_l: float) -> ResidueResult:
@@ -135,7 +139,7 @@ def residue(a: np.ndarray, p: np.ndarray, p_l: float, lambda_l: float) -> Residu
     singular = np.linalg.svd(pi, compute_uv=False)
     upper = np.sqrt(p_l) - np.sqrt(lambda_l * p_l)
     bound_ok = bool(np.all(singular <= upper + 1e-10) and np.all(singular >= -1e-10))
-    return ResidueResult(pi, float(lambda_l * p_l), bound_ok)
+    return ResidueResult(pi, bound_ok)
 
 
 def _transfer(code: QuantumCode, zero_source: np.ndarray, one_source: Optional[np.ndarray]) -> np.ndarray:
@@ -160,7 +164,7 @@ def repetition_recovery() -> RecoveryOperation:
         ("flip-3", ket("001"), ket("110")),
     ]
     ops = tuple((lab, _transfer(code, s0, s1)) for lab, s0, s1 in sources)
-    return RecoveryOperation("repetition", ops)
+    return RecoveryOperation(ops)
 
 
 def damped_plus_state(gamma: float) -> np.ndarray:
@@ -210,7 +214,7 @@ def standard_ad_recovery(gamma: float) -> RecoveryOperation:
         (labels[k], _transfer(code, v[2 * k], v[2 * k + 1])) for k in range(5)
     )
     leftover = sum(np.outer(o, o.conj()) for o in leftovers)
-    return RecoveryOperation("standard_qec", ops, leftover=leftover)
+    return RecoveryOperation(ops, leftover=leftover)
 
 
 def cp_recovery() -> RecoveryOperation:
@@ -224,7 +228,7 @@ def cp_recovery() -> RecoveryOperation:
         ("reflect", np.outer(zero, r2_zero.conj()) + np.outer(one, r2_one.conj())),
     ]
     ops += _damping_syndrome_ops(code)
-    return RecoveryOperation("code_projected", tuple(ops))
+    return RecoveryOperation(tuple(ops))
 
 
 def _damping_syndrome_ops(code: QuantumCode) -> list[tuple[str, np.ndarray]]:
@@ -261,4 +265,4 @@ def fletcher_recovery(a: complex, b: complex) -> RecoveryOperation:
     r1 = np.outer(zero, r1_row) + np.outer(one, one.conj())
     r2 = np.outer(zero, r2_row) + np.outer(one, (ket("0011") - ket("1100")) / np.sqrt(2))
     ops = [("adapted-1", r1), ("adapted-2", r2)] + _damping_syndrome_ops(code)
-    return RecoveryOperation("fletcher", tuple(ops))
+    return RecoveryOperation(tuple(ops))

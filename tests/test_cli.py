@@ -187,6 +187,7 @@ def test_every_subcommand_and_format_runs_clean(capsys, command, fmt):
     assert code == 0
     assert err == ""
     assert out.endswith("\n")
+    assert all(line == line.rstrip() for line in out.splitlines())
     if fmt == "json":
         json.loads(out)
 
@@ -261,7 +262,7 @@ def test_grid_only_on_sweeping_subcommands(capsys, command):
     assert "unrecognized arguments: --grid" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("gamma", ["0.999999", "1"])
+@pytest.mark.parametrize("gamma", ["0.9999991", "1"])
 def test_appendix_a_outside_domain_rejected(gamma):
     with pytest.raises(SystemExit) as excinfo:
         main(["appendix-a", "--gamma", gamma])
@@ -269,3 +270,15 @@ def test_appendix_a_outside_domain_rejected(gamma):
     assert isinstance(message, str) and message.startswith("error: ")
     assert "\n" not in message
     assert "(1-gamma)^2 above 1e-12" in message
+
+
+def test_appendix_a_domain_edge_accepted(capsys):
+    # (1 - 0.999999)^2 = 1.00000000006e-12 lies inside the domain, although
+    # eigvalsh puts that restricted eigenvalue just below 1e-12
+    argv = ("appendix-a", "--gamma", "0.999999", "--format", "json")
+    code, out, err = run_cli_streams(capsys, *argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["residue_bound_ok"] is True
+    lam_min, lam_max = payload["eigenvalues"]
+    assert abs(lam_min - (1 - 0.999999) ** 2) <= 1e-16 and lam_max > 0.49

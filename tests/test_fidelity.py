@@ -66,7 +66,7 @@ def test_term_table_consistency():
     result = q.entanglement_fidelity(
         q.leung4(), q.standard_ad_recovery(0.1), q.enlarge(q.ad_single(0.1), 4)
     )
-    assert abs(result.value - result.recompute()) <= 1e-15
+    assert abs(result.value - sum(t.contribution for t in result.terms)) <= 1e-15
     assert len(result.terms) == 6 * 16  # five operators plus the leftover row
 
 
@@ -91,7 +91,7 @@ def test_nonvanishing_terms_ad_standard():
 
 def test_fidelity_rejects_incomplete_recovery():
     rec = q.repetition_recovery()
-    clipped = RecoveryOperation("clipped", rec.ops[:2])
+    clipped = RecoveryOperation(rec.ops[:2])
     with pytest.raises(ValueError):
         q.entanglement_fidelity(q.repetition3(), clipped, q.enlarge(q.bitflip_single(0.1), 3))
 

@@ -15,11 +15,8 @@ def random_unit_params(rng):
 def test_params_validation():
     p = q.FletcherParams(0.6, 0.0, 0.8, 0.0)
     assert abs(p.radius - 1.0) <= 1e-12
-    assert p.a == 0.6 and p.b == 0.8
     with pytest.raises(ValueError):
         q.FletcherParams(1.0, 0.0, 1.0, 0.0)  # norm sqrt(2) > 1
-    with pytest.raises(ValueError):
-        q.FletcherParams(0.6, 0.0, 0.8, 0.0, radius=0.5)
 
 
 def test_closed_form_matches_matrix_route():

@@ -6,7 +6,9 @@ A^dag A in ``completeness_defect``, one ``np.kron`` per label in
 ``entanglement_fidelity``, ``np.vdot`` blocks in ``kl_gram``, a strict ``>``
 scan over error pairs in ``exact_correctable``, one block set per gamma and
 one ``polyfit`` per error pair in ``classify_pair``, and one dense
-permutation matrix per candidate in ``permutation_equivalent``.  Random
+permutation matrix per candidate in ``permutation_equivalent``, and a
+scan that re-evaluates the curves at every comparison in
+``threshold_analysis``.  Random
 single-qubit channels are cut from random 4 x 2 isometries, random
 recoveries from random (K d) x d isometries on three and four qubits.
 """
@@ -38,7 +40,7 @@ def random_isometry(rng, rows, cols):
 
 def random_single_channel(rng):
     v = random_isometry(rng, 4, 2)
-    return KrausChannel(1, 0.0, (KrausTerm("0", 0, v[:2]), KrausTerm("1", 1, v[2:])))
+    return KrausChannel(1, (KrausTerm("0", v[:2]), KrausTerm("1", v[2:])))
 
 
 def random_code(rng, n):
@@ -53,7 +55,7 @@ def random_recovery(rng, n, n_ops, with_leftover):
     ops = [w[i * dim:(i + 1) * dim] for i in range(blocks)]
     leftover = ops.pop() if with_leftover else None
     labeled = tuple(("r%d" % i, op) for i, op in enumerate(ops))
-    return RecoveryOperation("random", labeled, leftover=leftover)
+    return RecoveryOperation(labeled, leftover=leftover)
 
 
 # ---- the loop forms --------------------------------------------------------
@@ -159,6 +161,34 @@ def loop_permutation_equivalent(c1, c2, tol=1e-10):
     return None
 
 
+def loop_threshold(fidelity_curve, baseline_curve, grid, tol=1e-10):
+    """(useful range, threshold), evaluating the curves inside each comparison."""
+    last_useful = -1
+    for i, p in enumerate(grid):
+        if fidelity_curve(p) < baseline_curve(p) - 1e-12:
+            break
+        last_useful = i
+    useful = (float(grid[0]), float(grid[last_useful])) if last_useful >= 0 else None
+    margin = lambda p: p - (1.0 - fidelity_curve(p))
+    threshold = float(grid[-1])
+    for i in range(1, len(grid)):
+        if margin(grid[i]) < -1e-15 and margin(grid[i - 1]) >= 0:
+            lo, hi = float(grid[i - 1]), float(grid[i])
+            flo = margin(lo)
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if hi - lo <= tol:
+                    break
+                fmid = margin(mid)
+                if (flo >= 0) == (fmid >= 0):
+                    lo, flo = mid, fmid
+                else:
+                    hi = mid
+            threshold = 0.5 * (lo + hi)
+            break
+    return useful, threshold
+
+
 # ---- properties ------------------------------------------------------------
 
 
@@ -181,10 +211,10 @@ def test_random_isometry_kraus_sets_are_trace_preserving(seed, n_ops, dim):
     w = random_isometry(np.random.default_rng(seed), n_ops * dim, dim)
     ops = [w[k * dim:(k + 1) * dim] for k in range(n_ops)]
     assert completeness_defect(ops) <= TOL
-    terms = tuple(KrausTerm("k%d" % k, 0, op) for k, op in enumerate(ops))
-    assert q.certify(KrausChannel(dim.bit_length() - 1, 0.0, terms), tol=TOL).trace_preserving
+    terms = tuple(KrausTerm("k%d" % k, op) for k, op in enumerate(ops))
+    assert q.certify(KrausChannel(dim.bit_length() - 1, terms), tol=TOL).trace_preserving
     labeled = tuple(("r%d" % k, op) for k, op in enumerate(ops[:-1]))
-    assert RecoveryOperation("random", labeled, leftover=ops[-1]).completeness_defect() <= TOL
+    assert RecoveryOperation(labeled, leftover=ops[-1]).completeness_defect() <= TOL
 
 
 @oracle_settings
@@ -195,7 +225,6 @@ def test_enlarge_matches_per_label_kron(seed, n):
     expected = loop_enlarge(channel, n)
     assert batched.labels() == [label for label, _ in expected]
     for term, (label, op) in zip(batched.kraus, expected):
-        assert term.weight == label.count("1")
         assert np.max(np.abs(term.op - op)) <= 1e-15
 
 
@@ -295,3 +324,42 @@ def test_permutation_equivalent_matches_dense_matrices(seed, n, related):
     expected = loop_permutation_equivalent(c1, c2)
     assert q.permutation_equivalent(c1, c2) == expected
     assert (expected is not None) == related
+
+
+def random_curve(rng):
+    """A cubic through (0, 1) with random slope and curvature."""
+    coeffs = (1.0, *rng.normal(0.0, 2.0, size=3))
+    return lambda p: float(np.polynomial.polynomial.polyval(p, coeffs))
+
+
+@oracle_settings
+@given(seed=seeds, points=st.integers(2, 40), near=st.booleans())
+def test_threshold_analysis_matches_reevaluating_scan(seed, points, near):
+    rng = np.random.default_rng(seed)
+    grid = np.unique(np.concatenate([[0.0], rng.uniform(0.0, 1.0, points - 1)]))
+    fidelity_curve = random_curve(rng)
+    # near: the baseline sits within the 1e-12 comparison slack of the curve
+    baseline_curve = (lambda p: fidelity_curve(p) + 5e-13) if near else random_curve(rng)
+    report = q.threshold_analysis(fidelity_curve, baseline_curve, grid=grid)
+    useful, threshold = loop_threshold(fidelity_curve, baseline_curve, grid)
+    assert report == q.ThresholdReport(useful, threshold)
+
+
+def test_threshold_analysis_evaluates_each_grid_point_once():
+    calls = {"coded": 0, "baseline": 0}
+
+    def coded(p):  # repetition code under bit flip: threshold 1/2
+        calls["coded"] += 1
+        return 1.0 - 3.0 * p**2 + 2.0 * p**3
+
+    def baseline(p):
+        calls["baseline"] += 1
+        return (1.0 - p) ** 2
+
+    grid = np.linspace(0.0, 1.0, 16)
+    tol = 1e-10
+    report = q.threshold_analysis(coded, baseline, grid=grid, tol=tol)
+    assert abs(report.failure_threshold - 0.5) <= tol
+    bisection_steps = int(np.ceil(np.log2((grid[1] - grid[0]) / tol)))
+    assert calls["coded"] <= len(grid) + bisection_steps
+    assert calls["baseline"] == len(grid)
