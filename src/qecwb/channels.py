@@ -108,6 +108,12 @@ def _label_order(n: int) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(labels), order
 
 
+# Holds one sweep point's channel plus the three gammas of a pair
+# classification with room to spare; a 4-qubit entry is 16 operators of
+# 16 x 16 complex entries, 64 KiB, so the cache stays at or below 512 KiB.
+_ENLARGE_CACHE_SIZE = 8
+
+
 def enlarge(channel: KrausChannel, n: int) -> KrausChannel:
     """Tensor ``n`` independent uses of a single-qubit channel.
 
@@ -120,6 +126,14 @@ def enlarge(channel: KrausChannel, n: int) -> KrausChannel:
     broadcasting, which forms the same entrywise products, leftmost factor
     first, as ``np.kron``.  The stack is then put in label order once, and
     every ``KrausTerm.op`` is a view into it.
+
+    For n >= 2 the result is shared and read-only: the last
+    ``_ENLARGE_CACHE_SIZE`` (8) enlargements are kept, keyed on ``n`` and the
+    bytes of the single-qubit operators (never on p or gamma, which do not
+    name the channel), so a sweep that applies one channel to several
+    recoveries, or a search that reuses three damping sets over 28 code
+    pairs, builds each set once.  Writing to an operator raises
+    ``ValueError``.
     """
     if channel.n_qubits != 1:
         raise ValueError("enlarge expects a single-qubit channel")
@@ -129,6 +143,15 @@ def enlarge(channel: KrausChannel, n: int) -> KrausChannel:
         return channel
     single = {t.label: t.op for t in channel.kraus}
     pair = np.array([single["0"], single["1"]], dtype=complex)
+    if pair.shape != (2, 2, 2):
+        raise ValueError("single-qubit Kraus operators must be 2 x 2")
+    return _enlarge_pair(n, pair.tobytes())
+
+
+@lru_cache(maxsize=_ENLARGE_CACHE_SIZE)
+def _enlarge_pair(n: int, pair_bytes: bytes) -> KrausChannel:
+    """The read-only n-qubit products of the (2, 2, 2) operator pair in ``pair_bytes``."""
+    pair = np.frombuffer(pair_bytes, dtype=complex).reshape(2, 2, 2)
     stack = pair
     for _ in range(n - 1):
         k, d = stack.shape[:2]
@@ -137,6 +160,7 @@ def enlarge(channel: KrausChannel, n: int) -> KrausChannel:
         )
     labels, order = _label_order(n)
     stack = stack[order]
+    stack.flags.writeable = False  # before the row views are taken, so they inherit it
     return KrausChannel(n, tuple(KrausTerm(label, op) for label, op in zip(labels, stack)))
 
 

@@ -81,20 +81,26 @@ def _parse_grid(expr: Optional[str], default: np.ndarray, lo: float, hi: float) 
         grid = default
     elif ":" in expr:
         parts = expr.split(":")
-        if parts[0] == "log" and len(parts) == 4:
-            start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
-            grid = np.logspace(np.log10(start), np.log10(stop), count)
-        elif len(parts) == 3:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-            grid = np.linspace(start, stop, count)
-        else:
+        log = parts[0] == "log" and len(parts) == 4
+        if len(parts) != (4 if log else 3):
             raise SystemExit("error: grid must be a,b,c, start:stop:count or log:start:stop:count")
+        start, stop, count = float(parts[-3]), float(parts[-2]), int(parts[-1])
+        if log and not (start > 0 and stop > 0):
+            raise SystemExit("error: log grid endpoints must be positive")
+        # an infinite endpoint or an overflowing step gives non-finite values, rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            if log:
+                grid = np.logspace(np.log10(start), np.log10(stop), count)
+            else:
+                grid = np.linspace(start, stop, count)
     elif not expr.strip():
         raise SystemExit("error: grid is empty")
     else:
         grid = np.array([float(tok) for tok in expr.split(",")], dtype=float)
     if grid.size == 0:
         raise SystemExit("error: grid is empty")
+    if not np.all(np.isfinite(grid)):
+        raise SystemExit("error: grid values must be finite")
     if np.any(np.diff(grid) <= 0):
         raise SystemExit("error: grid must be strictly increasing")
     if grid[0] < lo or grid[-1] > hi:
@@ -153,8 +159,13 @@ def cmd_bitflip(args) -> Report:
     code = repetition3()
     checks = [_complete("repetition recovery completeness", recovery, tol)]
 
+    fidelities = {}  # p -> coded fidelity; the table fills it, the threshold scan reads it
+
     def coded(p: float) -> float:
-        return entanglement_fidelity(code, recovery, enlarge(bitflip_single(p), 3)).value
+        if p not in fidelities:
+            channel = enlarge(bitflip_single(p), 3)
+            fidelities[p] = entanglement_fidelity(code, recovery, channel).value
+        return fidelities[p]
 
     def baseline(p: float) -> float:
         return baseline_no_qec(bitflip_single(p))
@@ -163,7 +174,7 @@ def cmd_bitflip(args) -> Report:
     for p in grid:
         channel = enlarge(bitflip_single(p), 3)
         checks.append(_trace_preserving("bitflip(p=%g)" % p, channel))
-        f = entanglement_fidelity(code, recovery, channel).value
+        f = fidelities[p] = entanglement_fidelity(code, recovery, channel).value
         b = baseline(p)
         rows.append(
             [p, f, b, 1.0 - f, float(f >= b - 1e-12), float(1.0 - f <= p + 1e-12)]

@@ -1,14 +1,16 @@
 """Concrete quantum codes and the four-qubit self-complementary family.
 
 A code is a pair of orthonormal logical codewords; the projector onto their
-span is cached on construction.  The four-qubit self-complementary states
-(|a> + |a-complement>)/sqrt(2) come in eight flavors, giving 28 candidate
-codeword pairs.
+span is cached on construction.  A code holds read-only copies of its arrays,
+so the named codes, built once per process, are safe to share.  The
+four-qubit self-complementary states (|a> + |a-complement>)/sqrt(2) come in
+eight flavors, giving 28 candidate codeword pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
@@ -34,8 +36,8 @@ class QuantumCode:
 
     def __post_init__(self):
         dim = 2 ** self.n_qubits
-        zero = np.asarray(self.zero_logical, dtype=complex)
-        one = np.asarray(self.one_logical, dtype=complex)
+        zero = np.array(self.zero_logical, dtype=complex)
+        one = np.array(self.one_logical, dtype=complex)
         if zero.shape != (dim,) or one.shape != (dim,):
             raise ValueError("codeword dimension mismatch")
         for v in (zero, one):
@@ -43,9 +45,10 @@ class QuantumCode:
                 raise ValueError("codewords must be normalized")
         if abs(np.vdot(zero, one)) > 1e-12:
             raise ValueError("codewords must be orthogonal")
-        object.__setattr__(self, "zero_logical", zero)
-        object.__setattr__(self, "one_logical", one)
-        object.__setattr__(self, "projector", projector([zero, one]))
+        proj = projector([zero, one])
+        for name, value in (("zero_logical", zero), ("one_logical", one), ("projector", proj)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def codewords(self) -> tuple[np.ndarray, np.ndarray]:
@@ -72,21 +75,25 @@ def _equal_superposition(bits: str) -> np.ndarray:
     return (ket(bits) + ket(comp)) / np.sqrt(2)
 
 
+@lru_cache(maxsize=None)
 def repetition3() -> QuantumCode:
     """Three-qubit repetition code |0> -> |000>, |1> -> |111>."""
     return QuantumCode(3, ket("000"), ket("111"))
 
 
+@lru_cache(maxsize=None)
 def leung4() -> QuantumCode:
     """Four-qubit code (|0000>+|1111>, |0011>+|1100>)/sqrt(2)."""
     return QuantumCode(4, _equal_superposition("0000"), _equal_superposition("0011"))
 
 
+@lru_cache(maxsize=None)
 def grassl4() -> QuantumCode:
     """Four-qubit erasure code (|0000>+|1111>, |1001>+|0110>)/sqrt(2)."""
     return QuantumCode(4, _equal_superposition("0000"), _equal_superposition("1001"))
 
 
+@lru_cache(maxsize=None)
 def third4() -> QuantumCode:
     """The remaining good four-qubit pair (|0000>+|1111>, |0101>+|1010>)/sqrt(2)."""
     return QuantumCode(4, _equal_superposition("0000"), _equal_superposition("0101"))

@@ -10,6 +10,7 @@ projector itself, and the two-parameter channel-adapted variant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -151,10 +152,19 @@ def _transfer(code: QuantumCode, zero_source: np.ndarray, one_source: Optional[n
     return op
 
 
+def _shared(recovery: RecoveryOperation) -> RecoveryOperation:
+    """Make every operator read-only, for a recovery built once and shared."""
+    for op in recovery.operators():
+        op.flags.writeable = False
+    return recovery
+
+
+@lru_cache(maxsize=None)
 def repetition_recovery() -> RecoveryOperation:
     """Projective syndrome recovery for the three-qubit repetition code.
 
-    The four operators are independent of the error probability.
+    The four operators are independent of the error probability, so the
+    recovery is built once per process and shared, with read-only operators.
     """
     code = repetition3()
     sources = [
@@ -164,7 +174,7 @@ def repetition_recovery() -> RecoveryOperation:
         ("flip-3", ket("001"), ket("110")),
     ]
     ops = tuple((lab, _transfer(code, s0, s1)) for lab, s0, s1 in sources)
-    return RecoveryOperation(ops)
+    return _shared(RecoveryOperation(ops))
 
 
 def damped_plus_state(gamma: float) -> np.ndarray:
@@ -217,8 +227,12 @@ def standard_ad_recovery(gamma: float) -> RecoveryOperation:
     return RecoveryOperation(ops, leftover=leftover)
 
 
+@lru_cache(maxsize=None)
 def cp_recovery() -> RecoveryOperation:
-    """Code-projected recovery: ten operators, the first being the projector."""
+    """Code-projected recovery: ten operators, the first being the projector.
+
+    Built once per process and shared, with read-only operators.
+    """
     code = leung4()
     zero, one = code.codewords
     r2_zero = (ket("0000") - ket("1111")) / np.sqrt(2)
@@ -228,7 +242,7 @@ def cp_recovery() -> RecoveryOperation:
         ("reflect", np.outer(zero, r2_zero.conj()) + np.outer(one, r2_one.conj())),
     ]
     ops += _damping_syndrome_ops(code)
-    return RecoveryOperation(tuple(ops))
+    return _shared(RecoveryOperation(tuple(ops)))
 
 
 def _damping_syndrome_ops(code: QuantumCode) -> list[tuple[str, np.ndarray]]:

@@ -70,6 +70,32 @@ def test_enlarge_ad_weight_counts():
     assert counts == {w: comb(4, w) for w in range(5)}
 
 
+def test_enlarge_keys_on_operators_not_on_the_parameter():
+    p = 0.2
+    flips = {t.label: t.op for t in q.enlarge(q.bitflip_single(p), 3).kraus}
+    phases = {t.label: t.op for t in q.enlarge(q.phaseflip_single(p), 3).kraus}
+    for ops, pauli in ((flips, PAULI_X), (phases, PAULI_Z)):
+        expected = np.sqrt(p**3) * np.kron(pauli, np.kron(pauli, pauli))
+        assert max_abs(ops["111"] - expected) <= 1e-15
+
+
+def test_enlarged_operators_are_read_only():
+    op = q.enlarge(q.ad_single(0.1), 4).kraus[3].op
+    with pytest.raises(ValueError):
+        op[0, 0] = 1.0
+
+
+def test_enlarge_validates_input():
+    with pytest.raises(ValueError):
+        q.enlarge(q.enlarge(q.ad_single(0.1), 2), 2)
+    with pytest.raises(ValueError):
+        q.enlarge(q.ad_single(0.1), 0)
+    # eight entries, as many as a 2 x 2 pair, but not 2 x 2 operators
+    flat = q.KrausChannel(1, (q.KrausTerm("0", np.ones(4)), q.KrausTerm("1", np.ones(4))))
+    with pytest.raises(ValueError):
+        q.enlarge(flat, 2)
+
+
 def test_enlarge_single_qubit_is_identity_operation():
     ch = q.ad_single(0.1)
     assert q.enlarge(ch, 1) is ch

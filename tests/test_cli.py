@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +182,42 @@ def test_empty_or_malformed_grid_rejected(argv):
     message = excinfo.value.code
     assert isinstance(message, str) and message.startswith("error: ")
     assert "\n" not in message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ad-fidelity", "--grid", "log:0:1e-2:3"], "error: log grid endpoints must be positive"),
+        (["ad-fidelity", "--grid", "log:-1e-3:1e-2:3"], "error: log grid endpoints must be positive"),
+        (["ad-fidelity", "--grid", "nan"], "error: grid values must be finite"),
+        (["ad-fidelity", "--grid", "0.1,nan"], "error: grid values must be finite"),
+        (["bitflip", "--grid=-1e308:1e308:3"], "error: grid values must be finite"),
+    ],
+)
+def test_bad_grid_values_fail_with_one_stderr_line(argv, message):
+    # a separate interpreter, so numpy warnings reach stderr as a user sees them
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "qecwb.cli", *argv], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", message + "\n")
+
+
+def test_bitflip_evaluates_each_fidelity_once(capsys, monkeypatch):
+    original = qecwb.cli.entanglement_fidelity
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(qecwb.cli, "entanglement_fidelity", counted)
+    run_cli(capsys, "bitflip", "--format", "csv")
+    # the table's 101 points, reused by the threshold scan, then the bisection
+    # of the crossing in [0.5, 0.51] down to 1e-10
+    assert len(calls) == 101 + int(np.ceil(np.log2(0.01 / 1e-10)))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])

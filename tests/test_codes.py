@@ -44,6 +44,22 @@ def test_code_constructor_validates():
         q.QuantumCode(2, 2.0 * np.array([1, 0, 0, 0], dtype=complex), np.array([0, 1, 0, 0], dtype=complex))
 
 
+def test_named_codes_are_built_once_and_read_only():
+    for make in (q.repetition3, q.leung4, q.grassl4, q.third4):
+        code = make()
+        assert make() is code
+        for array in (code.zero_logical, code.one_logical, code.projector):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
+def test_code_leaves_caller_arrays_writeable():
+    zero, one = ket("000"), ket("111")
+    code = q.QuantumCode(3, zero, one)
+    zero[0] = 0.5
+    assert zero.flags.writeable and code.zero_logical[0] == 1.0
+
+
 def test_self_complementary_basis():
     basis = q.self_complementary_basis()
     assert len(basis) == 8

@@ -2,7 +2,8 @@
 
 The loop forms here are the plain definitions: a per-operator sum of
 A^dag A in ``completeness_defect``, one ``np.kron`` per label in
-``enlarge``, a double loop over (k, l) codespace-restricted traces in
+``enlarge`` (bitwise equal, whether the result comes from the cache or is
+rebuilt), a double loop over (k, l) codespace-restricted traces in
 ``entanglement_fidelity``, ``np.vdot`` blocks in ``kl_gram``, a strict ``>``
 scan over error pairs in ``exact_correctable``, one block set per gamma and
 one ``polyfit`` per error pair in ``classify_pair``, and one dense
@@ -220,12 +221,20 @@ def test_random_isometry_kraus_sets_are_trace_preserving(seed, n_ops, dim):
 @oracle_settings
 @given(seed=seeds, n=st.integers(2, 4))
 def test_enlarge_matches_per_label_kron(seed, n):
-    channel = random_single_channel(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    channel = random_single_channel(rng)
     batched = q.enlarge(channel, n)
+    hit = q.enlarge(channel, n)
+    assert hit is batched
+    for _ in range(9):  # one more distinct channel than the cache holds
+        q.enlarge(random_single_channel(rng), n)
+    rebuilt = q.enlarge(channel, n)
+    assert rebuilt is not batched
     expected = loop_enlarge(channel, n)
-    assert batched.labels() == [label for label, _ in expected]
-    for term, (label, op) in zip(batched.kraus, expected):
-        assert np.max(np.abs(term.op - op)) <= 1e-15
+    for result in (batched, rebuilt):
+        assert result.labels() == [label for label, _ in expected]
+        for term, (label, op) in zip(result.kraus, expected):
+            assert np.array_equal(term.op, op)
 
 
 @oracle_settings

@@ -206,6 +206,15 @@ def test_cp_recovery_structure():
     assert rec.completeness_defect() <= 1e-12
 
 
+def test_parameter_free_recoveries_are_built_once_and_read_only():
+    for make in (q.repetition_recovery, q.cp_recovery):
+        recovery = make()
+        assert make() is recovery
+        for op in recovery.operators():
+            with pytest.raises(ValueError):
+                op[0, 0] = 0.0
+
+
 def test_fletcher_recovery_structure():
     code = q.leung4()
     even = q.fletcher_recovery(1 / np.sqrt(2), 1 / np.sqrt(2))
