@@ -24,9 +24,7 @@ from .codes import (
     grassl4,
     leung4,
     permutation_equivalent,
-    permute_qubits_matrix,
     repetition3,
-    self_complementary_basis,
     third4,
 )
 from .conditions import (
@@ -68,7 +66,6 @@ from .recovery import (
     RecoveryOperation,
     ResidueResult,
     cp_recovery,
-    damped_plus_state,
     fletcher_recovery,
     polar_decompose,
     repetition_recovery,

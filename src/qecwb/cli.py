@@ -112,8 +112,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemExit("error: cannot write %s: %s" % (out, exc.strerror))
 
 
 def _cell(x, fmt: str) -> str:
@@ -280,6 +283,8 @@ def cmd_enumerate(args) -> Report:
 def cmd_fig1(args) -> Report:
     if args.points < 1:
         raise SystemExit("error: --points must be at least 1")
+    if not 0.0 <= args.gamma_max < 1.0:
+        raise SystemExit("error: --gamma-max must lie in [0, 1)")
     tol = _tolerance()
     grid = np.linspace(0.0, args.gamma_max, args.points)
     code = leung4()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -99,35 +99,13 @@ def third4() -> QuantumCode:
     return QuantumCode(4, _equal_superposition("0000"), _equal_superposition("0101"))
 
 
-def self_complementary_basis() -> list[np.ndarray]:
-    """The eight orthonormal self-complementary states on four qubits."""
-    return [_equal_superposition(bits) for bits in SELF_COMPLEMENTARY_STRINGS]
-
-
 def enumerate_pairs() -> list[SelfComplementaryPair]:
     """All 28 ordered-index pairs (i, j), i < j, from the eight-state basis."""
-    basis = self_complementary_basis()
+    basis = [_equal_superposition(bits) for bits in SELF_COMPLEMENTARY_STRINGS]
     return [
         SelfComplementaryPair((i + 1, j + 1), (basis[i], basis[j]))
         for i, j in combinations(range(len(basis)), 2)
     ]
-
-
-def permute_qubits_matrix(perm: Sequence[int], n_qubits: int) -> np.ndarray:
-    """Unitary that rearranges qubits so new qubit j is old qubit perm[j].
-
-    ``perm`` uses 0-based qubit positions with qubit 0 the leftmost
-    (most significant) bit.
-    """
-    if sorted(perm) != list(range(n_qubits)):
-        raise ValueError("not a permutation of qubit positions")
-    dim = 2 ** n_qubits
-    m = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        bits = format(b, "0%db" % n_qubits)
-        c = int("".join(bits[perm[j]] for j in range(n_qubits)), 2)
-        m[c, b] = 1.0
-    return m
 
 
 def permutation_equivalent(
@@ -143,7 +121,7 @@ def permutation_equivalent(
         raise ValueError("codes act on different qubit counts")
     n = c1.n_qubits
     # As a (2,)*2n tensor the projector's row and column axes are the qubits;
-    # permuting both the same way is M P M^dag of ``permute_qubits_matrix``.
+    # permuting both the same way is M P M^dag for the qubit permutation M.
     tensor = c1.projector.reshape((2,) * (2 * n))
     for perm in permutations(range(n)):
         moved = tensor.transpose(perm + tuple(n + p for p in perm)).reshape(c1.projector.shape)

@@ -37,7 +37,6 @@ class DetectabilityReport:
     label: str
     lam: complex
     residual: float
-    off_diag: tuple[complex, complex]
     verdict: bool
 
 
@@ -48,8 +47,6 @@ class KLGram:
     labels: tuple[str, ...]
     blocks: dict
     diag_eigs: dict
-    max_offdiag_violation: float
-    max_diag_mismatch: float
 
     def block(self, l: str, m: str) -> np.ndarray:
         return self.blocks[(l, m)]
@@ -69,8 +66,6 @@ class ViolationOrder:
 
     exact: bool
     slope: Optional[float]
-    violations: tuple[float, ...]
-    gammas: tuple[float, ...]
 
     @property
     def first_order_correctable(self) -> bool:
@@ -92,9 +87,7 @@ def detectability(code: QuantumCode, a: np.ndarray, tol: float = EXACT_TOL,
     pap = p @ np.asarray(a, dtype=complex) @ p
     lam = complex(np.trace(pap) / np.trace(p).real)
     residual = max_abs(pap - lam * p)
-    zero, one = code.codewords
-    off = (complex(zero.conj() @ a @ one), complex(one.conj() @ a @ zero))
-    return DetectabilityReport(label, lam, float(residual), off, residual <= tol)
+    return DetectabilityReport(label, lam, float(residual), residual <= tol)
 
 
 def _fit_slope(gammas: Sequence[float], values) -> np.ndarray:
@@ -170,9 +163,7 @@ def kl_gram(code: QuantumCode, errors: Sequence[LabeledError]) -> KLGram:
     eigs = np.linalg.eigvalsh(0.5 * (diag + diag.conj().swapaxes(1, 2)))
     blocks = {(l, m): grams[i, j] for i, l in enumerate(labels) for j, m in enumerate(labels)}
     diag_eigs = {l: (float(lo), float(hi)) for l, (lo, hi) in zip(labels, eigs)}
-    max_off = np.abs(grams[:, :, [0, 1], [1, 0]]).max()
-    max_mismatch = np.abs(grams[:, :, 0, 0] - grams[:, :, 1, 1]).max()
-    return KLGram(labels, blocks, diag_eigs, float(max_off), float(max_mismatch))
+    return KLGram(labels, blocks, diag_eigs)
 
 
 def exact_correctable(
@@ -209,10 +200,10 @@ def violation_order(
     ops = np.array([[op for _, op in errors] for _, errors in samples])
     isometries = np.array([np.stack(code.codewords, axis=1) for code, _ in samples])
     grams = _gram_blocks(ops @ isometries[:, None])
-    violations = tuple(float(v) for v in _pair_violations(grams).max(axis=1))
-    if all(v <= ZERO_FLOOR for v in violations):
-        return ViolationOrder(True, None, violations, gammas)
-    return ViolationOrder(False, float(_fit_slope(gammas, violations)), violations, gammas)
+    violations = _pair_violations(grams).max(axis=1)
+    if np.all(violations <= ZERO_FLOOR):
+        return ViolationOrder(True, None)
+    return ViolationOrder(False, float(_fit_slope(gammas, violations)))
 
 
 def weight_le1_ad_errors(gamma: float) -> list[LabeledError]:

@@ -68,7 +68,6 @@ class SeriesEstimate:
     c1: float
     c2: float
     residual: float
-    gammas_used: tuple[float, ...]
 
 
 def entanglement_fidelity(
@@ -215,6 +214,4 @@ def second_order_coeff(
         raise ValueError("ill-conditioned fit: samples nearly collinear in design")
     fitted = design @ coeffs
     residual = float(np.max(np.abs(values - fitted)))
-    return SeriesEstimate(
-        float(coeffs[0]), float(coeffs[1]), float(coeffs[2]), residual, tuple(gammas)
-    )
+    return SeriesEstimate(float(coeffs[0]), float(coeffs[1]), float(coeffs[2]), residual)

@@ -15,7 +15,6 @@ import numpy as np
 # Default tolerances.  Double precision leaves several digits of headroom
 # for gamma**2 effects down to gamma ~ 1e-4.
 HERMITICITY_TOL = 1e-10
-ORTHONORMALITY_TOL = 1e-12
 EIGENVALUE_CLAMP_TOL = 1e-10
 
 PAULI_I = np.eye(2, dtype=complex)

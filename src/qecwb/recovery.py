@@ -2,9 +2,12 @@
 
 The generic route factors an error restricted to the codespace as
 A P = U sqrt(P A^dag A P) and recovers with P U^dag.  The explicit schemes
-are the projective repetition-code recovery, the damping-adapted standard
-recovery, the code-projected recovery whose first operator is the codespace
-projector itself, and the two-parameter channel-adapted variant.
+are the projective repetition-code recovery and one damping family on the
+four-qubit code.  Its members differ only in the direction a|0000> + b|1111>
+the first operator reads out and in whether the tail is kept: the
+channel-adapted recovery keeps it for any (a, b), the code-projected one is
+the channel-adapted one at a = b = 1/sqrt(2), and the standard one reads out
+the damped image of |0_L> and projects the tail out into its leftover.
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ class RecoveryOperation:
     but ``nonvanishing_terms`` lists recovery operators only: at gamma = 0.1
     the leftover's ("O", 15) term contributes 5.4e-8, above the 1e-14 cutoff,
     so as an ordinary operator 5 it would add (5, 15) to the (0,0)...(4,4),
-    (0,15) lattice the paper derives for the standard recovery.
+    (0,15) lattice the paper derives for the standard recovery.  That
+    leftover is the damping family's tail, which the code-projected and
+    channel-adapted members keep as operators instead.
     """
 
     ops: tuple[tuple[str, np.ndarray], ...]
@@ -177,91 +182,68 @@ def repetition_recovery() -> RecoveryOperation:
     return _shared(RecoveryOperation(ops))
 
 
-def damped_plus_state(gamma: float) -> np.ndarray:
-    """Normalized |0000> + (1-gamma)**2 |1111>, the damped image of |0_L>."""
-    v = ket("0000") + (1.0 - gamma) ** 2 * ket("1111")
-    return v / np.linalg.norm(v)
+# The damping family's fixed directions: single-damping syndromes (sources
+# of |0_L> and |1_L>) and the double-damping tail (sources of |0_L> alone).
+_SYNDROMES = (("0111", "0100"), ("1011", "1000"), ("1101", "0001"), ("1110", "0010"))
+_TAIL = ("1001", "1010", "0101", "0110")
+_KEPT_LABELS = ("adapted-1", "adapted-2", "damp-1", "damp-2", "damp-3", "damp-4",
+                "damp-23", "damp-24", "damp-13", "damp-14")
+_PROJECTED_LABELS = ("adapted-1", "damp-1", "damp-2", "damp-3", "damp-4")
 
 
-def damped_minus_state(gamma: float) -> np.ndarray:
-    """Normalized (1-gamma)**2 |0000> - |1111>, orthogonal to the damped image."""
-    v = (1.0 - gamma) ** 2 * ket("0000") - ket("1111")
-    return v / np.linalg.norm(v)
+def _damping_recovery(a: complex, b: complex, keep_tail: bool) -> RecoveryOperation:
+    """The damping family on the four-qubit code, for |a|**2 + |b|**2 = 1.
+
+    Operator 1 reads a|0000> + b|1111> out as |0_L> and keeps |1_L>.
+    Operator 2 maps the orthogonal combination to |0_L> and
+    (|0011> - |1100>)/sqrt(2) to |1_L>.  Four syndrome operators undo
+    damping on one qubit, and four rank-one operators send 1001, 1010, 0101
+    and 0110 to |0_L>.  Without ``keep_tail``, operator 2 and the rank-one
+    four become the leftover projector onto their six rows.
+    """
+    code = leung4()
+    zero, one = code.codewords
+    # rows of the operators; np.outer applies no conjugation of its own
+    first = np.outer(zero, a * ket("0000") + b * ket("1111")) + np.outer(one, one.conj())
+    second_rows = (b.conjugate() * ket("0000") - a.conjugate() * ket("1111"),
+                   (ket("0011") - ket("1100")) / np.sqrt(2))
+    syndromes = [_transfer(code, ket(s0), ket(s1)) for s0, s1 in _SYNDROMES]
+    tail_rows = [ket(s) for s in _TAIL]
+    if not keep_tail:
+        leftover = sum(np.outer(row.conj(), row) for row in (*tail_rows, *second_rows))
+        return RecoveryOperation(tuple(zip(_PROJECTED_LABELS, [first, *syndromes])), leftover)
+    second = np.outer(zero, second_rows[0]) + np.outer(one, second_rows[1])
+    ops = [first, second, *syndromes] + [np.outer(zero, row) for row in tail_rows]
+    return RecoveryOperation(tuple(zip(_KEPT_LABELS, ops)))
 
 
 def standard_ad_recovery(gamma: float) -> RecoveryOperation:
-    """Syndrome recovery adapted to amplitude damping on the four-qubit code.
+    """Standard recovery for amplitude damping on the four-qubit code.
 
-    Built on the damping-dependent orthonormal basis whose first vector is
-    the damped image of |0_L>; six leftover directions form the projector
-    term.  The codespace projector itself is not among the operators.
+    The damping family member that reads out the damped image of |0_L>,
+    (|0000> + (1-gamma)**2 |1111>) normalized, and projects the tail
+    (operator 2 and the four double-damping operators) out into the leftover.
+    The codespace projector itself is not among the operators.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError("damping rate must lie in [0, 1)")
-    code = leung4()
-    v = [
-        damped_plus_state(gamma),
-        code.one_logical,
-        ket("0111"),
-        ket("0100"),
-        ket("1011"),
-        ket("1000"),
-        ket("1101"),
-        ket("0001"),
-        ket("1110"),
-        ket("0010"),
-    ]
-    leftovers = [
-        ket("0101"),
-        ket("0110"),
-        ket("1001"),
-        ket("1010"),
-        damped_minus_state(gamma),
-        (ket("0011") - ket("1100")) / np.sqrt(2),
-    ]
-    labels = ("syndrome-0", "syndrome-1", "syndrome-2", "syndrome-3", "syndrome-4")
-    ops = tuple(
-        (labels[k], _transfer(code, v[2 * k], v[2 * k + 1])) for k in range(5)
-    )
-    leftover = sum(np.outer(o, o.conj()) for o in leftovers)
-    return RecoveryOperation(ops, leftover=leftover)
+    c2 = (1.0 - gamma) ** 2
+    a, b = np.array([1.0, c2], dtype=complex) / np.linalg.norm(ket("0000") + c2 * ket("1111"))
+    return _damping_recovery(a, b, keep_tail=False)
 
 
 @lru_cache(maxsize=None)
 def cp_recovery() -> RecoveryOperation:
-    """Code-projected recovery: ten operators, the first being the projector.
+    """Code-projected recovery: the channel-adapted one at a = b = 1/sqrt(2).
 
-    Built once per process and shared, with read-only operators.
+    Its first operator is the codespace projector itself.  Built once per
+    process and shared, with read-only operators.
     """
-    code = leung4()
-    zero, one = code.codewords
-    r2_zero = (ket("0000") - ket("1111")) / np.sqrt(2)
-    r2_one = (ket("0011") - ket("1100")) / np.sqrt(2)
-    ops = [
-        ("project", code.projector),
-        ("reflect", np.outer(zero, r2_zero.conj()) + np.outer(one, r2_one.conj())),
-    ]
-    ops += _damping_syndrome_ops(code)
-    return _shared(RecoveryOperation(tuple(ops)))
-
-
-def _damping_syndrome_ops(code: QuantumCode) -> list[tuple[str, np.ndarray]]:
-    """The eight transfer operators shared by the code-projected family."""
-    ops = [
-        ("damp-1", _transfer(code, ket("0111"), ket("0100"))),
-        ("damp-2", _transfer(code, ket("1011"), ket("1000"))),
-        ("damp-3", _transfer(code, ket("1101"), ket("0001"))),
-        ("damp-4", _transfer(code, ket("1110"), ket("0010"))),
-        ("damp-23", _transfer(code, ket("1001"), None)),
-        ("damp-24", _transfer(code, ket("1010"), None)),
-        ("damp-13", _transfer(code, ket("0101"), None)),
-        ("damp-14", _transfer(code, ket("0110"), None)),
-    ]
-    return ops
+    return _shared(fletcher_recovery(1 / np.sqrt(2), 1 / np.sqrt(2)))
 
 
 def fletcher_recovery(a: complex, b: complex) -> RecoveryOperation:
-    """Channel-adapted recovery with tunable leading operators.
+    """Channel-adapted recovery: the damping family with the tail kept.
 
     The first operator maps the (a, b)-weighted combination of |0000> and
     |1111> to |0_L> while acting as the projector on the |1_L> sector; the
@@ -271,12 +253,4 @@ def fletcher_recovery(a: complex, b: complex) -> RecoveryOperation:
     b = complex(b)
     if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-10:
         raise ValueError("parameters must satisfy |a|**2 + |b|**2 = 1")
-    code = leung4()
-    zero, one = code.codewords
-    # rows of the operators; np.outer applies no conjugation of its own
-    r1_row = a * ket("0000") + b * ket("1111")
-    r2_row = b.conjugate() * ket("0000") - a.conjugate() * ket("1111")
-    r1 = np.outer(zero, r1_row) + np.outer(one, one.conj())
-    r2 = np.outer(zero, r2_row) + np.outer(one, (ket("0011") - ket("1100")) / np.sqrt(2))
-    ops = [("adapted-1", r1), ("adapted-2", r2)] + _damping_syndrome_ops(code)
-    return RecoveryOperation(tuple(ops))
+    return _damping_recovery(a, b, keep_tail=True)

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -22,6 +23,17 @@ def run_cli_streams(capsys, *argv):
 def run_cli(capsys, *argv):
     code, out, _ = run_cli_streams(capsys, *argv)
     return code, out
+
+
+def run_cli_process(*argv):
+    """(exit code, stdout, stderr) of a separate interpreter, so numpy warnings reach stderr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "qecwb.cli", *argv], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 def csv_rows(out):
@@ -195,14 +207,22 @@ def test_empty_or_malformed_grid_rejected(argv):
     ],
 )
 def test_bad_grid_values_fail_with_one_stderr_line(argv, message):
-    # a separate interpreter, so numpy warnings reach stderr as a user sees them
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-m", "qecwb.cli", *argv], env=env, capture_output=True, text=True,
-        timeout=60,
-    )
-    assert (done.returncode, done.stdout, done.stderr) == (1, "", message + "\n")
+    assert run_cli_process(*argv) == (1, "", message + "\n")
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-0.1", "1"])
+def test_bad_gamma_max_fails_with_one_stderr_line(value):
+    expected = (1, "", "error: --gamma-max must lie in [0, 1)\n")
+    assert run_cli_process("fig1", "--gamma-max=" + value, "--points", "3") == expected
+
+
+@pytest.mark.parametrize("relative, code", [("missing/table.csv", errno.ENOENT), (".", errno.EISDIR)])
+def test_unwritable_out_fails_with_one_error_line(tmp_path, capsys, relative, code):
+    target = tmp_path / relative
+    with pytest.raises(SystemExit) as excinfo:
+        main(["enumerate", "--out", str(target)])
+    assert excinfo.value.code == "error: cannot write %s: %s" % (target, os.strerror(code))
+    assert capsys.readouterr().out == ""
 
 
 def test_bitflip_evaluates_each_fidelity_once(capsys, monkeypatch):

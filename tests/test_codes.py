@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import qecwb as q
-from qecwb.codes import permute_qubits_matrix
 from qecwb.linalg import dagger, ket, max_abs
+from test_kernel_oracle import permute_qubits_matrix
 
 
 def test_repetition3_projector():
@@ -61,7 +61,9 @@ def test_code_leaves_caller_arrays_writeable():
 
 
 def test_self_complementary_basis():
-    basis = q.self_complementary_basis()
+    pairs = q.enumerate_pairs()
+    # the first state, then the second state of each pair (1, j)
+    basis = [pairs[0].codewords[0]] + [pair.codewords[1] for pair in pairs[:7]]
     assert len(basis) == 8
     assert max_abs(basis[0] - (ket("0000") + ket("1111")) / np.sqrt(2)) <= 1e-15
     for i in range(8):
@@ -107,8 +109,7 @@ def test_permutation_equivalences_among_good_codes():
 
 def test_permutation_equivalence_negative_case():
     # weight profile {1,3} of the second codeword cannot be permuted into {2,2}
-    basis = q.self_complementary_basis()
-    lopsided = q.QuantumCode(4, basis[0], basis[1])
+    lopsided = q.enumerate_pairs()[0].as_code()  # pair (1, 2)
     assert q.permutation_equivalent(lopsided, q.leung4()) is None
 
 

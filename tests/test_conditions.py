@@ -28,8 +28,8 @@ def test_detectability_matrix_elements_of_no_damp_error():
     assert abs(zero.conj() @ a @ zero - (1 - gamma + gamma**2 / 2)) <= 1e-14
     assert abs(one.conj() @ a @ one - (1 - gamma)) <= 1e-14
     report = q.detectability(code, a, tol=np.inf, label="0000")
-    assert abs(report.off_diag[0]) <= 1e-14
-    assert abs(report.off_diag[1]) <= 1e-14
+    assert abs(zero.conj() @ a @ one) <= 1e-14
+    assert abs(one.conj() @ a @ zero) <= 1e-14
     # the diagonal mismatch is second order: lambda averages the two entries
     assert abs(report.lam - (1 - gamma + gamma**2 / 4)) <= 1e-14
 
@@ -38,10 +38,11 @@ def test_detectability_weight2_failure():
     gamma = 0.1
     code = q.leung4()
     a = dict(ad_errors(gamma))["1100"]
+    zero, one = code.codewords
     report = q.detectability(code, a, label="1100")
     assert not report.verdict
-    assert abs(report.off_diag[0] - gamma / 2) <= 1e-14
-    assert abs(report.off_diag[1] - gamma * (1 - gamma) / 2) <= 1e-14
+    assert abs(zero.conj() @ a @ one - gamma / 2) <= 1e-14
+    assert abs(one.conj() @ a @ zero - gamma * (1 - gamma) / 2) <= 1e-14
 
 
 def test_detectability_full_flip_failure():
@@ -68,10 +69,11 @@ def test_detectability_structure_at_fixed_gammas():
     # the same split holds pointwise at gamma in {0.05, 0.1, 0.2}
     for gamma in (0.05, 0.1, 0.2):
         code = q.leung4()
+        zero, one = code.codewords
         for label, op in ad_errors(gamma):
             report = q.detectability(code, op, label=label)
             if label in ("1100", "0011"):
-                assert max(abs(report.off_diag[0]), abs(report.off_diag[1])) > 1e-3
+                assert max(abs(zero.conj() @ op @ one), abs(one.conj() @ op @ zero)) > 1e-3
             elif label == "1111":
                 assert report.residual > 1e-5 and abs(report.lam) < 2 * gamma**2
             elif label == "0000":
@@ -164,8 +166,7 @@ def test_violation_order_branches():
     assert abs(order.slope - 2.0) <= 0.1
     assert order.first_order_correctable
 
-    basis = q.self_complementary_basis()
-    bad_code = q.QuantumCode(4, basis[0], basis[1])
+    bad_code = q.enumerate_pairs()[0].as_code()  # pair (1, 2)
 
     def bad_family(g):
         return bad_code, ad_errors(g, ["0000", "1000"])

@@ -62,6 +62,12 @@ def test_cp_recovery_matches_explicit_form():
         assert abs(value - cp_recovery_fidelity_closed(gamma)) <= 1e-12
 
 
+def test_cp_recovery_is_the_even_channel_adapted_member():
+    even = q.FletcherParams(1 / np.sqrt(2), 0.0, 1 / np.sqrt(2), 0.0)
+    for gamma in (0.0, 1e-3, 0.01, 0.1, 0.3, 0.9):
+        assert abs(q.fletcher_fidelity_closed(even, gamma) - cp_recovery_fidelity_closed(gamma)) <= 1e-12
+
+
 def test_term_table_consistency():
     result = q.entanglement_fidelity(
         q.leung4(), q.standard_ad_recovery(0.1), q.enlarge(q.ad_single(0.1), 4)

@@ -7,9 +7,11 @@ rebuilt), a double loop over (k, l) codespace-restricted traces in
 ``entanglement_fidelity``, ``np.vdot`` blocks in ``kl_gram``, a strict ``>``
 scan over error pairs in ``exact_correctable``, one block set per gamma and
 one ``polyfit`` per error pair in ``classify_pair``, and one dense
-permutation matrix per candidate in ``permutation_equivalent``, and a
+permutation matrix per candidate in ``permutation_equivalent``, a
 scan that re-evaluates the curves at every comparison in
-``threshold_analysis``.  Random
+``threshold_analysis``, and the standard, code-projected and
+channel-adapted damping recoveries written out by hand, one operator at a
+time, against the one family builder behind them.  Random
 single-qubit channels are cut from random 4 x 2 isometries, random
 recoveries from random (K d) x d isometries on three and four qubits.
 """
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 
 import qecwb as q
 from qecwb.channels import KrausChannel, KrausTerm
-from qecwb.linalg import completeness_defect
+from qecwb.linalg import completeness_defect, ket
 from qecwb.recovery import RecoveryOperation
 
 TOL = 1e-12
@@ -95,16 +97,13 @@ def loop_kl(code, errors):
     zero, one = code.codewords
     images = {label: (op @ zero, op @ one) for label, op in errors}
     blocks, eigs = {}, {}
-    max_off = max_mismatch = 0.0
     for l, li in images.items():
         for m, mi in images.items():
             block = np.array([[np.vdot(li[i], mi[j]) for j in range(2)] for i in range(2)])
             blocks[(l, m)] = block
-            max_off = max(max_off, abs(block[0, 1]), abs(block[1, 0]))
-            max_mismatch = max(max_mismatch, abs(block[0, 0] - block[1, 1]))
             if l == m:
                 eigs[l] = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
-    return blocks, eigs, max_off, max_mismatch
+    return blocks, eigs
 
 
 def loop_pair_violation(block):
@@ -153,13 +152,80 @@ def loop_classify(pair, gammas):
     return not failing, witness, None if vanishing(overall) else slope(overall)
 
 
+def permute_qubits_matrix(perm, n_qubits):
+    """Unitary that rearranges qubits so new qubit j is old qubit perm[j].
+
+    ``perm`` uses 0-based qubit positions with qubit 0 the leftmost
+    (most significant) bit.
+    """
+    dim = 2**n_qubits
+    m = np.zeros((dim, dim), dtype=complex)
+    for b in range(dim):
+        bits = format(b, "0%db" % n_qubits)
+        m[int("".join(bits[perm[j]] for j in range(n_qubits)), 2), b] = 1.0
+    return m
+
+
 def loop_permutation_equivalent(c1, c2, tol=1e-10):
     n = c1.n_qubits
     for perm in permutations(range(n)):
-        m = q.permute_qubits_matrix(perm, n)
+        m = permute_qubits_matrix(perm, n)
         if np.max(np.abs(m @ c1.projector @ m.conj().T - c2.projector)) <= tol:
             return perm
     return None
+
+
+def ref_transfer(zero_source, one_source=None):
+    """|0_L><s0| (+ |1_L><s1|) on the four-qubit code."""
+    zero, one = q.leung4().codewords
+    op = np.outer(zero, zero_source.conj())
+    if one_source is not None:
+        op += np.outer(one, one_source.conj())
+    return op
+
+
+def ref_damping_tail():
+    """The eight transfers the code-projected and channel-adapted recoveries share."""
+    return [
+        ref_transfer(ket("0111"), ket("0100")),
+        ref_transfer(ket("1011"), ket("1000")),
+        ref_transfer(ket("1101"), ket("0001")),
+        ref_transfer(ket("1110"), ket("0010")),
+        ref_transfer(ket("1001")),
+        ref_transfer(ket("1010")),
+        ref_transfer(ket("0101")),
+        ref_transfer(ket("0110")),
+    ]
+
+
+def ref_standard_recovery(gamma):
+    """Five transfers on the damped basis, and the projector on six leftover kets."""
+    one = q.leung4().one_logical
+    plus = ket("0000") + (1.0 - gamma) ** 2 * ket("1111")
+    minus = (1.0 - gamma) ** 2 * ket("0000") - ket("1111")
+    v = [plus / np.linalg.norm(plus), one, ket("0111"), ket("0100"), ket("1011"),
+         ket("1000"), ket("1101"), ket("0001"), ket("1110"), ket("0010")]
+    leftovers = [ket("0101"), ket("0110"), ket("1001"), ket("1010"),
+                 minus / np.linalg.norm(minus), (ket("0011") - ket("1100")) / np.sqrt(2)]
+    ops = [ref_transfer(v[2 * k], v[2 * k + 1]) for k in range(5)]
+    return ops, sum(np.outer(o, o.conj()) for o in leftovers)
+
+
+def ref_cp_recovery():
+    """The codespace projector, a reflection, and the shared eight."""
+    r2_zero = (ket("0000") - ket("1111")) / np.sqrt(2)
+    r2_one = (ket("0011") - ket("1100")) / np.sqrt(2)
+    return [q.leung4().projector, ref_transfer(r2_zero, r2_one)] + ref_damping_tail()
+
+
+def ref_fletcher_recovery(a, b):
+    """Two (a, b)-dependent operators written row by row, and the shared eight."""
+    zero, one = q.leung4().codewords
+    r1_row = a * ket("0000") + b * ket("1111")
+    r2_row = b.conjugate() * ket("0000") - a.conjugate() * ket("1111")
+    r1 = np.outer(zero, r1_row) + np.outer(one, one.conj())
+    r2 = np.outer(zero, r2_row) + np.outer(one, (ket("0011") - ket("1100")) / np.sqrt(2))
+    return [r1, r2] + ref_damping_tail()
 
 
 def loop_threshold(fidelity_curve, baseline_curve, grid, tol=1e-10):
@@ -263,7 +329,7 @@ def test_kl_gram_matches_vdot_blocks(seed, n, size):
     picks = rng.choice(len(channel.kraus), size=min(size, len(channel.kraus)), replace=False)
     errors = [(channel.kraus[i].label, channel.kraus[i].op) for i in picks]
     gram = q.kl_gram(code, errors)
-    blocks, eigs, max_off, max_mismatch = loop_kl(code, errors)
+    blocks, eigs = loop_kl(code, errors)
     assert gram.labels == tuple(label for label, _ in errors)
     assert gram.blocks.keys() == blocks.keys()
     for key, block in blocks.items():
@@ -271,8 +337,6 @@ def test_kl_gram_matches_vdot_blocks(seed, n, size):
     assert gram.diag_eigs.keys() == eigs.keys()
     for label, values in eigs.items():
         assert np.max(np.abs(np.array(gram.diag_eigs[label]) - values)) <= TOL
-    assert abs(gram.max_offdiag_violation - max_off) <= TOL
-    assert abs(gram.max_diag_mismatch - max_mismatch) <= TOL
 
 
 @oracle_settings
@@ -326,13 +390,35 @@ def test_permutation_equivalent_matches_dense_matrices(seed, n, related):
     rng = np.random.default_rng(seed)
     c1 = random_code(rng, n)
     if related:
-        m = q.permute_qubits_matrix(tuple(rng.permutation(n)), n)
+        m = permute_qubits_matrix(tuple(rng.permutation(n)), n)
         c2 = q.QuantumCode(n, m @ c1.zero_logical, m @ c1.one_logical)
     else:
         c2 = random_code(rng, n)
     expected = loop_permutation_equivalent(c1, c2)
     assert q.permutation_equivalent(c1, c2) == expected
     assert (expected is not None) == related
+
+
+@oracle_settings
+@given(gamma=st.floats(0.0, 1.0, exclude_max=True), seed=seeds)
+def test_damping_family_matches_hand_written_recoveries(gamma, seed):
+    v = np.random.default_rng(seed).normal(size=4)
+    v /= np.linalg.norm(v)
+    a, b = complex(v[0], v[1]), complex(v[2], v[3])
+    ops, leftover = ref_standard_recovery(gamma)
+    cases = [
+        (q.standard_ad_recovery(gamma), ops, leftover),
+        (q.cp_recovery(), ref_cp_recovery(), None),
+        (q.fletcher_recovery(a, b), ref_fletcher_recovery(a, b), None),
+    ]
+    for recovery, expected_ops, expected_leftover in cases:
+        assert len(recovery.ops) == len(expected_ops)
+        for op, expected in zip(recovery.operators(), expected_ops):
+            assert np.array_equal(op, expected)
+        if expected_leftover is None:
+            assert recovery.leftover is None
+        else:
+            assert np.array_equal(recovery.leftover, expected_leftover)
 
 
 def random_curve(rng):

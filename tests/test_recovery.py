@@ -182,8 +182,9 @@ def test_standard_ad_recovery_structure():
     gamma = 0.1
     rec = q.standard_ad_recovery(gamma)
     assert rec.completeness_defect() <= 1e-10
+    assert [label for label, _ in rec.ops] == ["adapted-1", "damp-1", "damp-2", "damp-3", "damp-4"]
     first = rec.ops[0][1]
-    # the syndrome-0 operator reads out |0000> + (1-g)^2 |1111> (normalized)
+    # the adapted-1 operator reads out |0000> + (1-g)^2 |1111> (normalized)
     source = ket("0000") + (1 - gamma) ** 2 * ket("1111")
     source /= np.linalg.norm(source)
     code = q.leung4()
@@ -199,7 +200,10 @@ def test_standard_ad_recovery_structure():
 def test_cp_recovery_structure():
     rec = q.cp_recovery()
     code = q.leung4()
-    assert len(rec.ops) == 10
+    assert [label for label, _ in rec.ops] == [
+        "adapted-1", "adapted-2", "damp-1", "damp-2", "damp-3", "damp-4",
+        "damp-23", "damp-24", "damp-13", "damp-14",
+    ]
     assert max_abs(rec.ops[0][1] - code.projector) <= 1e-15
     damp23 = dict(rec.ops)["damp-23"]
     assert max_abs(damp23 - np.outer(code.zero_logical, ket("1001").conj())) <= 1e-15
