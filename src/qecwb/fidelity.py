@@ -81,15 +81,11 @@ def entanglement_fidelity(
     """
     if recovery.dim != errors.dim:
         raise ValueError("recovery and channel dimensions differ")
-    if recovery.completeness_defect() > 1e-10:
+    if not recovery.completeness_defect() <= 1e-10:
         raise ValueError("recovery is not trace preserving")
-    rows = recovery.operators()
-    row_keys: tuple[Union[int, str], ...] = tuple(range(len(rows)))
-    if recovery.leftover is not None:
-        rows.append(recovery.leftover)
-        row_keys += ("O",)
+    row_keys = tuple(range(len(recovery.ops))) + (() if recovery.leftover is None else ("O",))
     v = np.stack(code.codewords, axis=1)
-    left = dagger(v) @ np.stack(rows)  # (K, 2, d): V^dag R_k
+    left = dagger(v) @ recovery.stack  # (K, 2, d): V^dag R_k
     right = np.stack(errors.operators()) @ v  # (L, d, 2): A_l V
     table = np.einsum("kia,lai->kl", left, right)
     value = 0.25 * float(np.vdot(table, table).real)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_LINEAR_SCALE = 4.0 * math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class FletcherParams:
     b_im: float
 
     def __post_init__(self):
-        if self.radius > 1.0 + 1e-12:
+        if not self.radius <= 1.0 + 1e-12:
             raise ValueError("radius must not exceed 1")
 
     @property
@@ -66,6 +67,16 @@ def base_fidelity(gamma: float) -> float:
     )
 
 
+def _check_damping(gamma: float) -> None:
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError("damping rate must lie in [0, 1)")
+
+
+def _linear_term(a_re: float, b_re: float, c: float, c3: float) -> float:
+    """[2 Re(a) c + 2 Re(b) c**3] / (4 sqrt(2)), given c = 1 - gamma and c3 = c**3."""
+    return (2.0 * a_re * c + 2.0 * b_re * c3) / _LINEAR_SCALE
+
+
 def fletcher_fidelity_closed(params: FletcherParams, gamma: float) -> float:
     """Closed-form adapted-recovery fidelity F0 + linear term in Re(a), Re(b).
 
@@ -73,17 +84,15 @@ def fletcher_fidelity_closed(params: FletcherParams, gamma: float) -> float:
     fidelity entirely.  For radius-1 parameters this equals the full
     matrix-trace evaluation of the ten-operator recovery.
     """
-    if params.radius > 1.0 + 1e-12:
+    if not params.radius <= 1.0 + 1e-12:
         raise ValueError("parameter norm exceeds the unit sphere")
     c = 1.0 - gamma
-    linear = (2.0 * params.a_re * c + 2.0 * params.b_re * c**3) / (4.0 * math.sqrt(2.0))
-    return base_fidelity(gamma) + linear
+    return base_fidelity(gamma) + _linear_term(params.a_re, params.b_re, c, c**3)
 
 
 def closed_form_optimum(gamma: float) -> Optimum:
     """Analytic maximizer over the unit sphere: real positive (a, b)."""
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("damping rate must lie in [0, 1)")
+    _check_damping(gamma)
     c2 = (1.0 - gamma) ** 2
     scale = math.sqrt(1.0 + c2 * c2)
     a_bar = 1.0 / scale
@@ -102,12 +111,16 @@ def numeric_optimum(gamma: float, resolution: int = 200) -> Optimum:
     ~sqrt(eps) in the angle, so a final three-point parabolic step on a wide
     stencil pins the vertex down to ~1e-12.
     """
+    _check_damping(gamma)
     if resolution < 100:
         raise ValueError("resolution must be at least 100")
+    f0, damped, damped3 = base_fidelity(gamma), 1.0 - gamma, (1.0 - gamma) ** 3
 
     def score(theta: float) -> float:
-        p = FletcherParams(math.cos(theta), 0.0, math.sin(theta), 0.0)
-        return fletcher_fidelity_closed(p, gamma)
+        a_re, b_re = math.cos(theta), math.sin(theta)
+        if not math.sqrt(a_re**2 + b_re**2) <= 1.0 + 1e-12:
+            raise ValueError("radius must not exceed 1")
+        return f0 + _linear_term(a_re, b_re, damped, damped3)
 
     lo, hi = 0.0, math.pi / 2.0
     c = hi - GOLDEN * (hi - lo)
@@ -142,6 +155,7 @@ def radius_sweep(gamma: float, radii: Sequence[float]) -> list[tuple[float, floa
     the allowed radius; the remaining weight sits in the (inert) imaginary
     parts, keeping the recovery trace preserving.
     """
+    _check_damping(gamma)
     c2 = (1.0 - gamma) ** 2
     scale = math.sqrt(1.0 + c2 * c2)
     out = []

@@ -8,11 +8,12 @@ the first operator reads out and in whether the tail is kept: the
 channel-adapted recovery keeps it for any (a, b), the code-projected one is
 the channel-adapted one at a = b = 1/sqrt(2), and the standard one reads out
 the damped image of |0_L> and projects the tail out into its leftover.
+Every recovery keeps its operators in one read-only stack; its defect is computed once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -60,24 +61,35 @@ class RecoveryOperation:
     (0,15) lattice the paper derives for the standard recovery.  That
     leftover is the damping family's tail, which the code-projected and
     channel-adapted members keep as operators instead.
+
+    Construction copies the operators, then the leftover, into the read-only
+    (K[+1], d, d) ``stack`` that ``ops`` and ``leftover`` view; its defect is computed once.
     """
 
     ops: tuple[tuple[str, np.ndarray], ...]
     leftover: Optional[np.ndarray] = None
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    _defect: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = [op for _, op in self.ops] + ([] if self.leftover is None else [self.leftover])
+        stack = np.array(rows, dtype=complex)
+        stack.flags.writeable = False  # before the row views are taken, so they inherit it
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "ops", tuple(zip([label for label, _ in self.ops], stack)))
+        object.__setattr__(self, "leftover", None if self.leftover is None else stack[-1])
+        object.__setattr__(self, "_defect", completeness_defect(stack))
 
     @property
     def dim(self) -> int:
-        return self.ops[0][1].shape[0]
+        return self.stack.shape[-1]
 
     def operators(self) -> list[np.ndarray]:
         return [op for _, op in self.ops]
 
     def completeness_defect(self) -> float:
-        """Max-norm deviation of sum(R^dag R) (+ O^dag O) from the identity."""
-        ops = self.operators()
-        if self.leftover is not None:
-            ops.append(self.leftover)
-        return completeness_defect(ops)
+        """Max-norm deviation of sum(R^dag R) (+ O^dag O) from I, taken at construction."""
+        return self._defect
 
 
 def _complete_basis(seed: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
@@ -157,19 +169,12 @@ def _transfer(code: QuantumCode, zero_source: np.ndarray, one_source: Optional[n
     return op
 
 
-def _shared(recovery: RecoveryOperation) -> RecoveryOperation:
-    """Make every operator read-only, for a recovery built once and shared."""
-    for op in recovery.operators():
-        op.flags.writeable = False
-    return recovery
-
-
 @lru_cache(maxsize=None)
 def repetition_recovery() -> RecoveryOperation:
     """Projective syndrome recovery for the three-qubit repetition code.
 
     The four operators are independent of the error probability, so the
-    recovery is built once per process and shared, with read-only operators.
+    recovery is built once per process and shared.
     """
     code = repetition3()
     sources = [
@@ -178,8 +183,7 @@ def repetition_recovery() -> RecoveryOperation:
         ("flip-2", ket("010"), ket("101")),
         ("flip-3", ket("001"), ket("110")),
     ]
-    ops = tuple((lab, _transfer(code, s0, s1)) for lab, s0, s1 in sources)
-    return _shared(RecoveryOperation(ops))
+    return RecoveryOperation(tuple((lab, _transfer(code, s0, s1)) for lab, s0, s1 in sources))
 
 
 # The damping family's fixed directions: single-damping syndromes (sources
@@ -189,6 +193,21 @@ _TAIL = ("1001", "1010", "0101", "0110")
 _KEPT_LABELS = ("adapted-1", "adapted-2", "damp-1", "damp-2", "damp-3", "damp-4",
                 "damp-23", "damp-24", "damp-13", "damp-14")
 _PROJECTED_LABELS = ("adapted-1", "damp-1", "damp-2", "damp-3", "damp-4")
+
+
+@lru_cache(maxsize=None)
+def _damping_fixed() -> tuple:
+    """Syndromes, tail, tail projector sum, |1_L><1_L|, |0000>, |1111>, (|0011>-|1100>)/sqrt(2)."""
+    zero, one = leung4().codewords
+    syndromes = tuple(_transfer(leung4(), ket(s0), ket(s1)) for s0, s1 in _SYNDROMES)
+    tail_rows = [ket(s) for s in _TAIL]
+    tail = tuple(np.outer(zero, row) for row in tail_rows)
+    tail_sum = sum(np.outer(row.conj(), row) for row in tail_rows)
+    one_proj = np.outer(one, one.conj())
+    kets = (ket("0000"), ket("1111"), (ket("0011") - ket("1100")) / np.sqrt(2))
+    for part in (*syndromes, *tail, tail_sum, one_proj, *kets):
+        part.flags.writeable = False
+    return syndromes, tail, tail_sum, one_proj, *kets
 
 
 def _damping_recovery(a: complex, b: complex, keep_tail: bool) -> RecoveryOperation:
@@ -201,20 +220,16 @@ def _damping_recovery(a: complex, b: complex, keep_tail: bool) -> RecoveryOperat
     and 0110 to |0_L>.  Without ``keep_tail``, operator 2 and the rank-one
     four become the leftover projector onto their six rows.
     """
-    code = leung4()
-    zero, one = code.codewords
+    zero, one = leung4().codewords
+    syndromes, tail, tail_sum, one_proj, k0, k1, odd = _damping_fixed()
     # rows of the operators; np.outer applies no conjugation of its own
-    first = np.outer(zero, a * ket("0000") + b * ket("1111")) + np.outer(one, one.conj())
-    second_rows = (b.conjugate() * ket("0000") - a.conjugate() * ket("1111"),
-                   (ket("0011") - ket("1100")) / np.sqrt(2))
-    syndromes = [_transfer(code, ket(s0), ket(s1)) for s0, s1 in _SYNDROMES]
-    tail_rows = [ket(s) for s in _TAIL]
+    first = np.outer(zero, a * k0 + b * k1) + one_proj
+    second_row = b.conjugate() * k0 - a.conjugate() * k1
     if not keep_tail:
-        leftover = sum(np.outer(row.conj(), row) for row in (*tail_rows, *second_rows))
-        return RecoveryOperation(tuple(zip(_PROJECTED_LABELS, [first, *syndromes])), leftover)
-    second = np.outer(zero, second_rows[0]) + np.outer(one, second_rows[1])
-    ops = [first, second, *syndromes] + [np.outer(zero, row) for row in tail_rows]
-    return RecoveryOperation(tuple(zip(_KEPT_LABELS, ops)))
+        leftover = tail_sum + np.outer(second_row.conj(), second_row) + np.outer(odd.conj(), odd)
+        return RecoveryOperation(tuple(zip(_PROJECTED_LABELS, (first, *syndromes))), leftover)
+    second = np.outer(zero, second_row) + np.outer(one, odd)
+    return RecoveryOperation(tuple(zip(_KEPT_LABELS, (first, second, *syndromes, *tail))))
 
 
 def standard_ad_recovery(gamma: float) -> RecoveryOperation:
@@ -237,9 +252,9 @@ def cp_recovery() -> RecoveryOperation:
     """Code-projected recovery: the channel-adapted one at a = b = 1/sqrt(2).
 
     Its first operator is the codespace projector itself.  Built once per
-    process and shared, with read-only operators.
+    process and shared.
     """
-    return _shared(fletcher_recovery(1 / np.sqrt(2), 1 / np.sqrt(2)))
+    return fletcher_recovery(1 / np.sqrt(2), 1 / np.sqrt(2))
 
 
 def fletcher_recovery(a: complex, b: complex) -> RecoveryOperation:
@@ -251,6 +266,6 @@ def fletcher_recovery(a: complex, b: complex) -> RecoveryOperation:
     """
     a = complex(a)
     b = complex(b)
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-10:
+    if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-10:
         raise ValueError("parameters must satisfy |a|**2 + |b|**2 = 1")
     return _damping_recovery(a, b, keep_tail=True)

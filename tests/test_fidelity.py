@@ -102,6 +102,15 @@ def test_fidelity_rejects_incomplete_recovery():
         q.entanglement_fidelity(q.repetition3(), clipped, q.enlarge(q.bitflip_single(0.1), 3))
 
 
+def test_fidelity_rejects_recovery_with_nan_entry():
+    ops = [op.copy() for op in q.repetition_recovery().operators()]
+    ops[1][0, 4] = np.nan
+    rec = RecoveryOperation(tuple(("r%d" % k, op) for k, op in enumerate(ops)))
+    assert np.isnan(rec.completeness_defect())
+    with pytest.raises(ValueError, match="not trace preserving"):
+        q.entanglement_fidelity(q.repetition3(), rec, q.enlarge(q.bitflip_single(0.1), 3))
+
+
 def test_fidelity_bounds_across_triples():
     for p in np.linspace(0, 1, 9):
         f = bitflip_fidelity(p)

@@ -11,11 +11,14 @@ permutation matrix per candidate in ``permutation_equivalent``, a
 scan that re-evaluates the curves at every comparison in
 ``threshold_analysis``, and the standard, code-projected and
 channel-adapted damping recoveries written out by hand, one operator at a
-time, against the one family builder behind them.  Random
+time, against the one family builder behind them, and a golden-section
+search that builds validated parameters and the whole closed form at every
+step in ``numeric_optimum``.  Random
 single-qubit channels are cut from random 4 x 2 isometries, random
 recoveries from random (K d) x d isometries on three and four qubits.
 """
 
+import math
 from functools import reduce
 from itertools import permutations, product
 
@@ -228,6 +231,38 @@ def ref_fletcher_recovery(a, b):
     return [r1, r2] + ref_damping_tail()
 
 
+def loop_numeric_optimum(gamma, resolution=200):
+    """Golden-section search scoring each angle through FletcherParams and the closed form."""
+
+    def score(theta):
+        p = q.FletcherParams(math.cos(theta), 0.0, math.sin(theta), 0.0)
+        return q.fletcher_fidelity_closed(p, gamma)
+
+    lo, hi = 0.0, math.pi / 2.0
+    c = hi - q.fletcher.GOLDEN * (hi - lo)
+    d = lo + q.fletcher.GOLDEN * (hi - lo)
+    fc, fd = score(c), score(d)
+    for _ in range(resolution):
+        if hi - lo < 1e-12:
+            break
+        if fc < fd:
+            lo, c, fc = c, d, fd
+            d = lo + q.fletcher.GOLDEN * (hi - lo)
+            fd = score(d)
+        else:
+            hi, d, fd = d, c, fc
+            c = hi - q.fletcher.GOLDEN * (hi - lo)
+            fc = score(c)
+    theta = 0.5 * (lo + hi)
+    step = 1e-4
+    center = min(max(theta, step), math.pi / 2.0 - step)
+    left, middle, right = score(center - step), score(center), score(center + step)
+    curvature = left - 2.0 * middle + right
+    if curvature < 0.0:
+        theta = center + 0.5 * step * (left - right) / curvature
+    return q.Optimum(math.cos(theta), math.sin(theta), score(theta))
+
+
 def loop_threshold(fidelity_curve, baseline_curve, grid, tol=1e-10):
     """(useful range, threshold), evaluating the curves inside each comparison."""
     last_useful = -1
@@ -257,6 +292,27 @@ def loop_threshold(fidelity_curve, baseline_curve, grid, tol=1e-10):
 
 
 # ---- properties ------------------------------------------------------------
+
+
+@oracle_settings
+@given(seed=seeds, n=qubits, n_ops=st.integers(1, 6), with_leftover=st.booleans(),
+       noise=st.sampled_from((0.0, 1e-13, 1e-9, 1e-3)))
+def test_stored_defect_equals_recomputed_defect(seed, n, n_ops, with_leftover, noise):
+    rng = np.random.default_rng(seed)
+    recovery = random_recovery(rng, n, n_ops, with_leftover)
+    if noise:
+        ops = [op + noise * rng.normal(size=op.shape) for op in recovery.operators()]
+        recovery = RecoveryOperation(tuple(zip("abcdef", ops)), leftover=recovery.leftover)
+    rows = recovery.operators()
+    if recovery.leftover is not None:
+        rows.append(recovery.leftover)
+    assert recovery.completeness_defect() == completeness_defect(rows)
+
+
+@oracle_settings
+@given(gamma=st.floats(0.0, 1.0, exclude_max=True))
+def test_numeric_optimum_matches_per_step_closed_form(gamma):
+    assert q.numeric_optimum(gamma) == loop_numeric_optimum(gamma)
 
 
 @oracle_settings

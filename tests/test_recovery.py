@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import qecwb as q
-from qecwb.linalg import dagger, ket, max_abs, restrict
+from qecwb.linalg import completeness_defect, dagger, ket, max_abs, restrict
+from qecwb.recovery import RecoveryOperation, _damping_fixed
 
 
 def ad_op(gamma, label):
@@ -212,11 +213,31 @@ def test_cp_recovery_structure():
 
 def test_parameter_free_recoveries_are_built_once_and_read_only():
     for make in (q.repetition_recovery, q.cp_recovery):
-        recovery = make()
-        assert make() is recovery
-        for op in recovery.operators():
+        assert make() is make()
+    rng = np.random.default_rng(43)
+    ops = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2)]
+    leftover = rng.normal(size=(4, 4)).astype(complex)
+    hand_made = RecoveryOperation((("x", ops[0]), ("y", ops[1])), leftover)
+    recoveries = [q.repetition_recovery(), q.cp_recovery(), q.standard_ad_recovery(0.1),
+                  q.fletcher_recovery(0.6, 0.8j), hand_made]
+    for recovery in recoveries:
+        rows = recovery.operators() + ([] if recovery.leftover is None else [recovery.leftover])
+        assert recovery.stack.shape == (len(rows), recovery.dim, recovery.dim)
+        for row, op in zip(recovery.stack, rows):
+            assert op.base is recovery.stack and np.array_equal(op, row)
+        for array in (recovery.stack, *rows):
             with pytest.raises(ValueError):
-                op[0, 0] = 0.0
+                array[0, 0] = 0.0
+    # the caller's arrays stay writeable and no longer reach the recovery
+    built = [op.copy() for op in ops] + [leftover.copy()]
+    ops[0][:] = 0.0
+    leftover[:] = 0.0
+    assert all(np.array_equal(op, was) for op, was in zip(hand_made.operators(), built))
+    assert np.array_equal(hand_made.leftover, built[-1])
+    assert hand_made.completeness_defect() == completeness_defect(built)
+    # the damping family's cached fixed parts are shared, so they are read-only too
+    syndromes, tail, *rest = _damping_fixed()
+    assert all(not part.flags.writeable for part in (*syndromes, *tail, *rest))
 
 
 def test_fletcher_recovery_structure():
@@ -242,6 +263,13 @@ def test_fletcher_recovery_structure():
 def test_fletcher_recovery_rejects_bad_constraint():
     with pytest.raises(ValueError):
         q.fletcher_recovery(1.0, 0.5)
+
+
+@pytest.mark.parametrize("a, b", [(float("nan"), 1.0), (1.0, float("nan")),
+                                  (complex(0.6, float("nan")), 0.8)])
+def test_fletcher_recovery_rejects_nan_parameters(a, b):
+    with pytest.raises(ValueError, match="parameters must satisfy"):
+        q.fletcher_recovery(a, b)
 
 
 def test_all_recoveries_trace_preserving():
