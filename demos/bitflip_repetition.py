@@ -15,7 +15,7 @@ def main():
     p = 0.1
     channel = q.enlarge(q.bitflip_single(p), 3)
     print("three uses of the bit-flip channel at p = %.2f" % p)
-    print("  %d enlarged operators: %s" % (len(channel.kraus), " ".join(channel.labels())))
+    print("  %d enlarged operators: %s" % (len(channel.kraus), " ".join(channel.labels)))
     cert = q.certify(channel)
     print("  trace preserving: %s, unital: %s" % (cert.trace_preserving, cert.unital))
 

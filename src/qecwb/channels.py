@@ -1,6 +1,8 @@
 """Single-qubit noise channels and their n-qubit enlarged Kraus sets.
 
-A channel is a labeled list of Kraus operators.  Labels of enlarged
+A channel is one read-only (L, d, d) stack of Kraus operators with a tuple
+of L labels; the kernels contract the stack directly, and ``kraus`` is a
+lazy view of it as labeled terms, kept for readers.  Labels of enlarged
 operators are bitstrings of error positions ("0100" = error on qubit 2),
 with qubit 1 the leftmost character and the leftmost character the leftmost
 Kronecker factor, so that basis kets read off directly from labels; the
@@ -10,11 +12,11 @@ error weight of an operator is the number of 1s in its label.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import PAULI_I, PAULI_X, PAULI_Z, completeness_defect, dagger
+from .linalg import PAULI_I, PAULI_X, PAULI_Z, completeness_defect
 
 CERT_TOL = 1e-10
 
@@ -27,26 +29,45 @@ class KrausTerm:
     op: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # eq=False: the stack is an array
 class KrausChannel:
-    """Labeled Kraus decomposition of a channel on ``n_qubits`` qubits."""
+    """Labeled Kraus decomposition of a channel on ``n_qubits`` qubits.
+
+    Construction copies ``stack`` into a read-only complex (L, 2**n, 2**n)
+    array, so the caller's array stays writeable; row l is the operator
+    labeled ``labels[l]``.  ``kraus`` pairs labels with views of the rows
+    the first time it is read.
+    """
 
     n_qubits: int
-    kraus: tuple[KrausTerm, ...]
+    labels: tuple[str, ...]
+    stack: np.ndarray
+
+    def __post_init__(self):
+        stack = np.array(self.stack, dtype=complex)
+        if stack.shape[1:] != (self.dim, self.dim) or not len(stack):
+            raise ValueError("a %d-qubit channel needs one or more %d x %d Kraus operators"
+                             % (self.n_qubits, self.dim, self.dim))
+        if len(self.labels) != len(stack):
+            raise ValueError("a channel needs one label per Kraus operator")
+        stack.flags.writeable = False
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "stack", stack)
 
     @property
     def dim(self) -> int:
         return 2 ** self.n_qubits
 
-    def operators(self) -> list[np.ndarray]:
-        return [t.op for t in self.kraus]
+    @cached_property
+    def kraus(self) -> tuple[KrausTerm, ...]:
+        return tuple(KrausTerm(label, op) for label, op in zip(self.labels, self.stack))
 
-    def labels(self) -> list[str]:
-        return [t.label for t in self.kraus]
+    def operators(self) -> list[np.ndarray]:
+        return list(self.stack)
 
     def completeness_defect(self) -> float:
         """Max-norm deviation of sum(A^dag A) from the identity."""
-        return completeness_defect(self.operators())
+        return completeness_defect(self.stack)
 
 
 @dataclass(frozen=True)
@@ -60,11 +81,7 @@ class ChannelCertificate:
 def _two_outcome_channel(p: float, flip_op: np.ndarray) -> KrausChannel:
     if not 0.0 <= p <= 1.0:
         raise ValueError("error probability must lie in [0, 1]")
-    terms = (
-        KrausTerm("0", np.sqrt(1.0 - p) * PAULI_I),
-        KrausTerm("1", np.sqrt(p) * flip_op.astype(complex)),
-    )
-    return KrausChannel(1, terms)
+    return KrausChannel(1, ("0", "1"), [np.sqrt(1.0 - p) * PAULI_I, np.sqrt(p) * flip_op])
 
 
 def bitflip_single(p: float) -> KrausChannel:
@@ -85,9 +102,8 @@ def ad_single(gamma: float) -> KrausChannel:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("damping rate must lie in [0, 1]")
-    a0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)
-    a1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel(1, (KrausTerm("0", a0), KrausTerm("1", a1)))
+    stack = [[[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], [[0.0, np.sqrt(gamma)], [0.0, 0.0]]]
+    return KrausChannel(1, ("0", "1"), stack)
 
 
 def _label_order_key(label: str) -> tuple:
@@ -124,8 +140,8 @@ def enlarge(channel: KrausChannel, n: int) -> KrausChannel:
     All products are built at once as a (2**n, 2**n, 2**n) stack: each step
     multiplies the stack so far by the single-qubit pair (A_0, A_1) with
     broadcasting, which forms the same entrywise products, leftmost factor
-    first, as ``np.kron``.  The stack is then put in label order once, and
-    every ``KrausTerm.op`` is a view into it.
+    first, as ``np.kron``.  Put in label order once, it is the result's
+    ``stack``; ``kraus`` views its rows only when read.
 
     For n >= 2 the result is shared and read-only: the last
     ``_ENLARGE_CACHE_SIZE`` (8) enlargements are kept, keyed on ``n`` and the
@@ -141,11 +157,9 @@ def enlarge(channel: KrausChannel, n: int) -> KrausChannel:
         raise ValueError("need at least one qubit")
     if n == 1:
         return channel
-    single = {t.label: t.op for t in channel.kraus}
-    pair = np.array([single["0"], single["1"]], dtype=complex)
-    if pair.shape != (2, 2, 2):
-        raise ValueError("single-qubit Kraus operators must be 2 x 2")
-    return _enlarge_pair(n, pair.tobytes())
+    if channel.labels != ("0", "1"):  # the constructor has checked the 2 x 2 shape
+        raise ValueError("enlarge expects the single-qubit labels ('0', '1')")
+    return _enlarge_pair(n, channel.stack.tobytes())
 
 
 @lru_cache(maxsize=_ENLARGE_CACHE_SIZE)
@@ -159,14 +173,11 @@ def _enlarge_pair(n: int, pair_bytes: bytes) -> KrausChannel:
             2 * k, 2 * d, 2 * d
         )
     labels, order = _label_order(n)
-    stack = stack[order]
-    stack.flags.writeable = False  # before the row views are taken, so they inherit it
-    return KrausChannel(n, tuple(KrausTerm(label, op) for label, op in zip(labels, stack)))
+    return KrausChannel(n, labels, stack[order])
 
 
 def certify(channel: KrausChannel, tol: float = CERT_TOL) -> ChannelCertificate:
     """Check trace preservation (sum A^dag A = I) and unitality (sum A A^dag = I)."""
-    ops = channel.operators()
-    tp_dev = completeness_defect(ops)
-    un_dev = completeness_defect([dagger(op) for op in ops])
+    tp_dev = completeness_defect(channel.stack)
+    un_dev = completeness_defect(channel.stack.conj().transpose(0, 2, 1))
     return ChannelCertificate(tp_dev <= tol, un_dev <= tol, float(tp_dev), float(un_dev))

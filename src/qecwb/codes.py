@@ -1,10 +1,11 @@
 """Concrete quantum codes and the four-qubit self-complementary family.
 
 A code is a pair of orthonormal logical codewords; the projector onto their
-span is cached on construction.  A code holds read-only copies of its arrays,
-so the named codes, built once per process, are safe to share.  The
-four-qubit self-complementary states (|a> + |a-complement>)/sqrt(2) come in
-eight flavors, giving 28 candidate codeword pairs.
+span and the isometry V = [|0_L> |1_L>] are built on construction.  A code
+holds read-only copies of its arrays, so the named codes, built once per
+process, are safe to share.  The four-qubit self-complementary states
+(|a> + |a-complement>)/sqrt(2) come in eight flavors, giving 28 candidate
+codeword pairs.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ class QuantumCode:
     zero_logical: np.ndarray
     one_logical: np.ndarray
     projector: np.ndarray = field(init=False, repr=False)
+    isometry: np.ndarray = field(init=False, repr=False)  # (d, 2): columns |0_L>, |1_L>
 
     def __post_init__(self):
         dim = 2 ** self.n_qubits
@@ -45,8 +47,9 @@ class QuantumCode:
                 raise ValueError("codewords must be normalized")
         if abs(np.vdot(zero, one)) > 1e-12:
             raise ValueError("codewords must be orthogonal")
-        proj = projector([zero, one])
-        for name, value in (("zero_logical", zero), ("one_logical", one), ("projector", proj)):
+        proj, iso = projector([zero, one]), np.stack([zero, one], axis=1)
+        for name, value in (("zero_logical", zero), ("one_logical", one), ("projector", proj),
+                            ("isometry", iso)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 

@@ -157,7 +157,7 @@ def kl_gram(code: QuantumCode, errors: Sequence[LabeledError]) -> KLGram:
     ``eigvalsh``.
     """
     labels = tuple(label for label, _ in errors)
-    images = np.stack([op for _, op in errors]) @ np.stack(code.codewords, axis=1)
+    images = np.stack([op for _, op in errors]) @ code.isometry
     grams = _gram_blocks(images[None])[0]
     diag = grams[np.arange(len(labels)), np.arange(len(labels))]
     eigs = np.linalg.eigvalsh(0.5 * (diag + diag.conj().swapaxes(1, 2)))
@@ -176,7 +176,7 @@ def exact_correctable(
     achieving it, or None when every pair satisfies the conditions exactly.
     """
     labels = tuple(label for label, _ in errors)
-    images = np.stack([op for _, op in errors]) @ np.stack(code.codewords, axis=1)
+    images = np.stack([op for _, op in errors]) @ code.isometry
     violations = _pair_violations(_gram_blocks(images[None]))[0]
     k = int(np.argmax(violations))
     worst = float(violations[k])
@@ -198,7 +198,7 @@ def violation_order(
     gammas = _noise_samples(gammas)
     samples = [family(g) for g in gammas]
     ops = np.array([[op for _, op in errors] for _, errors in samples])
-    isometries = np.array([np.stack(code.codewords, axis=1) for code, _ in samples])
+    isometries = np.array([code.isometry for code, _ in samples])
     grams = _gram_blocks(ops @ isometries[:, None])
     violations = _pair_violations(grams).max(axis=1)
     if np.all(violations <= ZERO_FLOOR):
@@ -209,8 +209,7 @@ def violation_order(
 def weight_le1_ad_errors(gamma: float) -> list[LabeledError]:
     """The five enlarged damping errors of weight <= 1 on four qubits."""
     channel = enlarge(ad_single(gamma), 4)
-    by_label = {t.label: t.op for t in channel.kraus}
-    return [(label, by_label[label]) for label in WEIGHT_LE1_LABELS]
+    return [(label, channel.stack[channel.labels.index(label)]) for label in WEIGHT_LE1_LABELS]
 
 
 def classify_pair(
@@ -226,7 +225,7 @@ def classify_pair(
     """
     gammas = _noise_samples(gammas)
     ops = np.array([[op for _, op in weight_le1_ad_errors(g)] for g in gammas])
-    violations = _pair_violations(_gram_blocks(ops @ np.stack(pair.as_code().codewords, axis=1)))
+    violations = _pair_violations(_gram_blocks(ops @ pair.as_code().isometry))
     columns = np.column_stack([violations, violations.max(axis=1)])
     slopes = _fit_slope(gammas, columns)
     vanishing = np.all(columns <= ZERO_FLOOR, axis=0)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .codes import QuantumCode
-from .linalg import dagger, max_abs
+from .linalg import dagger
 from .recovery import RecoveryOperation
 
 TermKey = tuple[Union[int, str], int]
@@ -79,14 +79,13 @@ def entanglement_fidelity(
     <0_L|R A|0_L> + <1_L|R A|1_L>, with the encoded dimension fixed at 2.
     The leftover row is keyed "O".
     """
-    if recovery.dim != errors.dim:
-        raise ValueError("recovery and channel dimensions differ")
+    if not recovery.dim == errors.dim == code.isometry.shape[0]:
+        raise ValueError("code, recovery and channel dimensions differ")
     if not recovery.completeness_defect() <= 1e-10:
         raise ValueError("recovery is not trace preserving")
     row_keys = tuple(range(len(recovery.ops))) + (() if recovery.leftover is None else ("O",))
-    v = np.stack(code.codewords, axis=1)
-    left = dagger(v) @ recovery.stack  # (K, 2, d): V^dag R_k
-    right = np.stack(errors.operators()) @ v  # (L, d, 2): A_l V
+    left = dagger(code.isometry) @ recovery.stack  # (K, 2, d): V^dag R_k
+    right = errors.stack @ code.isometry  # (L, d, 2): A_l V
     table = np.einsum("kia,lai->kl", left, right)
     value = 0.25 * float(np.vdot(table, table).real)
     return FidelityResult(value, table, row_keys)
@@ -117,15 +116,16 @@ def baseline_no_qec(channel: KrausChannel) -> float:
     """
     if channel.n_qubits != 1:
         raise ValueError("baseline is defined for single-qubit channels")
+    ops = channel.stack
+    grams = ops.conj().transpose(0, 2, 1) @ ops
+    probs = np.trace(grams, axis1=1, axis2=2).real / channel.dim
+    unitary = np.abs(grams - probs[:, None, None] * np.eye(channel.dim)).max(axis=(1, 2)) <= 1e-12
+    weights = np.where(unitary, probs, 1.0).tolist()
+    # summed term by term with Python's abs: the vectorized np.abs of a complex
+    # array can differ from the scalar one in the last bit
     total = 0.0
-    eye = np.eye(channel.dim)
-    for t in channel.kraus:
-        gram = dagger(t.op) @ t.op
-        prob = float(np.real(np.trace(gram))) / channel.dim
-        if max_abs(gram - prob * eye) <= 1e-12:
-            total += prob * abs(np.trace(t.op)) ** 2
-        else:
-            total += abs(np.trace(t.op)) ** 2
+    for weight, trace in zip(weights, np.trace(ops, axis1=1, axis2=2).tolist()):
+        total += weight * abs(trace) ** 2
     return 0.25 * total
 
 

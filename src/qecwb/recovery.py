@@ -73,6 +73,8 @@ class RecoveryOperation:
 
     def __post_init__(self):
         rows = [op for _, op in self.ops] + ([] if self.leftover is None else [self.leftover])
+        if not rows:
+            raise ValueError("a recovery needs at least one operator or a leftover")
         stack = np.array(rows, dtype=complex)
         stack.flags.writeable = False  # before the row views are taken, so they inherit it
         object.__setattr__(self, "stack", stack)

@@ -51,13 +51,13 @@ def test_enlarge_bitflip_three_qubits():
     p = 0.3
     ch = q.enlarge(q.bitflip_single(p), 3)
     assert len(ch.kraus) == 8
-    assert ch.labels()[0] == "000"
-    assert ch.labels()[-1] == "111"
+    assert ch.labels[0] == "000"
+    assert ch.labels[-1] == "111"
     full_flip = {t.label: t.op for t in ch.kraus}["111"]
     expected = np.sqrt(p**3) * np.kron(PAULI_X, np.kron(PAULI_X, PAULI_X))
     assert max_abs(full_flip - expected) <= 1e-15
     # weight-1 ordering follows qubit position: 100, 010, 001
-    assert ch.labels()[1:4] == ["100", "010", "001"]
+    assert ch.labels[1:4] == ("100", "010", "001")
 
 
 def test_enlarge_ad_weight_counts():
@@ -85,15 +85,49 @@ def test_enlarged_operators_are_read_only():
         op[0, 0] = 1.0
 
 
+def test_channel_owns_one_read_only_stack():
+    ops = np.array([np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * PAULI_X], dtype=complex)
+    built = ops.copy()
+    channel = q.KrausChannel(1, ["0", "1"], ops)
+    assert channel.labels == ("0", "1")
+    assert channel.stack.shape == (2, 2, 2) and channel.stack.dtype == complex
+    # the caller's array stays writeable and no longer reaches the channel
+    ops[:] = 0.0
+    assert ops.flags.writeable and np.array_equal(channel.stack, built)
+    for ch in (channel, q.bitflip_single(0.2), q.ad_single(0.2), q.enlarge(q.ad_single(0.2), 4)):
+        assert not ch.stack.flags.writeable
+        with pytest.raises(ValueError):
+            ch.stack[0, 0, 0] = 1.0
+        assert [t.label for t in ch.kraus] == list(ch.labels)
+        for i, term in enumerate(ch.kraus):
+            assert np.shares_memory(term.op, ch.stack[i]) and np.array_equal(term.op, ch.stack[i])
+        assert ch.kraus is ch.kraus
+        assert all(np.array_equal(op, row) for op, row in zip(ch.operators(), ch.stack))
+
+
+@pytest.mark.parametrize("n_qubits, labels, ops", [
+    (1, (), ()),  # no operators
+    (1, ("0",), np.ones(2)),  # a vector, not a matrix
+    (3, ("0", "1"), [np.eye(2), np.eye(2)]),  # 2 x 2 operators on a "3-qubit" channel
+    (1, ("0", "1"), [np.eye(2)]),  # more labels than operators
+    (1, ("0",), [np.eye(2), np.eye(2)]),  # fewer labels than operators
+], ids=["empty", "vector", "wrong-dimension", "extra-label", "missing-label"])
+def test_channel_rejects_empty_or_mis_shaped_stack(n_qubits, labels, ops):
+    with pytest.raises(ValueError, match="channel needs"):
+        q.KrausChannel(n_qubits, labels, ops)
+
+
 def test_enlarge_validates_input():
     with pytest.raises(ValueError):
         q.enlarge(q.enlarge(q.ad_single(0.1), 2), 2)
     with pytest.raises(ValueError):
         q.enlarge(q.ad_single(0.1), 0)
     # eight entries, as many as a 2 x 2 pair, but not 2 x 2 operators
-    flat = q.KrausChannel(1, (q.KrausTerm("0", np.ones(4)), q.KrausTerm("1", np.ones(4))))
-    with pytest.raises(ValueError):
-        q.enlarge(flat, 2)
+    with pytest.raises(ValueError, match="2 x 2 Kraus operators"):
+        q.enlarge(q.KrausChannel(1, ("0", "1"), [np.ones(4), np.ones(4)]), 2)
+    relabeled = q.KrausChannel(1, ("I", "X"), q.bitflip_single(0.1).stack)
+    with pytest.raises(ValueError, match="labels"):
+        q.enlarge(relabeled, 2)
 
 
 def test_enlarge_single_qubit_is_identity_operation():
@@ -121,7 +155,7 @@ def test_certify_verdicts():
     assert cert.trace_preserving and not cert.unital
 
     enlarged = q.enlarge(q.bitflip_single(0.3), 3)
-    clipped = q.KrausChannel(3, enlarged.kraus[:4])
+    clipped = q.KrausChannel(3, enlarged.labels[:4], enlarged.stack[:4])
     assert not q.certify(clipped).trace_preserving
 
 

@@ -53,6 +53,15 @@ def test_named_codes_are_built_once_and_read_only():
                 array[0] = 0.0
 
 
+def test_isometry_is_the_read_only_codeword_columns():
+    pairs = q.enumerate_pairs()
+    for code in (q.repetition3(), q.leung4(), q.grassl4(), q.third4(), pairs[5].as_code()):
+        assert np.array_equal(code.isometry, np.stack(code.codewords, axis=1))
+        assert code.isometry.shape == (2 ** code.n_qubits, 2)
+        with pytest.raises(ValueError):
+            code.isometry[0, 0] = 0.0
+
+
 def test_code_leaves_caller_arrays_writeable():
     zero, one = ket("000"), ket("111")
     code = q.QuantumCode(3, zero, one)

@@ -102,6 +102,14 @@ def test_fidelity_rejects_incomplete_recovery():
         q.entanglement_fidelity(q.repetition3(), clipped, q.enlarge(q.bitflip_single(0.1), 3))
 
 
+def test_fidelity_rejects_code_of_another_dimension():
+    channel = q.enlarge(q.bitflip_single(0.1), 3)
+    with pytest.raises(ValueError, match="dimensions differ"):
+        q.entanglement_fidelity(q.leung4(), q.repetition_recovery(), channel)
+    with pytest.raises(ValueError, match="dimensions differ"):
+        q.entanglement_fidelity(q.repetition3(), q.cp_recovery(), channel)
+
+
 def test_fidelity_rejects_recovery_with_nan_entry():
     ops = [op.copy() for op in q.repetition_recovery().operators()]
     ops[1][0, 4] = np.nan

@@ -4,7 +4,8 @@ The loop forms here are the plain definitions: a per-operator sum of
 A^dag A in ``completeness_defect``, one ``np.kron`` per label in
 ``enlarge`` (bitwise equal, whether the result comes from the cache or is
 rebuilt), a double loop over (k, l) codespace-restricted traces in
-``entanglement_fidelity``, ``np.vdot`` blocks in ``kl_gram``, a strict ``>``
+``entanglement_fidelity``, one Gram matrix and trace per operator in
+``baseline_no_qec``, ``np.vdot`` blocks in ``kl_gram``, a strict ``>``
 scan over error pairs in ``exact_correctable``, one block set per gamma and
 one ``polyfit`` per error pair in ``classify_pair``, and one dense
 permutation matrix per candidate in ``permutation_equivalent``, a
@@ -27,8 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qecwb as q
-from qecwb.channels import KrausChannel, KrausTerm
-from qecwb.linalg import completeness_defect, ket
+from qecwb.channels import KrausChannel
+from qecwb.linalg import completeness_defect, dagger, ket, max_abs
 from qecwb.recovery import RecoveryOperation
 
 TOL = 1e-12
@@ -46,7 +47,7 @@ def random_isometry(rng, rows, cols):
 
 def random_single_channel(rng):
     v = random_isometry(rng, 4, 2)
-    return KrausChannel(1, (KrausTerm("0", v[:2]), KrausTerm("1", v[2:])))
+    return KrausChannel(1, ("0", "1"), [v[:2], v[2:]])
 
 
 def random_code(rng, n):
@@ -94,6 +95,20 @@ def loop_terms(code, recovery, channel):
             op = r @ a
             terms.append(((k, l), zero.conj() @ op @ zero + one.conj() @ op @ one))
     return terms
+
+
+def loop_baseline_no_qec(channel):
+    """(1/4) sum_k w_k |Tr A_k|**2; w_k is the branch probability when A_k^dag A_k ~ I, else 1."""
+    total = 0.0
+    eye = np.eye(channel.dim)
+    for t in channel.kraus:
+        gram = dagger(t.op) @ t.op
+        prob = float(np.real(np.trace(gram))) / channel.dim
+        if max_abs(gram - prob * eye) <= 1e-12:
+            total += prob * abs(np.trace(t.op)) ** 2
+        else:
+            total += abs(np.trace(t.op)) ** 2
+    return 0.25 * total
 
 
 def loop_kl(code, errors):
@@ -334,10 +349,22 @@ def test_random_isometry_kraus_sets_are_trace_preserving(seed, n_ops, dim):
     w = random_isometry(np.random.default_rng(seed), n_ops * dim, dim)
     ops = [w[k * dim:(k + 1) * dim] for k in range(n_ops)]
     assert completeness_defect(ops) <= TOL
-    terms = tuple(KrausTerm("k%d" % k, op) for k, op in enumerate(ops))
-    assert q.certify(KrausChannel(dim.bit_length() - 1, terms), tol=TOL).trace_preserving
+    labels = tuple("k%d" % k for k in range(n_ops))
+    assert q.certify(KrausChannel(dim.bit_length() - 1, labels, ops), tol=TOL).trace_preserving
     labeled = tuple(("r%d" % k, op) for k, op in enumerate(ops[:-1]))
     assert RecoveryOperation(labeled, leftover=ops[-1]).completeness_defect() <= TOL
+
+
+unit_interval = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0))
+
+
+@oracle_settings
+@given(p=unit_interval, seed=seeds)
+def test_baseline_equals_per_operator_loop(p, seed):
+    channels = (q.bitflip_single(p), q.phaseflip_single(p), q.ad_single(p),
+                random_single_channel(np.random.default_rng(seed)))
+    for channel in channels:
+        assert q.baseline_no_qec(channel) == loop_baseline_no_qec(channel)
 
 
 @oracle_settings
@@ -354,7 +381,7 @@ def test_enlarge_matches_per_label_kron(seed, n):
     assert rebuilt is not batched
     expected = loop_enlarge(channel, n)
     for result in (batched, rebuilt):
-        assert result.labels() == [label for label, _ in expected]
+        assert result.labels == tuple(label for label, _ in expected)
         for term, (label, op) in zip(result.kraus, expected):
             assert np.array_equal(term.op, op)
 

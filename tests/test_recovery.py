@@ -240,6 +240,12 @@ def test_parameter_free_recoveries_are_built_once_and_read_only():
     assert all(not part.flags.writeable for part in (*syndromes, *tail, *rest))
 
 
+def test_recovery_needs_an_operator_or_a_leftover():
+    with pytest.raises(ValueError, match="at least one operator or a leftover"):
+        RecoveryOperation(())
+    assert RecoveryOperation((), leftover=np.eye(2)).completeness_defect() == 0.0
+
+
 def test_fletcher_recovery_structure():
     code = q.leung4()
     even = q.fletcher_recovery(1 / np.sqrt(2), 1 / np.sqrt(2))
