@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import PAULI_I, PAULI_X, PAULI_Z, completeness_defect
 
-CERT_TOL = 1e-10
+CERT_TOL = 1e-10  # max-norm completeness deviation that certify accepts
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,6 @@ class KrausChannel:
     def kraus(self) -> tuple[KrausTerm, ...]:
         return tuple(KrausTerm(label, op) for label, op in zip(self.labels, self.stack))
 
-    def operators(self) -> list[np.ndarray]:
-        return list(self.stack)
-
     def completeness_defect(self) -> float:
         """Max-norm deviation of sum(A^dag A) from the identity."""
         return completeness_defect(self.stack)
@@ -74,8 +71,6 @@ class KrausChannel:
 class ChannelCertificate:
     trace_preserving: bool
     unital: bool
-    tp_deviation: float
-    unital_deviation: float
 
 
 def _two_outcome_channel(p: float, flip_op: np.ndarray) -> KrausChannel:
@@ -176,8 +171,8 @@ def _enlarge_pair(n: int, pair_bytes: bytes) -> KrausChannel:
     return KrausChannel(n, labels, stack[order])
 
 
-def certify(channel: KrausChannel, tol: float = CERT_TOL) -> ChannelCertificate:
-    """Check trace preservation (sum A^dag A = I) and unitality (sum A A^dag = I)."""
+def certify(channel: KrausChannel) -> ChannelCertificate:
+    """Trace preservation (sum A^dag A = I) and unitality (sum A A^dag = I) to ``CERT_TOL``."""
     tp_dev = completeness_defect(channel.stack)
     un_dev = completeness_defect(channel.stack.conj().transpose(0, 2, 1))
-    return ChannelCertificate(tp_dev <= tol, un_dev <= tol, float(tp_dev), float(un_dev))
+    return ChannelCertificate(tp_dev <= CERT_TOL, un_dev <= CERT_TOL)

@@ -154,6 +154,12 @@ def _trace_preserving(name: str, channel) -> Check:
     return _complete(name, channel, CHANNEL_TOL)
 
 
+def _adapted_recovery(gamma: float):
+    """The channel-adapted recovery at the closed-form optimum (a_bar, b_bar) for ``gamma``."""
+    opt = closed_form_optimum(gamma)
+    return fletcher_recovery(opt.a_bar, opt.b_bar)
+
+
 def cmd_bitflip(args) -> Report:
     """Fidelity table over ``--grid``; threshold and useful range use 101 points on [0, 1]."""
     tol = _tolerance()
@@ -162,27 +168,25 @@ def cmd_bitflip(args) -> Report:
     code = repetition3()
     checks = [_complete("repetition recovery completeness", recovery, tol)]
 
-    fidelities = {}  # p -> coded fidelity; the table fills it, the threshold scan reads it
+    points = {}  # p -> (channel, coded fidelity, baseline); the table and threshold scan share it
 
-    def coded(p: float) -> float:
-        if p not in fidelities:
-            channel = enlarge(bitflip_single(p), 3)
-            fidelities[p] = entanglement_fidelity(code, recovery, channel).value
-        return fidelities[p]
-
-    def baseline(p: float) -> float:
-        return baseline_no_qec(bitflip_single(p))
+    def point(p: float) -> tuple:
+        if p not in points:
+            single = bitflip_single(p)
+            channel = enlarge(single, 3)
+            f = entanglement_fidelity(code, recovery, channel).value
+            points[p] = channel, f, baseline_no_qec(single)
+        return points[p]
 
     rows = []
     for p in grid:
-        channel = enlarge(bitflip_single(p), 3)
+        channel, f, b = point(p)
         checks.append(_trace_preserving("bitflip(p=%g)" % p, channel))
-        f = fidelities[p] = entanglement_fidelity(code, recovery, channel).value
-        b = baseline(p)
         rows.append(
             [p, f, b, 1.0 - f, float(f >= b - 1e-12), float(1.0 - f <= p + 1e-12)]
         )
-    report = threshold_analysis(coded, baseline, grid=np.linspace(0.0, 1.0, 101))
+    report = threshold_analysis(lambda p: point(p)[1], lambda p: point(p)[2],
+                                np.linspace(0.0, 1.0, 101))
     useful = report.coding_useful_range
     footer = [
         "failure_threshold = " + _num(report.failure_threshold),
@@ -211,9 +215,8 @@ def cmd_ad_fidelity(args) -> Report:
     for g in grid:
         channel = enlarge(ad_single(g), 4)
         checks.append(_trace_preserving("damping(gamma=%g)" % g, channel))
-        if kind in ("fletcher", "fletcher-opt"):
-            optima.append(closed_form_optimum(g))
         if kind == "fletcher-opt":
+            optima.append(closed_form_optimum(g))
             f = optima[-1].f_star
         else:
             if kind == "qec":
@@ -221,7 +224,7 @@ def cmd_ad_fidelity(args) -> Report:
             elif kind == "cp":
                 rec = cp_recovery()
             else:
-                rec = fletcher_recovery(optima[-1].a_bar, optima[-1].b_bar)
+                rec = _adapted_recovery(g)
             checks.append(_complete("%s recovery (gamma=%g) completeness" % (kind, g), rec, tol))
             f = entanglement_fidelity(code, rec, channel).value
         rows.append([g, f])
@@ -294,9 +297,8 @@ def cmd_fig1(args) -> Report:
     for i, g in enumerate(grid):
         channel = enlarge(ad_single(g), 4)
         checks.append(_trace_preserving("damping(gamma=%g)" % g, channel))
-        opt = closed_form_optimum(g)
         qec = standard_ad_recovery(g)
-        fletcher = fletcher_recovery(opt.a_bar, opt.b_bar)
+        fletcher = _adapted_recovery(g)
         if i in (0, len(grid) - 1):
             for kind, rec in (("qec", qec), ("fletcher", fletcher)):
                 checks.append(_complete("%s recovery (gamma=%g) completeness" % (kind, g), rec, tol))
@@ -378,12 +380,11 @@ def cmd_certify(args) -> Report:
     for g in (0.0, 0.05, 0.1, 0.2, 0.9):
         checks.append(_trace_preserving("damping(gamma=%g)" % g, enlarge(ad_single(g), 4)))
 
-    opt = closed_form_optimum(0.1)
     recoveries = [
         ("repetition recovery", repetition_recovery()),
         ("standard damping recovery (gamma=0.1)", standard_ad_recovery(0.1)),
         ("code-projected recovery", cp_recovery()),
-        ("channel-adapted recovery (gamma=0.1)", fletcher_recovery(opt.a_bar, opt.b_bar)),
+        ("channel-adapted recovery (gamma=0.1)", _adapted_recovery(0.1)),
     ]
     for name, rec in recoveries:
         checks.append(_complete(name + " completeness", rec, tol))

@@ -19,6 +19,8 @@ import numpy as np
 
 from .linalg import ket, max_abs, projector
 
+CODESPACE_TOL = 1e-10  # max-norm gate of codespace membership and of equal projectors
+
 # Bitstrings generating the eight self-complementary four-qubit states, in
 # the conventional listing order (index 1..8).
 SELF_COMPLEMENTARY_STRINGS = (
@@ -57,9 +59,10 @@ class QuantumCode:
     def codewords(self) -> tuple[np.ndarray, np.ndarray]:
         return self.zero_logical, self.one_logical
 
-    def contains(self, state: np.ndarray, tol: float = 1e-10) -> bool:
+    def contains(self, state: np.ndarray) -> bool:
+        """Whether P|state> equals |state> to ``CODESPACE_TOL`` in the max norm."""
         state = np.asarray(state, dtype=complex)
-        return max_abs(self.projector @ state - state) <= tol
+        return max_abs(self.projector @ state - state) <= CODESPACE_TOL
 
 
 @dataclass(frozen=True)
@@ -111,14 +114,13 @@ def enumerate_pairs() -> list[SelfComplementaryPair]:
     ]
 
 
-def permutation_equivalent(
-    c1: QuantumCode, c2: QuantumCode, tol: float = 1e-10
-) -> Optional[tuple[int, ...]]:
+def permutation_equivalent(c1: QuantumCode, c2: QuantumCode) -> Optional[tuple[int, ...]]:
     """Search all qubit permutations mapping the codespace of c1 onto c2's.
 
-    Compares codespace projectors rather than individual codewords, so a
-    logical relabeling |0_L> <-> |1_L> does not break equivalence.  Returns
-    the first matching permutation (0-based positions) or None.
+    Compares codespace projectors to ``CODESPACE_TOL`` in the max norm rather
+    than individual codewords, so a logical relabeling |0_L> <-> |1_L> does
+    not break equivalence.  Returns the first matching permutation (0-based
+    positions) or None.
     """
     if c1.n_qubits != c2.n_qubits:
         raise ValueError("codes act on different qubit counts")
@@ -128,6 +130,6 @@ def permutation_equivalent(
     tensor = c1.projector.reshape((2,) * (2 * n))
     for perm in permutations(range(n)):
         moved = tensor.transpose(perm + tuple(n + p for p in perm)).reshape(c1.projector.shape)
-        if max_abs(moved - c2.projector) <= tol:
+        if max_abs(moved - c2.projector) <= CODESPACE_TOL:
             return perm
     return None

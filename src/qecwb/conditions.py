@@ -20,9 +20,9 @@ from .channels import ad_single, enlarge
 from .codes import QuantumCode, SelfComplementaryPair
 from .linalg import max_abs
 
-EXACT_TOL = 1e-10
-ZERO_FLOOR = 1e-13
-FIRST_ORDER_SLOPE = 2.0 - 0.1
+EXACT_TOL = 1e-10  # largest Knill-Laflamme violation exact_correctable calls exact
+ZERO_FLOOR = 1e-13  # a violation or residual at or below this counts as zero
+FIRST_ORDER_SLOPE = 2.0 - 0.1  # smallest log-log violation slope that is first order
 DEFAULT_GAMMAS = (1e-4, 1e-3, 1e-2)
 
 LabeledError = tuple[str, np.ndarray]
@@ -34,10 +34,8 @@ WEIGHT_LE1_LABELS = ("0000", "1000", "0100", "0010", "0001")
 
 @dataclass(frozen=True)
 class DetectabilityReport:
-    label: str
     lam: complex
     residual: float
-    verdict: bool
 
 
 @dataclass(frozen=True)
@@ -48,13 +46,9 @@ class KLGram:
     blocks: dict
     diag_eigs: dict
 
-    def block(self, l: str, m: str) -> np.ndarray:
-        return self.blocks[(l, m)]
-
 
 @dataclass(frozen=True)
 class CorrectabilityVerdict:
-    errors: tuple[str, ...]
     exact: bool
     violation: float
     witness_pair: Optional[tuple[str, str]]
@@ -80,14 +74,12 @@ class PairClassification:
     slope: Optional[float]
 
 
-def detectability(code: QuantumCode, a: np.ndarray, tol: float = EXACT_TOL,
-                  label: str = "") -> DetectabilityReport:
-    """Check P A P = lambda P with lambda extracted as tr(PAP)/tr(P)."""
+def detectability(code: QuantumCode, a: np.ndarray) -> DetectabilityReport:
+    """Residual of P A P = lambda P, lambda = tr(PAP)/tr(P); exactly detectable if <= EXACT_TOL."""
     p = code.projector
     pap = p @ np.asarray(a, dtype=complex) @ p
     lam = complex(np.trace(pap) / np.trace(p).real)
-    residual = max_abs(pap - lam * p)
-    return DetectabilityReport(label, lam, float(residual), residual <= tol)
+    return DetectabilityReport(lam, float(max_abs(pap - lam * p)))
 
 
 def _fit_slope(gammas: Sequence[float], values) -> np.ndarray:
@@ -103,11 +95,8 @@ def _noise_samples(gammas: Sequence[float]) -> tuple[float, ...]:
     return gammas
 
 
-def detectable_to_first_order(
-    family: Callable[[float], tuple[QuantumCode, np.ndarray]],
-    gammas: Sequence[float] = DEFAULT_GAMMAS,
-) -> bool:
-    """Classify detectability by scaling order over a noise sweep.
+def detectable_to_first_order(family: Callable[[float], tuple[QuantumCode, np.ndarray]]) -> bool:
+    """Classify detectability by scaling order over the ``DEFAULT_GAMMAS`` sweep.
 
     The single error is detectable to first order when its residual is
     either identically zero or scales at least one order higher in the noise
@@ -116,15 +105,24 @@ def detectable_to_first_order(
     on top of lambda = O(1) passes, while an error whose entire amplitude is
     O(gamma**2) (so residual ~ lambda) fails.
     """
-    gammas = _noise_samples(gammas)
-    reports = [detectability(*family(g), tol=np.inf) for g in gammas]
+    reports = [detectability(*family(g)) for g in DEFAULT_GAMMAS]
     residuals = np.array([rep.residual for rep in reports])
     lams = np.array([abs(rep.lam) for rep in reports])
     if np.all(residuals <= ZERO_FLOOR):
         return True
     if np.any(residuals <= ZERO_FLOOR) or np.any(lams <= ZERO_FLOOR):
         return False
-    return _fit_slope(gammas, residuals) - _fit_slope(gammas, lams) >= 1.0 - 0.1
+    return _fit_slope(DEFAULT_GAMMAS, residuals) - _fit_slope(DEFAULT_GAMMAS, lams) >= 1.0 - 0.1
+
+
+def _error_stack(code: QuantumCode, ops) -> np.ndarray:
+    """Error operators as one (..., L, d, d) array, d the code's; rejects no errors or another d."""
+    stack = np.array(ops)
+    if not stack.size:
+        raise ValueError("the error set is empty")
+    if stack.ndim < 3 or stack.shape[-2:] != code.projector.shape:
+        raise ValueError("code and error dimensions differ")
+    return stack
 
 
 def _gram_blocks(images: np.ndarray) -> np.ndarray:
@@ -157,7 +155,7 @@ def kl_gram(code: QuantumCode, errors: Sequence[LabeledError]) -> KLGram:
     ``eigvalsh``.
     """
     labels = tuple(label for label, _ in errors)
-    images = np.stack([op for _, op in errors]) @ code.isometry
+    images = _error_stack(code, [op for _, op in errors]) @ code.isometry
     grams = _gram_blocks(images[None])[0]
     diag = grams[np.arange(len(labels)), np.arange(len(labels))]
     eigs = np.linalg.eigvalsh(0.5 * (diag + diag.conj().swapaxes(1, 2)))
@@ -166,22 +164,21 @@ def kl_gram(code: QuantumCode, errors: Sequence[LabeledError]) -> KLGram:
     return KLGram(labels, blocks, diag_eigs)
 
 
-def exact_correctable(
-    code: QuantumCode, errors: Sequence[LabeledError], tol: float = EXACT_TOL
-) -> CorrectabilityVerdict:
+def exact_correctable(code: QuantumCode, errors: Sequence[LabeledError]) -> CorrectabilityVerdict:
     """Exact Knill-Laflamme verdict for an error set.
 
     The violation is the worst off-diagonal magnitude or diagonal mismatch
-    over all error pairs; the witness is the first pair (l <= m, row-major)
+    over all error pairs, and the set is exactly correctable when it is at
+    most ``EXACT_TOL``; the witness is the first pair (l <= m, row-major)
     achieving it, or None when every pair satisfies the conditions exactly.
     """
     labels = tuple(label for label, _ in errors)
-    images = np.stack([op for _, op in errors]) @ code.isometry
+    images = _error_stack(code, [op for _, op in errors]) @ code.isometry
     violations = _pair_violations(_gram_blocks(images[None]))[0]
     k = int(np.argmax(violations))
     worst = float(violations[k])
     witness = _upper_pairs(labels)[k] if worst > 0.0 else None
-    return CorrectabilityVerdict(labels, worst <= tol, worst, witness)
+    return CorrectabilityVerdict(worst <= EXACT_TOL, worst, witness)
 
 
 def violation_order(
@@ -197,7 +194,7 @@ def violation_order(
     """
     gammas = _noise_samples(gammas)
     samples = [family(g) for g in gammas]
-    ops = np.array([[op for _, op in errors] for _, errors in samples])
+    ops = _error_stack(samples[0][0], [[op for _, op in errors] for _, errors in samples])
     isometries = np.array([code.isometry for code, _ in samples])
     grams = _gram_blocks(ops @ isometries[:, None])
     violations = _pair_violations(grams).max(axis=1)
@@ -244,6 +241,8 @@ def detection_probability(
         raise ValueError("state does not lie in the codespace")
     total = 0.0
     for _, op in errors:
+        if np.shape(op) != code.projector.shape:
+            raise ValueError("code and error dimensions differ")
         image = op @ state
         total += float(np.real(np.vdot(image, image)))
     return total

@@ -13,6 +13,7 @@ recovery, when present, adds one more row to the table, keyed "O".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
@@ -26,7 +27,8 @@ from .recovery import RecoveryOperation
 
 TermKey = tuple[Union[int, str], int]
 
-NONVANISHING_TOL = 1e-14
+NONVANISHING_TOL = 1e-14  # smallest term contribution nonvanishing_terms lists
+THRESHOLD_TOL = 1e-10  # width at which threshold_analysis stops bisecting a crossing
 
 
 @dataclass(frozen=True)
@@ -135,15 +137,21 @@ class ThresholdReport:
     failure_threshold: float
 
 
-def _bisect_root(
-    fn: Callable[[float], float], lo: float, hi: float, flo: float, tol: float
-) -> float:
-    """Bisect a sign change of ``fn`` on [lo, hi], given flo = fn(lo)."""
+def _finite(values: np.ndarray, name: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("%s must be finite" % name)
+    return values
+
+
+def _bisect_root(fn: Callable[[float], float], lo: float, hi: float, flo: float) -> float:
+    """Bisect a sign change of ``fn`` on [lo, hi], given flo = fn(lo), to ``THRESHOLD_TOL``."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
+        if hi - lo <= THRESHOLD_TOL:
             break
         fmid = fn(mid)
+        if not math.isfinite(fmid):
+            raise ValueError("curve values must be finite")
         if (flo >= 0) == (fmid >= 0):
             lo, flo = mid, fmid
         else:
@@ -154,21 +162,24 @@ def _bisect_root(
 def threshold_analysis(
     fidelity_curve: Callable[[float], float],
     baseline_curve: Callable[[float], float],
-    grid: Optional[Sequence[float]] = None,
-    tol: float = 1e-10,
+    grid: Sequence[float],
 ) -> ThresholdReport:
     """Where coding helps, and where failure outpaces the raw error rate.
 
-    Reports the contiguous range from 0 on which the coded fidelity stays at
-    or above the baseline, and the first crossing of 1 - F(p) = p located by
-    bisection (1.0 when the failure probability never exceeds p).  Each curve
-    is evaluated once per grid point; only the bisection evaluates more.
+    Reports the contiguous range from grid[0] on which the coded fidelity
+    stays at or above the baseline, and the first crossing of 1 - F(p) = p
+    bisected to ``THRESHOLD_TOL`` (grid[-1] when none).  Each curve is
+    evaluated once per grid point; only the bisection evaluates more.  A
+    grid that is empty, not finite or not strictly increasing, and a
+    non-finite curve value, raise ``ValueError``.
     """
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 101)
-    grid = np.asarray(grid, dtype=float)
-    coded = np.array([fidelity_curve(p) for p in grid], dtype=float)
-    base = np.array([baseline_curve(p) for p in grid], dtype=float)
+    grid = _finite(np.asarray(grid, dtype=float), "grid values")
+    if grid.size == 0:
+        raise ValueError("grid is empty")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be strictly increasing")
+    coded = _finite(np.array([fidelity_curve(p) for p in grid], dtype=float), "curve values")
+    base = _finite(np.array([baseline_curve(p) for p in grid], dtype=float), "curve values")
     harmful = coded < base - 1e-12
     last_useful = int(np.argmax(harmful)) - 1 if harmful.any() else len(grid) - 1
     useful = (float(grid[0]), float(grid[last_useful])) if last_useful >= 0 else None
@@ -178,10 +189,8 @@ def threshold_analysis(
     threshold = float(grid[-1])
     if crossings.size:
         i = int(crossings[0])
-        threshold = _bisect_root(
-            lambda p: p - (1.0 - fidelity_curve(p)), float(grid[i]), float(grid[i + 1]),
-            float(margin[i]), tol,
-        )
+        threshold = _bisect_root(lambda p: p - (1.0 - fidelity_curve(p)),
+                                 float(grid[i]), float(grid[i + 1]), float(margin[i]))
     return ThresholdReport(useful, threshold)
 
 
@@ -195,14 +204,14 @@ def second_order_coeff(
     coefficients; the cubic term absorbs the higher-order tail so the
     quadratic coefficient is recovered to ~1e-3 on grids in (0, 1e-2].
     ``residual`` is the largest deviation of the fitted polynomial from the
-    samples.
+    samples.  A non-finite sample raises ``ValueError``.
     """
     gammas = np.asarray(sorted(gammas), dtype=float)
     if len(gammas) < 3 or gammas[0] <= 0 or gammas[-1] > 1e-2:
         raise ValueError("need >= 3 strictly positive samples, all <= 1e-2")
     if np.any(np.diff(gammas) <= 0):
         raise ValueError("samples must be distinct")
-    values = np.array([curve(g) for g in gammas], dtype=float)
+    values = _finite(np.array([curve(g) for g in gammas], dtype=float), "curve values")
     degree = 3 if len(gammas) >= 4 else 2
     design = np.vander(gammas, degree + 1, increasing=True)
     coeffs, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)

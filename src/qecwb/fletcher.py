@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_STEPS = 200  # golden-section contractions numeric_optimum makes at most
 _LINEAR_SCALE = 4.0 * math.sqrt(2.0)
 
 
@@ -101,19 +102,17 @@ def closed_form_optimum(gamma: float) -> Optimum:
     return Optimum(a_bar, b_bar, f_star)
 
 
-def numeric_optimum(gamma: float, resolution: int = 200) -> Optimum:
+def numeric_optimum(gamma: float) -> Optimum:
     """Golden-section maximization over the angle in the real quadrant.
 
     Parametrizes (Re a, Re b) = (cos t, sin t) on [0, pi/2] with imaginary
-    parts zero; the interval contracts by the golden ratio ``resolution``
+    parts zero; the interval contracts by the golden ratio ``GOLDEN_STEPS``
     times (or until it reaches 1e-12 width).  Near the maximum the objective
     is flat to within rounding, which limits pure interval contraction to
     ~sqrt(eps) in the angle, so a final three-point parabolic step on a wide
     stencil pins the vertex down to ~1e-12.
     """
     _check_damping(gamma)
-    if resolution < 100:
-        raise ValueError("resolution must be at least 100")
     f0, damped, damped3 = base_fidelity(gamma), 1.0 - gamma, (1.0 - gamma) ** 3
 
     def score(theta: float) -> float:
@@ -126,7 +125,7 @@ def numeric_optimum(gamma: float, resolution: int = 200) -> Optimum:
     c = hi - GOLDEN * (hi - lo)
     d = lo + GOLDEN * (hi - lo)
     fc, fd = score(c), score(d)
-    for _ in range(resolution):
+    for _ in range(GOLDEN_STEPS):
         if hi - lo < 1e-12:
             break
         if fc < fd:

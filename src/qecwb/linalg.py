@@ -12,18 +12,14 @@ from typing import Sequence
 
 import numpy as np
 
-# Default tolerances.  Double precision leaves several digits of headroom
-# for gamma**2 effects down to gamma ~ 1e-4.
-HERMITICITY_TOL = 1e-10
-EIGENVALUE_CLAMP_TOL = 1e-10
+# Tolerances.  Double precision leaves several digits of headroom for
+# gamma**2 effects down to gamma ~ 1e-4.
+HERMITICITY_TOL = 1e-10  # max-norm |M - M^dag| that hermitian_eig accepts
+EIGENVALUE_CLAMP_TOL = 1e-10  # psd_sqrt sets eigenvalues below this to zero
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def as_matrix(m) -> np.ndarray:
-    return np.asarray(m, dtype=complex)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -58,46 +54,47 @@ def ket(bits: str) -> np.ndarray:
     return v
 
 
-def _fix_phases(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rotate each column so its first component above tol is real positive."""
+def _fix_phases(vectors: np.ndarray) -> np.ndarray:
+    """Rotate each column so its first component above 1e-12 is real positive."""
     out = vectors.copy()
     for j in range(out.shape[1]):
         col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > tol)
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
         if nz.size:
             pivot = col[nz[0]]
             out[:, j] = col * (pivot.conjugate() / abs(pivot))
     return out
 
 
-def hermitian_eig(m: np.ndarray, tol: float = HERMITICITY_TOL):
+def hermitian_eig(m: np.ndarray):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues ascending
     and orthonormal eigenvector columns.  Each eigenvector is normalized so
     that its first nonzero component is real positive, which makes the
-    decomposition reproducible.  Rejects non-square or non-Hermitian input.
+    decomposition reproducible.  Rejects non-square input and input further
+    than ``HERMITICITY_TOL`` from Hermitian in the max norm.
     """
-    m = as_matrix(m)
+    m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    if max_abs(m - dagger(m)) > tol:
-        raise ValueError("matrix is not Hermitian within %g" % tol)
+    if max_abs(m - dagger(m)) > HERMITICITY_TOL:
+        raise ValueError("matrix is not Hermitian within %g" % HERMITICITY_TOL)
     values, vectors = np.linalg.eigh(m)
     return values, assert_finite(_fix_phases(vectors))
 
 
-def psd_sqrt(m: np.ndarray, clamp_tol: float = EIGENVALUE_CLAMP_TOL) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Principal square root of a positive semidefinite Hermitian matrix.
 
-    Eigenvalues in ``[-1e-8, 0)`` are clamped to zero; anything more negative
-    signals genuinely non-PSD input and raises.
+    Eigenvalues below ``EIGENVALUE_CLAMP_TOL`` down to -1e-8 are clamped to
+    zero; anything more negative signals genuinely non-PSD input and raises.
     """
     values, vectors = hermitian_eig(m)
     if values.min(initial=0.0) < -1e-8:
         raise ValueError("matrix has a negative eigenvalue: %g" % values.min())
     # zero everything below the clamp: sqrt would amplify O(eps) noise to O(1e-8)
-    values = np.where(values < clamp_tol, 0.0, values)
+    values = np.where(values < EIGENVALUE_CLAMP_TOL, 0.0, values)
     root = (vectors * np.sqrt(values)) @ dagger(vectors)
     # enforce exact Hermiticity against rounding
     return assert_finite(0.5 * (root + dagger(root)))
@@ -125,7 +122,7 @@ def gram_schmidt(vectors: Sequence[np.ndarray], tol: float) -> list[np.ndarray]:
 
 def restrict(m: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
     """Matrix of ``m`` restricted to an orthonormal basis: entries <b_i|m|b_j>."""
-    m = as_matrix(m)
+    m = np.asarray(m, dtype=complex)
     b = np.column_stack([np.asarray(v, dtype=complex) for v in basis])
     if b.shape[0] != m.shape[1]:
         raise ValueError("basis dimension does not match matrix")

@@ -162,13 +162,10 @@ def residue(a: np.ndarray, p: np.ndarray, p_l: float, lambda_l: float) -> Residu
     return ResidueResult(pi, bound_ok)
 
 
-def _transfer(code: QuantumCode, zero_source: np.ndarray, one_source: Optional[np.ndarray]) -> np.ndarray:
-    """Operator |0_L><s0| (+ |1_L><s1|)."""
+def _transfer(code: QuantumCode, zero_source: np.ndarray, one_source: np.ndarray) -> np.ndarray:
+    """Operator |0_L><s0| + |1_L><s1|."""
     zero, one = code.codewords
-    op = np.outer(zero, zero_source.conj())
-    if one_source is not None:
-        op += np.outer(one, one_source.conj())
-    return op
+    return np.outer(zero, zero_source.conj()) + np.outer(one, one_source.conj())
 
 
 @lru_cache(maxsize=None)

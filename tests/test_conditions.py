@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qecwb as q
-from qecwb.conditions import weight_le1_ad_errors
+from qecwb.conditions import EXACT_TOL, weight_le1_ad_errors
 from qecwb.linalg import max_abs
 
 
@@ -27,7 +27,7 @@ def test_detectability_matrix_elements_of_no_damp_error():
     zero, one = code.codewords
     assert abs(zero.conj() @ a @ zero - (1 - gamma + gamma**2 / 2)) <= 1e-14
     assert abs(one.conj() @ a @ one - (1 - gamma)) <= 1e-14
-    report = q.detectability(code, a, tol=np.inf, label="0000")
+    report = q.detectability(code, a)
     assert abs(zero.conj() @ a @ one) <= 1e-14
     assert abs(one.conj() @ a @ zero) <= 1e-14
     # the diagonal mismatch is second order: lambda averages the two entries
@@ -39,8 +39,8 @@ def test_detectability_weight2_failure():
     code = q.leung4()
     a = dict(ad_errors(gamma))["1100"]
     zero, one = code.codewords
-    report = q.detectability(code, a, label="1100")
-    assert not report.verdict
+    report = q.detectability(code, a)
+    assert not report.residual <= EXACT_TOL
     assert abs(zero.conj() @ a @ one - gamma / 2) <= 1e-14
     assert abs(one.conj() @ a @ zero - gamma * (1 - gamma) / 2) <= 1e-14
 
@@ -52,7 +52,7 @@ def test_detectability_full_flip_failure():
     zero, one = code.codewords
     assert abs(zero.conj() @ a @ zero - gamma**2 / 2) <= 1e-15
     assert abs(one.conj() @ a @ one) <= 1e-15
-    assert not q.detectability(code, a).verdict
+    assert not q.detectability(code, a).residual <= EXACT_TOL
 
 
 def test_first_order_detectable_set_matches_expected():
@@ -71,7 +71,7 @@ def test_detectability_structure_at_fixed_gammas():
         code = q.leung4()
         zero, one = code.codewords
         for label, op in ad_errors(gamma):
-            report = q.detectability(code, op, label=label)
+            report = q.detectability(code, op)
             if label in ("1100", "0011"):
                 assert max(abs(zero.conj() @ op @ one), abs(one.conj() @ op @ zero)) > 1e-3
             elif label == "1111":
@@ -79,7 +79,7 @@ def test_detectability_structure_at_fixed_gammas():
             elif label == "0000":
                 assert report.residual <= gamma**2 and abs(report.lam) > 0.5
             else:
-                assert report.verdict  # exactly zero block
+                assert report.residual <= EXACT_TOL  # exactly zero block
 
 
 def test_detectability_scalar_multiples():
@@ -95,7 +95,7 @@ def test_detectability_scalar_multiples():
     code = q.leung4()
     a = dict(ad_errors(gamma))["1010"]
     for phase in (1.0, -1.0, 1j, np.exp(0.3j)):
-        assert q.detectability(code, phase * a).verdict
+        assert q.detectability(code, phase * a).residual <= EXACT_TOL
 
 
 def test_kl_gram_repetition_code():
@@ -117,7 +117,7 @@ def test_kl_gram_leung_eigenvalues():
 def test_kl_gram_identity_error():
     code = q.leung4()
     gram = q.kl_gram(code, [("id", np.eye(16, dtype=complex))])
-    assert max_abs(gram.block("id", "id") - np.eye(2)) <= 1e-12
+    assert max_abs(gram.blocks[("id", "id")] - np.eye(2)) <= 1e-12
 
 
 def test_kl_gram_diag_pairs_are_psd_ordered():
@@ -211,8 +211,6 @@ def test_noise_sweep_needs_two_distinct_samples_in_range(gammas):
         q.classify_pair(pair, gammas)
     with pytest.raises(ValueError):
         q.violation_order(lambda g: (q.leung4(), ad_errors(g)), gammas=gammas)
-    with pytest.raises(ValueError):
-        q.detectable_to_first_order(lambda g: (q.leung4(), dict(ad_errors(g))["1000"]), gammas)
 
 
 def test_detection_probability_completeness_and_values():
@@ -248,3 +246,29 @@ def test_detection_probability_bounds_and_validation():
             assert q.detection_probability(code, errors[:size], psi) <= 1.0 + 1e-12
     with pytest.raises(ValueError):
         q.detection_probability(code, errors, np.eye(16)[2])
+
+
+def bitflip_family(g):
+    return q.leung4(), bitflip_errors(g)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: q.exact_correctable(q.leung4(), []),
+    lambda: q.kl_gram(q.leung4(), []),
+    lambda: q.violation_order(lambda g: (q.leung4(), [])),
+], ids=["exact_correctable", "kl_gram", "violation_order"])
+def test_kernels_name_an_empty_error_set(check):
+    with pytest.raises(ValueError, match="the error set is empty"):
+        check()
+
+
+@pytest.mark.parametrize("check", [
+    lambda: q.exact_correctable(q.leung4(), bitflip_errors(0.1)),
+    lambda: q.kl_gram(q.leung4(), bitflip_errors(0.1)),
+    lambda: q.violation_order(bitflip_family),
+    lambda: q.detection_probability(q.leung4(), bitflip_errors(0.1), q.leung4().zero_logical),
+], ids=["exact_correctable", "kl_gram", "violation_order", "detection_probability"])
+def test_kernels_name_errors_of_the_wrong_dimension(check):
+    # 8 x 8 bit-flip errors against the 16-dimensional four-qubit code
+    with pytest.raises(ValueError, match="code and error dimensions differ"):
+        check()

@@ -165,13 +165,13 @@ def test_baseline_values():
 def test_threshold_analysis_bitflip():
     coded = lambda p: 1 - 3 * p**2 + 2 * p**3
     baseline = lambda p: 1 - 2 * p + p**2
-    report = q.threshold_analysis(coded, baseline)
+    report = q.threshold_analysis(coded, baseline, np.linspace(0.0, 1.0, 101))
     assert report.coding_useful_range == (0.0, 1.0)
     assert abs(report.failure_threshold - 0.5) <= 1e-10
 
 
 def test_threshold_analysis_trivial_point():
-    report = q.threshold_analysis(lambda p: 1.0, lambda p: 1.0)
+    report = q.threshold_analysis(lambda p: 1.0, lambda p: 1.0, np.linspace(0.0, 1.0, 101))
     assert report.coding_useful_range == (0.0, 1.0)
     assert report.failure_threshold == 1.0
 
@@ -216,3 +216,39 @@ def test_second_order_coeff_validates_grid():
         q.second_order_coeff(lambda g: 1.0, [0.0, 1e-3, 1e-2])
     with pytest.raises(ValueError):
         q.second_order_coeff(lambda g: 1.0, [1e-4, 1e-3, 0.5])
+
+
+def test_second_order_coeff_rejects_non_finite_samples():
+    with pytest.raises(ValueError, match="curve values must be finite"):
+        q.second_order_coeff(lambda g: float("nan"), np.logspace(-4, -2, 9))
+
+
+def bitflip_coded(p):
+    return 1 - 3 * p**2 + 2 * p**3
+
+
+def bitflip_baseline(p):
+    return (1 - p) ** 2
+
+
+@pytest.mark.parametrize("grid, message", [
+    (np.linspace(1.0, 0.0, 101), "grid must be strictly increasing"),
+    ([0.0, 0.5, 0.5, 1.0], "grid must be strictly increasing"),
+    ([], "grid is empty"),
+    ([0.0, float("nan"), 1.0], "grid values must be finite"),
+    ([0.0, 0.5, float("inf")], "grid values must be finite"),
+], ids=["descending", "repeated", "empty", "nan", "inf"])
+def test_threshold_analysis_rejects_bad_grids(grid, message):
+    with pytest.raises(ValueError, match=message):
+        q.threshold_analysis(bitflip_coded, bitflip_baseline, grid)
+
+
+@pytest.mark.parametrize("coded, baseline", [
+    (lambda p: float("nan"), bitflip_baseline),  # would read "useful everywhere, never fails"
+    (bitflip_coded, lambda p: float("inf") if p > 0.5 else bitflip_baseline(p)),
+    # finite on the grid, NaN inside the (0.4, 0.6) bracket the bisection searches
+    (lambda p: float("nan") if 0.4 < p < 0.6 else bitflip_coded(p), bitflip_baseline),
+], ids=["nan-coded", "inf-baseline", "nan-in-bisection"])
+def test_threshold_analysis_rejects_non_finite_curve_values(coded, baseline):
+    with pytest.raises(ValueError, match="curve values must be finite"):
+        q.threshold_analysis(coded, baseline, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])

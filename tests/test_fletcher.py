@@ -114,14 +114,6 @@ def test_numeric_optimum_angle_at_zero_damping():
     assert abs(theta - math.pi / 4) <= 1e-8
 
 
-def test_numeric_optimum_resolution_stability():
-    reference = q.numeric_optimum(0.1, resolution=120)
-    for resolution in (200, 500):
-        again = q.numeric_optimum(0.1, resolution=resolution)
-        assert abs(again.a_bar - reference.a_bar) <= 1e-10
-    with pytest.raises(ValueError):
-        q.numeric_optimum(0.1, resolution=50)
-
 
 def test_random_certificate_never_beats_optimum():
     rng = np.random.default_rng(52)
