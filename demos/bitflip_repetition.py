@@ -20,11 +20,10 @@ def main():
     print("  trace preserving: %s, unital: %s" % (cert.trace_preserving, cert.unital))
 
     code = q.repetition3()
-    errors = [(t.label, t.op) for t in channel.kraus]
-    verdict = q.exact_correctable(code, errors[:4])
+    verdict = q.exact_correctable(code, q.KrausChannel(3, channel.labels[:4], channel.stack[:4]))
     print("\nweight <= 1 errors are exactly correctable: %s (violation %.1e)"
           % (verdict.exact, verdict.violation))
-    verdict = q.exact_correctable(code, errors[:5])
+    verdict = q.exact_correctable(code, q.KrausChannel(3, channel.labels[:5], channel.stack[:5]))
     print("adding a weight-2 error breaks it: witness %s, violation %.3f"
           % ("+".join(verdict.witness_pair), verdict.violation))
 

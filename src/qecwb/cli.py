@@ -51,6 +51,7 @@ from . import (
     standard_ad_recovery,
     threshold_analysis,
 )
+from .fidelity import USEFUL_SLACK, sweep_grid
 from .linalg import dagger, ket, restrict
 
 DEFAULT_TOL = 1e-10
@@ -93,16 +94,9 @@ def _parse_grid(expr: Optional[str], default: np.ndarray, lo: float, hi: float) 
                 grid = np.logspace(np.log10(start), np.log10(stop), count)
             else:
                 grid = np.linspace(start, stop, count)
-    elif not expr.strip():
-        raise SystemExit("error: grid is empty")
     else:
-        grid = np.array([float(tok) for tok in expr.split(",")], dtype=float)
-    if grid.size == 0:
-        raise SystemExit("error: grid is empty")
-    if not np.all(np.isfinite(grid)):
-        raise SystemExit("error: grid values must be finite")
-    if np.any(np.diff(grid) <= 0):
-        raise SystemExit("error: grid must be strictly increasing")
+        grid = [float(tok) for tok in expr.split(",")] if expr.strip() else []
+    grid = sweep_grid(grid)  # its ValueError becomes main's "error:" line
     if grid[0] < lo or grid[-1] > hi:
         raise SystemExit("error: grid leaves the valid parameter domain [%g, %g]" % (lo, hi))
     return grid
@@ -183,7 +177,7 @@ def cmd_bitflip(args) -> Report:
         channel, f, b = point(p)
         checks.append(_trace_preserving("bitflip(p=%g)" % p, channel))
         rows.append(
-            [p, f, b, 1.0 - f, float(f >= b - 1e-12), float(1.0 - f <= p + 1e-12)]
+            [p, f, b, 1.0 - f, float(f >= b - USEFUL_SLACK), float(1.0 - f <= p + 1e-12)]
         )
     report = threshold_analysis(lambda p: point(p)[1], lambda p: point(p)[2],
                                 np.linspace(0.0, 1.0, 101))
@@ -390,7 +384,7 @@ def cmd_certify(args) -> Report:
         checks.append(_complete(name + " completeness", rec, tol))
 
     code = leung4()
-    errors = [(t.label, t.op) for t in enlarge(ad_single(0.1), 4).kraus]
+    errors = enlarge(ad_single(0.1), 4)
     worst = 0.0
     for _ in range(100):
         alpha, beta = rng.normal(size=2) + 1j * rng.normal(size=2)

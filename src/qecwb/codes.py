@@ -60,8 +60,10 @@ class QuantumCode:
         return self.zero_logical, self.one_logical
 
     def contains(self, state: np.ndarray) -> bool:
-        """Whether P|state> equals |state> to ``CODESPACE_TOL`` in the max norm."""
+        """Whether P|state> equals |state> to ``CODESPACE_TOL`` in the max norm; state is (d,)."""
         state = np.asarray(state, dtype=complex)
+        if state.shape != self.isometry.shape[:1]:
+            raise ValueError("state and code dimensions differ")
         return max_abs(self.projector @ state - state) <= CODESPACE_TOL
 
 

@@ -1,7 +1,8 @@
 """Detectability, Knill-Laflamme correctability, and first-order diagnostics.
 
 An error A is detectable on a code when P A P = lambda P on the codespace.
-A set {A_l} is exactly correctable when every restricted product
+A set {A_l}, given as the labeled Kraus stack of a ``KrausChannel``, is
+exactly correctable when every restricted product
 <i_L| A_l^dag A_m |j_L> is delta_ij times a constant.  Approximate
 ("first order") variants classify the violation by its scaling order in the
 noise parameter: a violation of order gamma**2 when the detection amplitudes
@@ -16,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .channels import ad_single, enlarge
+from .channels import KrausChannel, ad_single, enlarge
 from .codes import QuantumCode, SelfComplementaryPair
 from .linalg import max_abs
 
@@ -24,8 +25,6 @@ EXACT_TOL = 1e-10  # largest Knill-Laflamme violation exact_correctable calls ex
 ZERO_FLOOR = 1e-13  # a violation or residual at or below this counts as zero
 FIRST_ORDER_SLOPE = 2.0 - 0.1  # smallest log-log violation slope that is first order
 DEFAULT_GAMMAS = (1e-4, 1e-3, 1e-2)
-
-LabeledError = tuple[str, np.ndarray]
 
 # Enlarged amplitude-damping errors of weight <= 1; the set whose
 # first-order correctability defines a "good" four-qubit code.
@@ -115,14 +114,11 @@ def detectable_to_first_order(family: Callable[[float], tuple[QuantumCode, np.nd
     return _fit_slope(DEFAULT_GAMMAS, residuals) - _fit_slope(DEFAULT_GAMMAS, lams) >= 1.0 - 0.1
 
 
-def _error_stack(code: QuantumCode, ops) -> np.ndarray:
-    """Error operators as one (..., L, d, d) array, d the code's; rejects no errors or another d."""
-    stack = np.array(ops)
-    if not stack.size:
-        raise ValueError("the error set is empty")
-    if stack.ndim < 3 or stack.shape[-2:] != code.projector.shape:
+def _error_ops(code: QuantumCode, errors: KrausChannel) -> np.ndarray:
+    """The channel's (L, d, d) Kraus stack; rejects a d other than the code's."""
+    if errors.dim != code.isometry.shape[0]:
         raise ValueError("code and error dimensions differ")
-    return stack
+    return errors.stack
 
 
 def _gram_blocks(images: np.ndarray) -> np.ndarray:
@@ -146,17 +142,16 @@ def _pair_violations(grams: np.ndarray) -> np.ndarray:
     return np.maximum(off, np.abs(b[..., 0, 0] - b[..., 1, 1]))
 
 
-def kl_gram(code: QuantumCode, errors: Sequence[LabeledError]) -> KLGram:
-    """Restricted Gram data for every ordered pair of errors.
+def kl_gram(code: QuantumCode, errors: KrausChannel) -> KLGram:
+    """Restricted Gram data for every ordered pair of the channel's Kraus operators.
 
     With the codeword isometry V = [|0_L> |1_L>], block (l, m) is
     (A_l V)^dag (A_m V); all blocks come from one contraction of the stacked
     images A_l V, and the diagonal blocks' eigenvalues from one batched
     ``eigvalsh``.
     """
-    labels = tuple(label for label, _ in errors)
-    images = _error_stack(code, [op for _, op in errors]) @ code.isometry
-    grams = _gram_blocks(images[None])[0]
+    labels = errors.labels
+    grams = _gram_blocks((_error_ops(code, errors) @ code.isometry)[None])[0]
     diag = grams[np.arange(len(labels)), np.arange(len(labels))]
     eigs = np.linalg.eigvalsh(0.5 * (diag + diag.conj().swapaxes(1, 2)))
     blocks = {(l, m): grams[i, j] for i, l in enumerate(labels) for j, m in enumerate(labels)}
@@ -164,25 +159,24 @@ def kl_gram(code: QuantumCode, errors: Sequence[LabeledError]) -> KLGram:
     return KLGram(labels, blocks, diag_eigs)
 
 
-def exact_correctable(code: QuantumCode, errors: Sequence[LabeledError]) -> CorrectabilityVerdict:
-    """Exact Knill-Laflamme verdict for an error set.
+def exact_correctable(code: QuantumCode, errors: KrausChannel) -> CorrectabilityVerdict:
+    """Exact Knill-Laflamme verdict for an error set, the Kraus operators of ``errors``.
 
     The violation is the worst off-diagonal magnitude or diagonal mismatch
     over all error pairs, and the set is exactly correctable when it is at
     most ``EXACT_TOL``; the witness is the first pair (l <= m, row-major)
     achieving it, or None when every pair satisfies the conditions exactly.
     """
-    labels = tuple(label for label, _ in errors)
-    images = _error_stack(code, [op for _, op in errors]) @ code.isometry
+    images = _error_ops(code, errors) @ code.isometry
     violations = _pair_violations(_gram_blocks(images[None]))[0]
     k = int(np.argmax(violations))
     worst = float(violations[k])
-    witness = _upper_pairs(labels)[k] if worst > 0.0 else None
+    witness = _upper_pairs(errors.labels)[k] if worst > 0.0 else None
     return CorrectabilityVerdict(worst <= EXACT_TOL, worst, witness)
 
 
 def violation_order(
-    family: Callable[[float], tuple[QuantumCode, Sequence[LabeledError]]],
+    family: Callable[[float], tuple[QuantumCode, KrausChannel]],
     gammas: Sequence[float] = DEFAULT_GAMMAS,
 ) -> ViolationOrder:
     """Log-log slope of the exact-correctability violation across a sweep.
@@ -190,23 +184,26 @@ def violation_order(
     Violations below 1e-13 at every sample are reported as exact; a slope of
     at least ~2 marks the set as first-order correctable (violations are
     O(gamma**2) while detection probabilities carry O(gamma) weight).  The
-    family must return the same number of errors at every sample.
+    family maps gamma to a code and an error channel, with the same number
+    of Kraus operators at every sample.
     """
     gammas = _noise_samples(gammas)
-    samples = [family(g) for g in gammas]
-    ops = _error_stack(samples[0][0], [[op for _, op in errors] for _, errors in samples])
-    isometries = np.array([code.isometry for code, _ in samples])
-    grams = _gram_blocks(ops @ isometries[:, None])
-    violations = _pair_violations(grams).max(axis=1)
+    images = np.array([_error_ops(c, e) @ c.isometry for c, e in map(family, gammas)])
+    violations = _pair_violations(_gram_blocks(images)).max(axis=1)
     if np.all(violations <= ZERO_FLOOR):
         return ViolationOrder(True, None)
     return ViolationOrder(False, float(_fit_slope(gammas, violations)))
 
 
-def weight_le1_ad_errors(gamma: float) -> list[LabeledError]:
-    """The five enlarged damping errors of weight <= 1 on four qubits."""
+def _weight_le1_rows(gamma: float) -> list[np.ndarray]:
+    """Views of the enlarged damping operators labeled ``WEIGHT_LE1_LABELS``, in that order."""
     channel = enlarge(ad_single(gamma), 4)
-    return [(label, channel.stack[channel.labels.index(label)]) for label in WEIGHT_LE1_LABELS]
+    return [channel.stack[channel.labels.index(label)] for label in WEIGHT_LE1_LABELS]
+
+
+def weight_le1_ad_errors(gamma: float) -> KrausChannel:
+    """The five enlarged damping errors of weight <= 1 on four qubits, as one channel."""
+    return KrausChannel(4, WEIGHT_LE1_LABELS, _weight_le1_rows(gamma))
 
 
 def classify_pair(
@@ -221,7 +218,7 @@ def classify_pair(
     worst pair violation) come from one fit.
     """
     gammas = _noise_samples(gammas)
-    ops = np.array([[op for _, op in weight_le1_ad_errors(g)] for g in gammas])
+    ops = np.array([_weight_le1_rows(g) for g in gammas])
     violations = _pair_violations(_gram_blocks(ops @ pair.as_code().isometry))
     columns = np.column_stack([violations, violations.max(axis=1)])
     slopes = _fit_slope(gammas, columns)
@@ -232,17 +229,17 @@ def classify_pair(
     return PairClassification(pair.index_pair, not failing.size, witness, slope)
 
 
-def detection_probability(
-    code: QuantumCode, errors: Sequence[LabeledError], state: np.ndarray
-) -> float:
-    """Total detection probability sum_k <psi|A_k^dag A_k|psi> of an error set."""
+def detection_probability(code: QuantumCode, errors: KrausChannel, state: np.ndarray) -> float:
+    """Total detection probability sum_k <psi|A_k^dag A_k|psi> of the channel's Kraus operators.
+
+    ``state`` must be a (d,) vector in the codespace.
+    """
+    ops = _error_ops(code, errors)
     state = np.asarray(state, dtype=complex)
     if not code.contains(state):
         raise ValueError("state does not lie in the codespace")
     total = 0.0
-    for _, op in errors:
-        if np.shape(op) != code.projector.shape:
-            raise ValueError("code and error dimensions differ")
+    for op in ops:
         image = op @ state
         total += float(np.real(np.vdot(image, image)))
     return total

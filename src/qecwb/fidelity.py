@@ -29,6 +29,7 @@ TermKey = tuple[Union[int, str], int]
 
 NONVANISHING_TOL = 1e-14  # smallest term contribution nonvanishing_terms lists
 THRESHOLD_TOL = 1e-10  # width at which threshold_analysis stops bisecting a crossing
+USEFUL_SLACK = 1e-12  # coding counts as useful while F_code >= F_baseline - USEFUL_SLACK
 
 
 @dataclass(frozen=True)
@@ -143,6 +144,17 @@ def _finite(values: np.ndarray, name: str) -> np.ndarray:
     return values
 
 
+def sweep_grid(grid: Sequence[float]) -> np.ndarray:
+    """``grid`` as a float array; raises ``ValueError`` if empty, non-finite or not increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("grid is empty")
+    _finite(grid, "grid values")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be strictly increasing")
+    return grid
+
+
 def _bisect_root(fn: Callable[[float], float], lo: float, hi: float, flo: float) -> float:
     """Bisect a sign change of ``fn`` on [lo, hi], given flo = fn(lo), to ``THRESHOLD_TOL``."""
     for _ in range(200):
@@ -167,20 +179,16 @@ def threshold_analysis(
     """Where coding helps, and where failure outpaces the raw error rate.
 
     Reports the contiguous range from grid[0] on which the coded fidelity
-    stays at or above the baseline, and the first crossing of 1 - F(p) = p
-    bisected to ``THRESHOLD_TOL`` (grid[-1] when none).  Each curve is
-    evaluated once per grid point; only the bisection evaluates more.  A
-    grid that is empty, not finite or not strictly increasing, and a
-    non-finite curve value, raise ``ValueError``.
+    stays at or above the baseline less ``USEFUL_SLACK``, and the first
+    crossing of 1 - F(p) = p bisected to ``THRESHOLD_TOL`` (grid[-1] when
+    none).  Each curve is evaluated once per grid point; only the bisection
+    evaluates more.  A grid ``sweep_grid`` rejects, and a non-finite curve
+    value, raise ``ValueError``.
     """
-    grid = _finite(np.asarray(grid, dtype=float), "grid values")
-    if grid.size == 0:
-        raise ValueError("grid is empty")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
+    grid = sweep_grid(grid)
     coded = _finite(np.array([fidelity_curve(p) for p in grid], dtype=float), "curve values")
     base = _finite(np.array([baseline_curve(p) for p in grid], dtype=float), "curve values")
-    harmful = coded < base - 1e-12
+    harmful = coded < base - USEFUL_SLACK
     last_useful = int(np.argmax(harmful)) - 1 if harmful.any() else len(grid) - 1
     useful = (float(grid[0]), float(grid[last_useful])) if last_useful >= 0 else None
 

@@ -83,10 +83,9 @@ def fletcher_fidelity_closed(params: FletcherParams, gamma: float) -> float:
 
     Only the real parts enter; the imaginary parts of (a, b) drop out of the
     fidelity entirely.  For radius-1 parameters this equals the full
-    matrix-trace evaluation of the ten-operator recovery.
+    matrix-trace evaluation of the ten-operator recovery; ``FletcherParams``
+    has checked the radius on construction.
     """
-    if not params.radius <= 1.0 + 1e-12:
-        raise ValueError("parameter norm exceeds the unit sphere")
     c = 1.0 - gamma
     return base_fidelity(gamma) + _linear_term(params.a_re, params.b_re, c, c**3)
 
@@ -116,10 +115,7 @@ def numeric_optimum(gamma: float) -> Optimum:
     f0, damped, damped3 = base_fidelity(gamma), 1.0 - gamma, (1.0 - gamma) ** 3
 
     def score(theta: float) -> float:
-        a_re, b_re = math.cos(theta), math.sin(theta)
-        if not math.sqrt(a_re**2 + b_re**2) <= 1.0 + 1e-12:
-            raise ValueError("radius must not exceed 1")
-        return f0 + _linear_term(a_re, b_re, damped, damped3)
+        return f0 + _linear_term(math.cos(theta), math.sin(theta), damped, damped3)
 
     lo, hi = 0.0, math.pi / 2.0
     c = hi - GOLDEN * (hi - lo)

@@ -8,22 +8,31 @@ from qecwb.conditions import EXACT_TOL, weight_le1_ad_errors
 from qecwb.linalg import max_abs
 
 
+def subset(channel, rows):
+    """The channel's Kraus operators at ``rows``, with their labels, as one error set."""
+    rows = list(rows)
+    return q.KrausChannel(channel.n_qubits, [channel.labels[i] for i in rows], channel.stack[rows])
+
+
 def ad_errors(gamma, labels=None):
-    by_label = {t.label: t.op for t in q.enlarge(q.ad_single(gamma), 4).kraus}
+    channel = q.enlarge(q.ad_single(gamma), 4)
     if labels is None:
-        labels = list(by_label)
-    return [(lab, by_label[lab]) for lab in labels]
+        return channel
+    return subset(channel, [channel.labels.index(lab) for lab in labels])
+
+
+def ad_op(gamma, label):
+    return ad_errors(gamma, [label]).stack[0]
 
 
 def bitflip_errors(p, count=8):
-    ch = q.enlarge(q.bitflip_single(p), 3)
-    return [(t.label, t.op) for t in ch.kraus][:count]
+    return subset(q.enlarge(q.bitflip_single(p), 3), range(count))
 
 
 def test_detectability_matrix_elements_of_no_damp_error():
     gamma = 0.1
     code = q.leung4()
-    a = dict(ad_errors(gamma))["0000"]
+    a = ad_op(gamma, "0000")
     zero, one = code.codewords
     assert abs(zero.conj() @ a @ zero - (1 - gamma + gamma**2 / 2)) <= 1e-14
     assert abs(one.conj() @ a @ one - (1 - gamma)) <= 1e-14
@@ -37,7 +46,7 @@ def test_detectability_matrix_elements_of_no_damp_error():
 def test_detectability_weight2_failure():
     gamma = 0.1
     code = q.leung4()
-    a = dict(ad_errors(gamma))["1100"]
+    a = ad_op(gamma, "1100")
     zero, one = code.codewords
     report = q.detectability(code, a)
     assert not report.residual <= EXACT_TOL
@@ -48,7 +57,7 @@ def test_detectability_weight2_failure():
 def test_detectability_full_flip_failure():
     gamma = 0.1
     code = q.leung4()
-    a = dict(ad_errors(gamma))["1111"]
+    a = ad_op(gamma, "1111")
     zero, one = code.codewords
     assert abs(zero.conj() @ a @ zero - gamma**2 / 2) <= 1e-15
     assert abs(one.conj() @ a @ one) <= 1e-15
@@ -59,7 +68,7 @@ def test_first_order_detectable_set_matches_expected():
     labels = [t.label for t in q.enlarge(q.ad_single(0.1), 4).kraus]
 
     def family(label):
-        return lambda g: (q.leung4(), dict(ad_errors(g))[label])
+        return lambda g: (q.leung4(), ad_op(g, label))
 
     detected = {lab for lab in labels if q.detectable_to_first_order(family(lab))}
     assert detected == set(labels) - {"0011", "1100", "1111"}
@@ -70,7 +79,8 @@ def test_detectability_structure_at_fixed_gammas():
     for gamma in (0.05, 0.1, 0.2):
         code = q.leung4()
         zero, one = code.codewords
-        for label, op in ad_errors(gamma):
+        channel = ad_errors(gamma)
+        for label, op in zip(channel.labels, channel.stack):
             report = q.detectability(code, op)
             if label in ("1100", "0011"):
                 assert max(abs(zero.conj() @ op @ one), abs(one.conj() @ op @ zero)) > 1e-3
@@ -86,14 +96,14 @@ def test_detectability_scalar_multiples():
     gamma = 0.1
 
     def family(scale, label):
-        return lambda g: (q.leung4(), scale * dict(ad_errors(g))[label])
+        return lambda g: (q.leung4(), scale * ad_op(g, label))
 
     for scale in (2.0, -3.0, 1j, 0.5):
         assert q.detectable_to_first_order(family(scale, "0000"))
         assert not q.detectable_to_first_order(family(scale, "1111"))
     # exact verdicts are phase invariant
     code = q.leung4()
-    a = dict(ad_errors(gamma))["1010"]
+    a = ad_op(gamma, "1010")
     for phase in (1.0, -1.0, 1j, np.exp(0.3j)):
         assert q.detectability(code, phase * a).residual <= EXACT_TOL
 
@@ -116,7 +126,7 @@ def test_kl_gram_leung_eigenvalues():
 
 def test_kl_gram_identity_error():
     code = q.leung4()
-    gram = q.kl_gram(code, [("id", np.eye(16, dtype=complex))])
+    gram = q.kl_gram(code, q.KrausChannel(4, ("id",), [np.eye(16, dtype=complex)]))
     assert max_abs(gram.blocks[("id", "id")] - np.eye(2)) <= 1e-12
 
 
@@ -145,8 +155,8 @@ def test_exact_correctable_monotone_on_subsets():
     code = q.repetition3()
     errors = bitflip_errors(0.3, 4)
     for size in range(1, 5):
-        for subset in combinations(errors, size):
-            assert q.exact_correctable(code, list(subset)).exact
+        for rows in combinations(range(4), size):
+            assert q.exact_correctable(code, subset(errors, rows)).exact
 
 
 def test_leung_correctable_set_violation_is_second_order():
@@ -218,7 +228,6 @@ def test_detection_probability_completeness_and_values():
     code = q.leung4()
     full = ad_errors(gamma)
     assert abs(q.detection_probability(code, full, code.zero_logical) - 1.0) <= 1e-12
-    assert q.detection_probability(code, [], code.one_logical) == 0.0
 
     five = weight_le1_ad_errors(gamma)
     got = q.detection_probability(code, five, code.zero_logical)
@@ -243,7 +252,7 @@ def test_detection_probability_bounds_and_validation():
         norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
         psi = (alpha * code.zero_logical + beta * code.one_logical) / norm
         for size in (1, 5, 16):
-            assert q.detection_probability(code, errors[:size], psi) <= 1.0 + 1e-12
+            assert q.detection_probability(code, subset(errors, range(size)), psi) <= 1.0 + 1e-12
     with pytest.raises(ValueError):
         q.detection_probability(code, errors, np.eye(16)[2])
 
@@ -252,13 +261,18 @@ def bitflip_family(g):
     return q.leung4(), bitflip_errors(g)
 
 
+def empty_errors():
+    return q.KrausChannel(4, (), np.zeros((0, 16, 16)))
+
+
 @pytest.mark.parametrize("check", [
-    lambda: q.exact_correctable(q.leung4(), []),
-    lambda: q.kl_gram(q.leung4(), []),
-    lambda: q.violation_order(lambda g: (q.leung4(), [])),
+    lambda: q.exact_correctable(q.leung4(), empty_errors()),
+    lambda: q.kl_gram(q.leung4(), empty_errors()),
+    lambda: q.violation_order(lambda g: (q.leung4(), empty_errors())),
 ], ids=["exact_correctable", "kl_gram", "violation_order"])
 def test_kernels_name_an_empty_error_set(check):
-    with pytest.raises(ValueError, match="the error set is empty"):
+    # an error set is a channel, and a channel of no Kraus operators cannot be built
+    with pytest.raises(ValueError, match="needs one or more 16 x 16 Kraus operators"):
         check()
 
 
@@ -272,3 +286,12 @@ def test_kernels_name_errors_of_the_wrong_dimension(check):
     # 8 x 8 bit-flip errors against the 16-dimensional four-qubit code
     with pytest.raises(ValueError, match="code and error dimensions differ"):
         check()
+
+
+@pytest.mark.parametrize("state", [np.ones(8) / np.sqrt(8), np.ones((16, 2)) / 4, np.ones(17)])
+def test_states_of_another_shape_are_named(state):
+    code = q.leung4()
+    with pytest.raises(ValueError, match="state and code dimensions differ"):
+        code.contains(state)
+    with pytest.raises(ValueError, match="state and code dimensions differ"):
+        q.detection_probability(code, weight_le1_ad_errors(0.1), state)

@@ -29,14 +29,6 @@ def test_params_reject_nan(coords):
         q.FletcherParams(*coords)
 
 
-@pytest.mark.parametrize("field", ["a_re", "b_re", "b_im"])
-def test_closed_fidelity_rejects_nan_parameters(field):
-    params = q.FletcherParams(0.6, 0.0, 0.8, 0.0)
-    object.__setattr__(params, field, NAN)  # past the constructor's own check
-    with pytest.raises(ValueError, match="unit sphere"):
-        q.fletcher_fidelity_closed(params, 0.1)
-
-
 @pytest.mark.parametrize("gamma", [NAN, -0.5, 1.0, 2.0])
 def test_optimum_searches_reject_bad_damping(gamma):
     for search in (q.closed_form_optimum, q.numeric_optimum, lambda g: q.radius_sweep(g, [0.5])):

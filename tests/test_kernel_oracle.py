@@ -114,7 +114,7 @@ def loop_baseline_no_qec(channel):
 
 def loop_kl(code, errors):
     zero, one = code.codewords
-    images = {label: (op @ zero, op @ one) for label, op in errors}
+    images = {label: (op @ zero, op @ one) for label, op in zip(errors.labels, errors.stack)}
     blocks, eigs = {}, {}
     for l, li in images.items():
         for m, mi in images.items():
@@ -132,7 +132,7 @@ def loop_pair_violation(block):
 def loop_exact_correctable(code, errors):
     """Scan pairs l <= m in order; a later pair wins only when strictly worse."""
     blocks = loop_kl(code, errors)[0]
-    labels = [label for label, _ in errors]
+    labels = errors.labels
     worst, witness = 0.0, None
     for i, l in enumerate(labels):
         for m in labels[i:]:
@@ -411,10 +411,10 @@ def test_kl_gram_matches_vdot_blocks(seed, n, size):
     code = random_code(rng, n)
     channel = q.enlarge(random_single_channel(rng), n)
     picks = rng.choice(len(channel.kraus), size=min(size, len(channel.kraus)), replace=False)
-    errors = [(channel.kraus[i].label, channel.kraus[i].op) for i in picks]
+    errors = KrausChannel(n, [channel.labels[i] for i in picks], channel.stack[picks])
     gram = q.kl_gram(code, errors)
     blocks, eigs = loop_kl(code, errors)
-    assert gram.labels == tuple(label for label, _ in errors)
+    assert gram.labels == errors.labels
     assert gram.blocks.keys() == blocks.keys()
     for key, block in blocks.items():
         assert np.max(np.abs(gram.blocks[key] - block)) <= TOL
@@ -460,7 +460,7 @@ def test_exact_correctable_matches_strict_scan(seed, n, size):
     code = random_code(rng, n)
     channel = q.enlarge(random_single_channel(rng), n)
     picks = rng.choice(len(channel.kraus), size=min(size, len(channel.kraus)), replace=False)
-    errors = [(channel.kraus[i].label, channel.kraus[i].op) for i in picks]
+    errors = KrausChannel(n, [channel.labels[i] for i in picks], channel.stack[picks])
     verdict = q.exact_correctable(code, errors)
     worst, witness = loop_exact_correctable(code, errors)
     assert abs(verdict.violation - worst) <= TOL
