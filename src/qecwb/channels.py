@@ -21,7 +21,7 @@ from .linalg import PAULI_I, PAULI_X, PAULI_Z, completeness_defect
 CERT_TOL = 1e-10  # max-norm completeness deviation that certify accepts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # eq=False: the operator is an array
 class KrausTerm:
     """One Kraus operator with its label (the bitstring of error positions)."""
 

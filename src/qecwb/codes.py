@@ -5,7 +5,7 @@ span and the isometry V = [|0_L> |1_L>] are built on construction.  A code
 holds read-only copies of its arrays, so the named codes, built once per
 process, are safe to share.  The four-qubit self-complementary states
 (|a> + |a-complement>)/sqrt(2) come in eight flavors, giving 28 candidate
-codeword pairs.
+codeword pairs, which are built once too.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from .linalg import ket, max_abs, projector
 
 CODESPACE_TOL = 1e-10  # max-norm gate of codespace membership and of equal projectors
+CODEWORD_TOL = 1e-12  # largest deviation of a codeword norm from 1 and of <0_L|1_L> from 0
 
 # Bitstrings generating the eight self-complementary four-qubit states, in
 # the conventional listing order (index 1..8).
@@ -28,7 +29,7 @@ SELF_COMPLEMENTARY_STRINGS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # eq=False: the codewords are arrays
 class QuantumCode:
     """A [[n, 1]] code given by its two logical codewords."""
 
@@ -45,9 +46,9 @@ class QuantumCode:
         if zero.shape != (dim,) or one.shape != (dim,):
             raise ValueError("codeword dimension mismatch")
         for v in (zero, one):
-            if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+            if abs(np.linalg.norm(v) - 1.0) > CODEWORD_TOL:
                 raise ValueError("codewords must be normalized")
-        if abs(np.vdot(zero, one)) > 1e-12:
+        if abs(np.vdot(zero, one)) > CODEWORD_TOL:
             raise ValueError("codewords must be orthogonal")
         proj, iso = projector([zero, one]), np.stack([zero, one], axis=1)
         for name, value in (("zero_logical", zero), ("one_logical", one), ("projector", proj),
@@ -67,15 +68,21 @@ class QuantumCode:
         return max_abs(self.projector @ state - state) <= CODESPACE_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # eq=False: the codewords are arrays
 class SelfComplementaryPair:
-    """One of the 28 candidate (i, j) codeword pairs, indices 1-based."""
+    """One of the 28 candidate (i, j) codeword pairs, 1-based; ``codewords`` are its code's."""
 
     index_pair: tuple[int, int]
     codewords: tuple[np.ndarray, np.ndarray]
+    _code: QuantumCode = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_code", QuantumCode(4, *self.codewords))
+        object.__setattr__(self, "codewords", self._code.codewords)
 
     def as_code(self) -> QuantumCode:
-        return QuantumCode(4, self.codewords[0], self.codewords[1])
+        """The pair's code, built with the pair; every call returns that same object."""
+        return self._code
 
 
 def _equal_superposition(bits: str) -> np.ndarray:
@@ -108,12 +115,14 @@ def third4() -> QuantumCode:
 
 
 def enumerate_pairs() -> list[SelfComplementaryPair]:
-    """All 28 ordered-index pairs (i, j), i < j, from the eight-state basis."""
-    basis = [_equal_superposition(bits) for bits in SELF_COMPLEMENTARY_STRINGS]
-    return [
-        SelfComplementaryPair((i + 1, j + 1), (basis[i], basis[j]))
-        for i, j in combinations(range(len(basis)), 2)
-    ]
+    """All 28 pairs (i, j), i < j, of the eight-state basis: a new list of the same shared pairs."""
+    return list(_pairs())
+
+
+@lru_cache(maxsize=None)
+def _pairs() -> tuple[SelfComplementaryPair, ...]:
+    basis = enumerate((_equal_superposition(bits) for bits in SELF_COMPLEMENTARY_STRINGS), 1)
+    return tuple(SelfComplementaryPair((i, j), (u, v)) for (i, u), (j, v) in combinations(basis, 2))
 
 
 def permutation_equivalent(c1: QuantumCode, c2: QuantumCode) -> Optional[tuple[int, ...]]:

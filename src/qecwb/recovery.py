@@ -33,7 +33,7 @@ from .linalg import (
 KERNEL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # eq=False: the factors are arrays
 class PolarDecomposition:
     """Factors A P = U J with U unitary and J = sqrt(P A^dag A P) >= 0."""
 
@@ -41,7 +41,7 @@ class PolarDecomposition:
     j: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # eq=False: the residue is an array
 class ResidueResult:
     """Deviation of sqrt(P A^dag A P) from a multiple of the projector."""
 
@@ -49,7 +49,7 @@ class ResidueResult:
     bound_ok: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # eq=False: the operators are arrays
 class RecoveryOperation:
     """Labeled recovery operators, optionally with a leftover projector.
 
@@ -68,8 +68,8 @@ class RecoveryOperation:
 
     ops: tuple[tuple[str, np.ndarray], ...]
     leftover: Optional[np.ndarray] = None
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
-    _defect: float = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(init=False, repr=False)
+    _defect: float = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = [op for _, op in self.ops] + ([] if self.leftover is None else [self.leftover])

@@ -67,6 +67,40 @@ def test_code_leaves_caller_arrays_writeable():
     code = q.QuantumCode(3, zero, one)
     zero[0] = 0.5
     assert zero.flags.writeable and code.zero_logical[0] == 1.0
+    plus = (ket("0000") + ket("1111")) / np.sqrt(2)
+    pair = q.SelfComplementaryPair((1, 6), (plus, q.leung4().one_logical))
+    plus[0] = 0.0
+    assert plus.flags.writeable and pair.codewords[0][0] == 1 / np.sqrt(2)
+
+
+def test_pairs_and_their_codes_are_built_once_and_read_only():
+    pairs = q.enumerate_pairs()
+    pairs.pop()
+    again = q.enumerate_pairs()
+    assert len(pairs) == 27 and len(again) == 28 and again is not q.enumerate_pairs()
+    for first, pair in zip(pairs, again):
+        assert first is pair and first.as_code() is pair.as_code()
+    for pair in again:
+        code = pair.as_code()
+        assert all(word is own for word, own in zip(pair.codewords, code.codewords))
+        for word in pair.codewords:
+            with pytest.raises(ValueError):
+                word[0] = 0.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: q.QuantumCode(3, ket("000"), ket("111")),
+    lambda: q.SelfComplementaryPair((1, 6), q.leung4().codewords),
+    lambda: q.standard_ad_recovery(0.1),
+    lambda: q.ad_single(0.1).kraus[0],
+    lambda: q.polar_decompose(np.eye(4), np.eye(4)),
+    lambda: q.residue(np.eye(4), np.eye(4), 1.0, 1.0),
+    lambda: q.kl_gram(q.leung4(), q.weight_le1_ad_errors(0.1)),
+], ids=["code", "pair", "recovery", "kraus-term", "polar", "residue", "kl-gram"])
+def test_array_holders_compare_by_identity(make):
+    first, second = make(), make()
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
 
 
 def test_self_complementary_basis():

@@ -5,7 +5,8 @@ A^dag A in ``completeness_defect``, one ``np.kron`` per label in
 ``enlarge`` (bitwise equal, whether the result comes from the cache or is
 rebuilt), a double loop over (k, l) codespace-restricted traces in
 ``entanglement_fidelity``, one Gram matrix and trace per operator in
-``baseline_no_qec``, ``np.vdot`` blocks in ``kl_gram``, a strict ``>``
+``baseline_no_qec``, ``np.vdot`` blocks in ``kl_gram`` and the direct
+(G, L, d, 2) contraction in ``_gram_blocks`` (bitwise), a strict ``>``
 scan over error pairs in ``exact_correctable``, one block set per gamma and
 one ``polyfit`` per error pair in ``classify_pair``, and one dense
 permutation matrix per candidate in ``permutation_equivalent``, a
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 
 import qecwb as q
 from qecwb.channels import KrausChannel
+from qecwb.conditions import _gram_blocks, _weight_le1_rows
 from qecwb.fidelity import THRESHOLD_TOL
 from qecwb.linalg import completeness_defect, dagger, ket, max_abs
 from qecwb.recovery import RecoveryOperation
@@ -423,6 +425,31 @@ def test_kl_gram_matches_vdot_blocks(seed, n, size):
         assert np.max(np.abs(np.array(gram.diag_eigs[label]) - values)) <= TOL
 
 
+SEARCH_RANGES = ((1e-4, 3e-4), (1e-3, 3e-3), (4e-3, 1e-2))  # perfbench's code-search gammas
+search_gammas = st.tuples(*(st.floats(lo, hi) for lo, hi in SEARCH_RANGES))
+
+
+def direct_gram_blocks(images):
+    """Blocks (A_l V)^dag (A_m V) contracted over the middle axis of the (G, L, d, 2) images."""
+    return np.einsum("glai,gmaj->glmij", images.conj(), images)
+
+
+@oracle_settings
+@given(seed=seeds, g=st.integers(1, 3), size=st.integers(1, 16), dim=st.sampled_from((2, 4, 8, 16)))
+def test_gram_blocks_equal_direct_contraction_on_random_complex_images(seed, g, size, dim):
+    rng = np.random.default_rng(seed)
+    images = rng.normal(size=(g, size, dim, 2)) + 1j * rng.normal(size=(g, size, dim, 2))
+    assert np.array_equal(_gram_blocks(images), direct_gram_blocks(images))
+
+
+def test_gram_blocks_equal_direct_contraction_at_the_search_corners():
+    for gammas in product(*SEARCH_RANGES):
+        ops = np.stack([_weight_le1_rows(g) for g in gammas])
+        for pair in q.enumerate_pairs():
+            images = ops @ pair.as_code().isometry
+            assert np.array_equal(_gram_blocks(images), direct_gram_blocks(images)), gammas
+
+
 @oracle_settings
 @given(gamma=st.floats(0.0, 0.9))
 def test_standard_recovery_terms_end_in_leftover_row(gamma):
@@ -436,9 +463,6 @@ def test_standard_recovery_terms_end_in_leftover_row(gamma):
         q.leung4(), q.standard_ad_recovery(gamma), q.enlarge(q.ad_single(gamma), 4)
     )
     assert max(abs(t.trace - tr) for t, (_, tr) in zip(result.terms, expected)) <= TOL
-
-
-search_gammas = st.tuples(st.floats(1e-4, 3e-4), st.floats(1e-3, 3e-3), st.floats(4e-3, 1e-2))
 
 
 @oracle_settings
