@@ -29,7 +29,7 @@ def main():
 
     recovery = q.repetition_recovery()
     print("\nrecovery operators (probability independent):")
-    for label, _ in recovery.ops:
+    for label in recovery.labels:
         print("  " + label)
     print("completeness defect: %.1e" % recovery.completeness_defect())
 

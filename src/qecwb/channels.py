@@ -35,8 +35,9 @@ class KrausChannel:
 
     Construction copies ``stack`` into a read-only complex (L, 2**n, 2**n)
     array, so the caller's array stays writeable; row l is the operator
-    labeled ``labels[l]``.  ``kraus`` pairs labels with views of the rows
-    the first time it is read.
+    labeled ``labels[l]``.  ``kraus`` pairs labels with views of the rows,
+    and ``completeness_defect()`` computes the defect, the first time each
+    is read.
     """
 
     n_qubits: int
@@ -44,7 +45,10 @@ class KrausChannel:
     stack: np.ndarray
 
     def __post_init__(self):
-        stack = np.array(self.stack, dtype=complex)
+        try:
+            stack = np.array(self.stack, dtype=complex)
+        except ValueError:  # operators of different shapes fail the shape check below
+            stack = np.empty(0)
         if stack.shape[1:] != (self.dim, self.dim) or not len(stack):
             raise ValueError("a %d-qubit channel needs one or more %d x %d Kraus operators"
                              % (self.n_qubits, self.dim, self.dim))
@@ -62,9 +66,13 @@ class KrausChannel:
     def kraus(self) -> tuple[KrausTerm, ...]:
         return tuple(KrausTerm(label, op) for label, op in zip(self.labels, self.stack))
 
-    def completeness_defect(self) -> float:
-        """Max-norm deviation of sum(A^dag A) from the identity."""
+    @cached_property
+    def _defect(self) -> float:
         return completeness_defect(self.stack)
+
+    def completeness_defect(self) -> float:
+        """Max-norm deviation of sum(A^dag A) from the identity, computed on first read."""
+        return self._defect
 
 
 @dataclass(frozen=True)

@@ -324,7 +324,7 @@ def cmd_appendix_a(args) -> Report:
     gamma = args.gamma
     code = leung4()
     channel = enlarge(ad_single(gamma), 4)
-    a = {t.label: t.op for t in channel.kraus}["0000"]
+    a = channel.stack[channel.labels.index("0000")]
     p = code.projector
     sub_basis = [ket("0000"), ket("0011"), ket("1100"), ket("1111")]
     restricted = restrict(p @ dagger(a) @ a @ p, sub_basis)

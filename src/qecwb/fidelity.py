@@ -30,6 +30,7 @@ TermKey = tuple[Union[int, str], int]
 NONVANISHING_TOL = 1e-14  # smallest term contribution nonvanishing_terms lists
 THRESHOLD_TOL = 1e-10  # width at which threshold_analysis stops bisecting a crossing
 USEFUL_SLACK = 1e-12  # coding counts as useful while F_code >= F_baseline - USEFUL_SLACK
+TRACE_PRESERVING_TOL = 1e-10  # largest recovery completeness defect entanglement_fidelity accepts
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,10 @@ def entanglement_fidelity(
     """
     if not recovery.dim == errors.dim == code.isometry.shape[0]:
         raise ValueError("code, recovery and channel dimensions differ")
-    if not recovery.completeness_defect() <= 1e-10:
+    if not recovery.completeness_defect() <= TRACE_PRESERVING_TOL:
         raise ValueError("recovery is not trace preserving")
-    row_keys = tuple(range(len(recovery.ops))) + (() if recovery.leftover is None else ("O",))
+    leftover = recovery.leftover is not None
+    row_keys = tuple(range(len(recovery.stack) - leftover)) + ("O",) * leftover
     left = dagger(code.isometry) @ recovery.stack  # (K, 2, d): V^dag R_k
     right = errors.stack @ code.isometry  # (L, d, 2): A_l V
     table = np.einsum("kia,lai->kl", left, right)
@@ -119,15 +121,15 @@ def baseline_no_qec(channel: KrausChannel) -> float:
     """
     if channel.n_qubits != 1:
         raise ValueError("baseline is defined for single-qubit channels")
-    ops = channel.stack
-    grams = ops.conj().transpose(0, 2, 1) @ ops
+    stack = channel.stack
+    grams = stack.conj().transpose(0, 2, 1) @ stack
     probs = np.trace(grams, axis1=1, axis2=2).real / channel.dim
     unitary = np.abs(grams - probs[:, None, None] * np.eye(channel.dim)).max(axis=(1, 2)) <= 1e-12
     weights = np.where(unitary, probs, 1.0).tolist()
     # summed term by term with Python's abs: the vectorized np.abs of a complex
     # array can differ from the scalar one in the last bit
     total = 0.0
-    for weight, trace in zip(weights, np.trace(ops, axis1=1, axis2=2).tolist()):
+    for weight, trace in zip(weights, np.trace(stack, axis1=1, axis2=2).tolist()):
         total += weight * abs(trace) ** 2
     return 0.25 * total
 

@@ -46,8 +46,16 @@ MUTANTS = (
            "return fletcher_recovery(1 / np.sqrt(2), -1 / np.sqrt(2))",
            "tests/test_recovery.py"),
     Mutant("leftover-row-key-dropped", "fidelity.py",
-           '(() if recovery.leftover is None else ("O",))', "()",
+           '("O",) * leftover', "()",
            "tests/test_fidelity.py"),
+    Mutant("leftover-allowed-anywhere", "recovery.py",
+           'if "O" in self.labels[:-1]:', "if False:",
+           "tests/test_recovery.py"),
+    # The fidelity table keeps its leftover row; the term-loop oracle's keys do not match.
+    Mutant("operators-include-leftover", "recovery.py",
+           "return list(self.stack if self.leftover is None else self.stack[:-1])",
+           "return list(self.stack)",
+           "tests/test_kernel_oracle.py"),
     Mutant("channel-stack-writeable", "channels.py",
            "stack.flags.writeable = False", "stack.flags.writeable = True",
            "tests/test_channels.py"),

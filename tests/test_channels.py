@@ -110,7 +110,8 @@ def test_channel_owns_one_read_only_stack():
     (3, ("0", "1"), [np.eye(2), np.eye(2)]),  # 2 x 2 operators on a "3-qubit" channel
     (1, ("0", "1"), [np.eye(2)]),  # more labels than operators
     (1, ("0",), [np.eye(2), np.eye(2)]),  # fewer labels than operators
-], ids=["empty", "vector", "wrong-dimension", "extra-label", "missing-label"])
+    (1, ("0", "1"), [np.eye(2), np.eye(4)]),  # operators of different shapes
+], ids=["empty", "vector", "wrong-dimension", "extra-label", "missing-label", "ragged"])
 def test_channel_rejects_empty_or_mis_shaped_stack(n_qubits, labels, ops):
     with pytest.raises(ValueError, match="channel needs"):
         q.KrausChannel(n_qubits, labels, ops)

@@ -97,7 +97,7 @@ def test_nonvanishing_terms_ad_standard():
 
 def test_fidelity_rejects_incomplete_recovery():
     rec = q.repetition_recovery()
-    clipped = RecoveryOperation(rec.ops[:2])
+    clipped = RecoveryOperation(3, rec.labels[:2], rec.stack[:2])
     with pytest.raises(ValueError):
         q.entanglement_fidelity(q.repetition3(), clipped, q.enlarge(q.bitflip_single(0.1), 3))
 
@@ -113,7 +113,7 @@ def test_fidelity_rejects_code_of_another_dimension():
 def test_fidelity_rejects_recovery_with_nan_entry():
     ops = [op.copy() for op in q.repetition_recovery().operators()]
     ops[1][0, 4] = np.nan
-    rec = RecoveryOperation(tuple(("r%d" % k, op) for k, op in enumerate(ops)))
+    rec = RecoveryOperation(3, tuple("r%d" % k for k in range(len(ops))), ops)
     assert np.isnan(rec.completeness_defect())
     with pytest.raises(ValueError, match="not trace preserving"):
         q.entanglement_fidelity(q.repetition3(), rec, q.enlarge(q.bitflip_single(0.1), 3))

@@ -63,9 +63,8 @@ def random_recovery(rng, n, n_ops, with_leftover):
     blocks = n_ops + int(with_leftover)
     w = random_isometry(rng, blocks * dim, dim)
     ops = [w[i * dim:(i + 1) * dim] for i in range(blocks)]
-    leftover = ops.pop() if with_leftover else None
-    labeled = tuple(("r%d" % i, op) for i, op in enumerate(ops))
-    return RecoveryOperation(labeled, leftover=leftover)
+    labels = tuple("r%d" % i for i in range(n_ops)) + ("O",) * with_leftover
+    return RecoveryOperation(n, labels, ops)
 
 
 # ---- the loop forms --------------------------------------------------------
@@ -319,8 +318,9 @@ def test_stored_defect_equals_recomputed_defect(seed, n, n_ops, with_leftover, n
     rng = np.random.default_rng(seed)
     recovery = random_recovery(rng, n, n_ops, with_leftover)
     if noise:
-        ops = [op + noise * rng.normal(size=op.shape) for op in recovery.operators()]
-        recovery = RecoveryOperation(tuple(zip("abcdef", ops)), leftover=recovery.leftover)
+        stack = recovery.stack.copy()
+        stack[:n_ops] += noise * rng.normal(size=stack[:n_ops].shape)
+        recovery = RecoveryOperation(n, recovery.labels, stack)
     rows = recovery.operators()
     if recovery.leftover is not None:
         rows.append(recovery.leftover)
@@ -354,8 +354,8 @@ def test_random_isometry_kraus_sets_are_trace_preserving(seed, n_ops, dim):
     assert completeness_defect(ops) <= TOL
     labels = tuple("k%d" % k for k in range(n_ops))
     assert KrausChannel(dim.bit_length() - 1, labels, ops).completeness_defect() <= TOL
-    labeled = tuple(("r%d" % k, op) for k, op in enumerate(ops[:-1]))
-    assert RecoveryOperation(labeled, leftover=ops[-1]).completeness_defect() <= TOL
+    leftover_last = labels[:-1] + ("O",)
+    assert RecoveryOperation(dim.bit_length() - 1, leftover_last, ops).completeness_defect() <= TOL
 
 
 unit_interval = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0))
@@ -519,7 +519,7 @@ def test_damping_family_matches_hand_written_recoveries(gamma, seed):
         (q.fletcher_recovery(a, b), ref_fletcher_recovery(a, b), None),
     ]
     for recovery, expected_ops, expected_leftover in cases:
-        assert len(recovery.ops) == len(expected_ops)
+        assert len(recovery.operators()) == len(expected_ops)
         for op, expected in zip(recovery.operators(), expected_ops):
             assert np.array_equal(op, expected)
         if expected_leftover is None:

@@ -85,7 +85,8 @@ def test_polar_exact_case_collapses_to_projective_recovery():
     # recovery operators up to a global phase
     p = 0.3
     code = q.repetition3()
-    explicit = dict(q.repetition_recovery().ops)
+    rec = q.repetition_recovery()
+    explicit = dict(zip(rec.labels, rec.stack))
     names = {"000": "no-flip", "100": "flip-1", "010": "flip-2", "001": "flip-3"}
     for label, a in bitflip_ops(p)[:4]:
         pol = q.polar_decompose(a, code.projector)
@@ -170,7 +171,7 @@ def test_residue_validates_eigenvalue():
 
 def test_repetition_recovery_structure():
     rec = q.repetition_recovery()
-    ops = dict(rec.ops)
+    ops = dict(zip(rec.labels, rec.stack))
     expected_r1 = np.outer(ket("000"), ket("100").conj()) + np.outer(ket("111"), ket("011").conj())
     assert max_abs(ops["flip-1"] - expected_r1) == 0.0
     assert rec.completeness_defect() <= 1e-12
@@ -183,8 +184,8 @@ def test_standard_ad_recovery_structure():
     gamma = 0.1
     rec = q.standard_ad_recovery(gamma)
     assert rec.completeness_defect() <= 1e-10
-    assert [label for label, _ in rec.ops] == ["adapted-1", "damp-1", "damp-2", "damp-3", "damp-4"]
-    first = rec.ops[0][1]
+    assert rec.labels == ("adapted-1", "damp-1", "damp-2", "damp-3", "damp-4", "O")
+    first = rec.stack[0]
     # the adapted-1 operator reads out |0000> + (1-g)^2 |1111> (normalized)
     source = ket("0000") + (1 - gamma) ** 2 * ket("1111")
     source /= np.linalg.norm(source)
@@ -192,7 +193,7 @@ def test_standard_ad_recovery_structure():
     assert max_abs(first @ source - code.zero_logical) <= 1e-12
     assert abs((1 - gamma) ** 2 - 0.81) <= 1e-15
     # the codespace projector is not among the operators
-    for _, op in rec.ops:
+    for op in rec.operators():
         assert max_abs(op - code.projector) > 1e-6
     assert max_abs(rec.leftover - code.projector) > 1e-6
     assert abs(np.trace(rec.leftover).real - 6.0) <= 1e-12
@@ -201,12 +202,12 @@ def test_standard_ad_recovery_structure():
 def test_cp_recovery_structure():
     rec = q.cp_recovery()
     code = q.leung4()
-    assert [label for label, _ in rec.ops] == [
+    assert rec.labels == (
         "adapted-1", "adapted-2", "damp-1", "damp-2", "damp-3", "damp-4",
         "damp-23", "damp-24", "damp-13", "damp-14",
-    ]
-    assert max_abs(rec.ops[0][1] - code.projector) <= 1e-15
-    damp23 = dict(rec.ops)["damp-23"]
+    )
+    assert max_abs(rec.stack[0] - code.projector) <= 1e-15
+    damp23 = dict(zip(rec.labels, rec.stack))["damp-23"]
     assert max_abs(damp23 - np.outer(code.zero_logical, ket("1001").conj())) <= 1e-15
     assert rec.completeness_defect() <= 1e-12
 
@@ -217,7 +218,7 @@ def test_parameter_free_recoveries_are_built_once_and_read_only():
     rng = np.random.default_rng(43)
     ops = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2)]
     leftover = rng.normal(size=(4, 4)).astype(complex)
-    hand_made = RecoveryOperation((("x", ops[0]), ("y", ops[1])), leftover)
+    hand_made = RecoveryOperation(2, ("x", "y", "O"), [ops[0], ops[1], leftover])
     recoveries = [q.repetition_recovery(), q.cp_recovery(), q.standard_ad_recovery(0.1),
                   q.fletcher_recovery(0.6, 0.8j), hand_made]
     for recovery in recoveries:
@@ -241,15 +242,32 @@ def test_parameter_free_recoveries_are_built_once_and_read_only():
 
 
 def test_recovery_needs_an_operator_or_a_leftover():
-    with pytest.raises(ValueError, match="at least one operator or a leftover"):
-        RecoveryOperation(())
-    assert RecoveryOperation((), leftover=np.eye(2)).completeness_defect() == 0.0
+    with pytest.raises(ValueError, match="needs one or more 2 x 2 Kraus operators"):
+        RecoveryOperation(1, (), [])
+    assert RecoveryOperation(1, ("O",), [np.eye(2)]).completeness_defect() == 0.0
+
+
+@pytest.mark.parametrize("labels, stack", [
+    (("a",), [np.ones((2, 3))]),  # not square
+    (("a",), [np.eye(3)]),  # 3 x 3 fits no qubit count
+    (("a", "O"), [np.eye(2), np.eye(4)]),  # leftover of another shape
+], ids=["non-square", "three-by-three", "leftover-shape"])
+def test_recovery_names_a_misshaped_operator(labels, stack):
+    with pytest.raises(ValueError, match="1-qubit channel needs one or more 2 x 2 Kraus operators"):
+        RecoveryOperation(1, labels, stack)
+
+
+def test_only_the_last_row_may_be_the_leftover():
+    with pytest.raises(ValueError, match='only the last recovery operator may be the leftover "O"'):
+        RecoveryOperation(1, ("O", "a"), [np.eye(2), np.zeros((2, 2))])
+    rec = RecoveryOperation(1, ("a", "O"), [np.zeros((2, 2)), np.eye(2)])
+    assert np.array_equal(rec.leftover, np.eye(2)) and len(rec.operators()) == 1
 
 
 def test_fletcher_recovery_structure():
     code = q.leung4()
     even = q.fletcher_recovery(1 / np.sqrt(2), 1 / np.sqrt(2))
-    assert max_abs(even.ops[0][1] - code.projector) <= 1e-12
+    assert max_abs(even.stack[0] - code.projector) <= 1e-12
 
     rng = np.random.default_rng(42)
     for _ in range(10):
@@ -258,7 +276,7 @@ def test_fletcher_recovery_structure():
         a, b = complex(v[0], v[1]), complex(v[2], v[3])
         rec = q.fletcher_recovery(a, b)
         assert rec.completeness_defect() <= 1e-10
-        r1, r2 = rec.ops[0][1], rec.ops[1][1]
+        r1, r2 = rec.stack[0], rec.stack[1]
         block = dagger(r1) @ r1 + dagger(r2) @ r2
         expected = sum(
             np.outer(ket(s), ket(s).conj()) for s in ("0000", "0011", "1100", "1111")
