@@ -2,15 +2,16 @@
 
 A channel is one read-only (L, d, d) stack of Kraus operators with a tuple
 of L labels; the kernels contract the stack directly, and ``kraus`` is a
-lazy view of it as labeled terms, kept for readers.  Labels of enlarged
-operators are bitstrings of error positions ("0100" = error on qubit 2),
-with qubit 1 the leftmost character and the leftmost character the leftmost
-Kronecker factor, so that basis kets read off directly from labels; the
-error weight of an operator is the number of 1s in its label.
+lazy view of it as labeled terms, kept for readers.  ``enlarge`` gathers
+the n-qubit products by flat indices built once per n.  Labels of enlarged
+operators are bitstrings of error positions ("0100" = error on qubit 2), with
+qubit 1 the leftmost character and the leftmost Kronecker factor, so basis
+kets read off directly from labels; the 1s of a label count its error weight.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -81,20 +82,24 @@ class ChannelCertificate:
     unital: bool
 
 
-def _two_outcome_channel(p: float, flip_op: np.ndarray) -> KrausChannel:
+_FLIP_PAIRS = np.array([[PAULI_I, PAULI_X], [PAULI_I, PAULI_Z]])  # the pairs (I, X) and (I, Z)
+_FLIP_PAIRS.flags.writeable = False
+
+
+def _two_outcome_channel(p: float, pair: np.ndarray) -> KrausChannel:
     if not 0.0 <= p <= 1.0:
         raise ValueError("error probability must lie in [0, 1]")
-    return KrausChannel(1, ("0", "1"), [np.sqrt(1.0 - p) * PAULI_I, np.sqrt(p) * flip_op])
+    return KrausChannel(1, ("0", "1"), np.sqrt([1 - p, p])[:, None, None] * pair)
 
 
 def bitflip_single(p: float) -> KrausChannel:
     """Bit-flip channel: rho -> (1-p) rho + p X rho X."""
-    return _two_outcome_channel(p, PAULI_X)
+    return _two_outcome_channel(p, _FLIP_PAIRS[0])
 
 
 def phaseflip_single(p: float) -> KrausChannel:
     """Phase-flip (dephasing) channel: rho -> (1-p) rho + p Z rho Z."""
-    return _two_outcome_channel(p, PAULI_Z)
+    return _two_outcome_channel(p, _FLIP_PAIRS[1])
 
 
 def ad_single(gamma: float) -> KrausChannel:
@@ -117,14 +122,13 @@ def _label_order_key(label: str) -> tuple:
 
 @lru_cache(maxsize=None)
 def _label_order(n: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """Label of every n-qubit product in output order, and its stack row.
+    """Label of every n-qubit product in output order, and its row in ``np.kron`` order.
 
-    The stack built by ``enlarge`` holds the product for label ``b`` at row
-    int(b, 2).
+    In ``np.kron`` order (the order ``_product_gathers`` forms before its
+    last step) the product for label ``b`` is row int(b, 2).
     """
     labels = sorted((format(i, "0%db" % n) for i in range(2 ** n)), key=_label_order_key)
-    order = np.array([int(label, 2) for label in labels])
-    return tuple(labels), order
+    return tuple(labels), np.array([int(label, 2) for label in labels])
 
 
 # Holds one sweep point's channel plus the three gammas of a pair
@@ -141,10 +145,10 @@ def enlarge(channel: KrausChannel, n: int) -> KrausChannel:
     the label set is stable across parameter sweeps.
 
     All products are built at once as a (2**n, 2**n, 2**n) stack: each step
-    multiplies the stack so far by the single-qubit pair (A_0, A_1) with
-    broadcasting, which forms the same entrywise products, leftmost factor
-    first, as ``np.kron``.  Put in label order once, it is the result's
-    ``stack``; ``kraus`` views its rows only when read.
+    gathers the stack so far and the single-qubit pair (A_0, A_1) by index
+    arrays built once per n and multiplies them, which forms the products of
+    ``np.kron``, leftmost factor first.  The last step's rows are in label
+    order: its result is the ``stack``; ``kraus`` views its rows when read.
 
     For n >= 2 the result is shared and read-only: the last
     ``_ENLARGE_CACHE_SIZE`` (8) enlargements are kept, keyed on ``n`` and the
@@ -152,12 +156,13 @@ def enlarge(channel: KrausChannel, n: int) -> KrausChannel:
     name the channel), so a sweep that applies one channel to several
     recoveries, or a search that reuses three damping sets over 28 code
     pairs, builds each set once.  Writing to an operator raises
-    ``ValueError``.
+    ``ValueError``, as does an ``n`` that is not a positive integer (bool or 3.0).
     """
     if channel.n_qubits != 1:
         raise ValueError("enlarge expects a single-qubit channel")
-    if n < 1:
-        raise ValueError("need at least one qubit")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError("the number of qubits must be a positive integer")
+    n = int(n)  # a numpy integer keys the caches as the equal int
     if n == 1:
         return channel
     if channel.labels != ("0", "1"):  # the constructor has checked the 2 x 2 shape
@@ -165,18 +170,31 @@ def enlarge(channel: KrausChannel, n: int) -> KrausChannel:
     return _enlarge_pair(n, channel.stack.tobytes())
 
 
+@lru_cache(maxsize=None)
+def _product_gathers(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Read-only flat indices (left, right) of each step ``stack = stack[left] * pair[right]``.
+
+    The step from k operators of dimension k to 2k (k = 2, 4, ...) sets entry (a, r, c)
+    to stack[a//2, r//2, c//2] * pair[a%2, r%2, c%2]; the last one takes rows in label order.
+    """
+    steps = []
+    for k in [2 ** m for m in range(1, n)]:
+        rows = _label_order(n)[1] if 2 * k == 2 ** n else np.arange(2 * k)
+        a, r, c = np.ix_(rows, np.arange(2 * k), np.arange(2 * k))
+        left = ((a // 2 * k + r // 2) * k + c // 2).ravel()
+        right = ((a % 2 * 2 + r % 2) * 2 + c % 2).ravel()
+        left.flags.writeable = right.flags.writeable = False
+        steps.append((left, right))
+    return tuple(steps)
+
+
 @lru_cache(maxsize=_ENLARGE_CACHE_SIZE)
 def _enlarge_pair(n: int, pair_bytes: bytes) -> KrausChannel:
     """The read-only n-qubit products of the (2, 2, 2) operator pair in ``pair_bytes``."""
-    pair = np.frombuffer(pair_bytes, dtype=complex).reshape(2, 2, 2)
-    stack = pair
-    for _ in range(n - 1):
-        k, d = stack.shape[:2]
-        stack = (stack[:, None, :, None, :, None] * pair[None, :, None, :, None, :]).reshape(
-            2 * k, 2 * d, 2 * d
-        )
-    labels, order = _label_order(n)
-    return KrausChannel(n, labels, stack[order])
+    pair = stack = np.frombuffer(pair_bytes, dtype=complex)
+    for left, right in _product_gathers(n):
+        stack = stack[left] * pair[right]
+    return KrausChannel(n, _label_order(n)[0], stack.reshape(2 ** n, 2 ** n, -1))
 
 
 def certify(channel: KrausChannel) -> ChannelCertificate:

@@ -56,6 +56,7 @@ from .linalg import dagger, ket, restrict
 
 DEFAULT_TOL = 1e-10
 CHANNEL_TOL = 1e-12
+BELOW_THRESHOLD_SLACK = 1e-12  # the bitflip row is below threshold while 1 - F <= p + this
 
 Check = tuple[str, bool, float]  # (name, passed, deviation)
 # header, table rows, footer lines, JSON object, checks
@@ -176,9 +177,8 @@ def cmd_bitflip(args) -> Report:
     for p in grid:
         channel, f, b = point(p)
         checks.append(_trace_preserving("bitflip(p=%g)" % p, channel))
-        rows.append(
-            [p, f, b, 1.0 - f, float(f >= b - USEFUL_SLACK), float(1.0 - f <= p + 1e-12)]
-        )
+        rows.append([p, f, b, 1.0 - f, float(f >= b - USEFUL_SLACK),
+                     float(1.0 - f <= p + BELOW_THRESHOLD_SLACK)])
     report = threshold_analysis(lambda p: point(p)[1], lambda p: point(p)[2],
                                 np.linspace(0.0, 1.0, 101))
     useful = report.coding_useful_range

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .codes import QuantumCode
-from .linalg import dagger
+from .linalg import PAULI_I, dagger
 from .recovery import RecoveryOperation
 
 TermKey = tuple[Union[int, str], int]
@@ -31,6 +31,8 @@ NONVANISHING_TOL = 1e-14  # smallest term contribution nonvanishing_terms lists
 THRESHOLD_TOL = 1e-10  # width at which threshold_analysis stops bisecting a crossing
 USEFUL_SLACK = 1e-12  # coding counts as useful while F_code >= F_baseline - USEFUL_SLACK
 TRACE_PRESERVING_TOL = 1e-10  # largest recovery completeness defect entanglement_fidelity accepts
+UNITARY_BRANCH_TOL = 1e-12  # max-norm |A^dag A - p I| at which baseline_no_qec weights A by p
+CROSSING_MARGIN = 1e-15  # threshold_analysis brackets a crossing once p - (1 - F) < -this
 
 
 @dataclass(frozen=True)
@@ -123,13 +125,13 @@ def baseline_no_qec(channel: KrausChannel) -> float:
         raise ValueError("baseline is defined for single-qubit channels")
     stack = channel.stack
     grams = stack.conj().transpose(0, 2, 1) @ stack
-    probs = np.trace(grams, axis1=1, axis2=2).real / channel.dim
-    unitary = np.abs(grams - probs[:, None, None] * np.eye(channel.dim)).max(axis=(1, 2)) <= 1e-12
+    probs = (grams[:, 0, 0] + grams[:, 1, 1]).real / channel.dim
+    unitary = np.abs(grams - probs[:, None, None] * PAULI_I).max(axis=(1, 2)) <= UNITARY_BRANCH_TOL
     weights = np.where(unitary, probs, 1.0).tolist()
     # summed term by term with Python's abs: the vectorized np.abs of a complex
     # array can differ from the scalar one in the last bit
     total = 0.0
-    for weight, trace in zip(weights, np.trace(stack, axis1=1, axis2=2).tolist()):
+    for weight, trace in zip(weights, (stack[:, 0, 0] + stack[:, 1, 1]).tolist()):
         total += weight * abs(trace) ** 2
     return 0.25 * total
 
@@ -195,7 +197,7 @@ def threshold_analysis(
     useful = (float(grid[0]), float(grid[last_useful])) if last_useful >= 0 else None
 
     margin = grid - (1.0 - coded)
-    crossings = np.flatnonzero((margin[1:] < -1e-15) & (margin[:-1] >= 0))
+    crossings = np.flatnonzero((margin[1:] < -CROSSING_MARGIN) & (margin[:-1] >= 0))
     threshold = float(grid[-1])
     if crossings.size:
         i = int(crossings[0])

@@ -56,6 +56,16 @@ MUTANTS = (
            "return list(self.stack if self.leftover is None else self.stack[:-1])",
            "return list(self.stack)",
            "tests/test_kernel_oracle.py"),
+    # For n = 3 the label order keeps "000" and "111" in place; the 4-qubit
+    # damping labels of the ket-image test do move.
+    Mutant("enlarge-label-order-dropped", "channels.py",
+           "rows = _label_order(n)[1] if 2 * k == 2 ** n else np.arange(2 * k)",
+           "rows = np.arange(2 * k)",
+           "tests/test_channels.py"),
+    Mutant("baseline-unitary-weight-ignored", "fidelity.py",
+           "weights = np.where(unitary, probs, 1.0).tolist()",
+           "weights = np.where(unitary, 1.0, 1.0).tolist()",
+           "tests/test_fidelity.py"),
     Mutant("channel-stack-writeable", "channels.py",
            "stack.flags.writeable = False", "stack.flags.writeable = True",
            "tests/test_channels.py"),

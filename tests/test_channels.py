@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qecwb as q
+from qecwb.channels import _enlarge_pair, _product_gathers
 from qecwb.linalg import PAULI_X, PAULI_Z, dagger, max_abs
 
 
@@ -128,6 +129,26 @@ def test_enlarge_validates_input():
     relabeled = q.KrausChannel(1, ("I", "X"), q.bitflip_single(0.1).stack)
     with pytest.raises(ValueError, match="labels"):
         q.enlarge(relabeled, 2)
+
+
+BAD_QUBIT_COUNTS = (3.0, 2.5, True, False, np.True_, "3", None)
+
+
+@pytest.mark.parametrize("warm_first", [False, True], ids=["cold", "warm"])
+def test_enlarge_rejects_non_integer_qubit_counts_cold_and_warm(warm_first):
+    # the caches key on n, where 3.0 == 3 and True == 1, so a warm cache must
+    # not turn an invalid n into a cached answer
+    channel = q.bitflip_single(0.2)
+    _enlarge_pair.cache_clear()
+    _product_gathers.cache_clear()
+    if warm_first:
+        q.enlarge(channel, 3)
+    for n in BAD_QUBIT_COUNTS:
+        with pytest.raises(ValueError, match="positive integer"):
+            q.enlarge(channel, n)
+    built = q.enlarge(channel, np.int64(3))
+    assert built is q.enlarge(channel, 3) and type(built.n_qubits) is int
+    assert q.enlarge(channel, np.int32(1)) is channel
 
 
 def test_enlarge_single_qubit_is_identity_operation():

@@ -3,9 +3,11 @@
 The loop forms here are the plain definitions: a per-operator sum of
 A^dag A in ``completeness_defect``, one ``np.kron`` per label in
 ``enlarge`` (bitwise equal, whether the result comes from the cache or is
-rebuilt), a double loop over (k, l) codespace-restricted traces in
+rebuilt, and byte for byte on random complex pairs with signed zeros), a
+double loop over (k, l) codespace-restricted traces in
 ``entanglement_fidelity``, one Gram matrix and trace per operator in
-``baseline_no_qec``, ``np.vdot`` blocks in ``kl_gram`` and the direct
+``baseline_no_qec`` (and its ``np.trace``/``np.eye`` form, byte for byte),
+``np.vdot`` blocks in ``kl_gram`` and the direct
 (G, L, d, 2) contraction in ``_gram_blocks`` (bitwise), a strict ``>``
 scan over error pairs in ``exact_correctable``, one block set per gamma and
 one ``polyfit`` per error pair in ``classify_pair``, and one dense
@@ -110,6 +112,20 @@ def loop_baseline_no_qec(channel):
             total += prob * abs(np.trace(t.op)) ** 2
         else:
             total += abs(np.trace(t.op)) ** 2
+    return 0.25 * total
+
+
+def trace_form_baseline_no_qec(channel):
+    """``baseline_no_qec`` written with ``np.trace`` and ``np.eye``, as it was before the
+    diagonals were added by hand; it must agree bit for bit."""
+    stack = channel.stack
+    grams = stack.conj().transpose(0, 2, 1) @ stack
+    probs = np.trace(grams, axis1=1, axis2=2).real / channel.dim
+    unitary = np.abs(grams - probs[:, None, None] * np.eye(channel.dim)).max(axis=(1, 2)) <= 1e-12
+    weights = np.where(unitary, probs, 1.0).tolist()
+    total = 0.0
+    for weight, trace in zip(weights, np.trace(stack, axis1=1, axis2=2).tolist()):
+        total += weight * abs(trace) ** 2
     return 0.25 * total
 
 
@@ -387,6 +403,47 @@ def test_enlarge_matches_per_label_kron(seed, n):
         assert result.labels == tuple(label for label, _ in expected)
         for term, (label, op) in zip(result.kraus, expected):
             assert np.array_equal(term.op, op)
+
+
+def float_bits(x):
+    return np.float64(x).tobytes()  # tells -0.0 from 0.0
+
+
+def test_baseline_equals_trace_form_bit_for_bit_at_the_corners():
+    for p in (0.0, -0.0, 1.0, 0.5, 1e-300):
+        for channel in (q.bitflip_single(p), q.phaseflip_single(p), q.ad_single(p)):
+            assert float_bits(q.baseline_no_qec(channel)) == float_bits(
+                trace_form_baseline_no_qec(channel))
+
+
+@oracle_settings
+@given(seed=seeds, n_ops=st.integers(1, 3))
+def test_baseline_equals_trace_form_bit_for_bit(seed, n_ops):
+    rng = np.random.default_rng(seed)
+    labels = tuple("abc"[:n_ops])
+    probs = rng.dirichlet(np.ones(n_ops))
+    # Kraus operators cut from a random isometry, and probabilistic-unitary branches
+    cut = KrausChannel(1, labels, random_isometry(rng, 2 * n_ops, 2).reshape(n_ops, 2, 2))
+    unitary = KrausChannel(1, labels, [np.sqrt(w) * random_isometry(rng, 2, 2) for w in probs])
+    for channel in (cut, unitary):
+        assert float_bits(q.baseline_no_qec(channel)) == float_bits(
+            trace_form_baseline_no_qec(channel))
+
+
+# finite reals with both signed zeros drawn often
+signed_reals = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)), st.floats(-2.0, 2.0))
+
+
+@oracle_settings
+@given(entries=st.lists(st.tuples(signed_reals, signed_reals), min_size=8, max_size=8),
+       n=st.integers(2, 4))
+def test_enlarge_rows_equal_kron_chains_bit_for_bit(entries, n):
+    pair = np.array([complex(re, im) for re, im in entries]).reshape(2, 2, 2)
+    channel = KrausChannel(1, ("0", "1"), pair)
+    built = q.enlarge(channel, n)
+    for label, row in zip(built.labels, built.stack):
+        chain = reduce(np.kron, [channel.stack[int(c)] for c in label])
+        assert row.tobytes() == chain.tobytes(), label
 
 
 @oracle_settings
