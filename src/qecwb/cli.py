@@ -3,8 +3,8 @@
 Subcommands drive every analysis in the package and emit tables as CSV,
 JSON, or plain text.  All output is deterministic: identical inputs produce
 byte-identical CSV/JSON.  The environment variable ``QECWB_TOL`` overrides
-the default 1e-10 verdict tolerance used by the internal certificates; it
-must be a finite positive number.
+the recovery-completeness gate, by default ``fidelity.TRACE_PRESERVING_TOL``;
+it must be a finite positive number.
 
 Exit status 1 means a certificate failed; each failed one is named on
 stderr as ``check failed: <name> (deviation <x>)``.  Bad input exits with
@@ -14,7 +14,7 @@ one ``error: ...`` line.
     qecwb ad-fidelity --recovery qec|cp|fletcher|fletcher-opt [--grid log:1e-4:1e-2:9]
     qecwb enumerate
     qecwb fig1 [--gamma-max 1e-2] [--points 101]
-    qecwb appendix-a [--gamma 0.1]      # needs (1-gamma)^2 > 1e-12
+    qecwb appendix-a [--gamma 0.1]      # needs (1-gamma)^2 > recovery.RESIDUE_FLOOR
     qecwb certify
 """
 
@@ -51,12 +51,17 @@ from . import (
     standard_ad_recovery,
     threshold_analysis,
 )
-from .fidelity import USEFUL_SLACK, sweep_grid
+from .fidelity import (SERIES_NOISE_MAX, TRACE_PRESERVING_TOL, USEFUL_SLACK, in_series_domain,
+                       sweep_grid)
 from .linalg import dagger, ket, restrict
+from .recovery import RESIDUE_FLOOR
 
-DEFAULT_TOL = 1e-10
 CHANNEL_TOL = 1e-12
 BELOW_THRESHOLD_SLACK = 1e-12  # the bitflip row is below threshold while 1 - F <= p + this
+BOOKKEEPING_TOL = 1e-12  # certify: largest |sum of damping detection probabilities - 1|
+# appendix-a's domain, (1-gamma)^2 > RESIDUE_FLOOR, as its error message and --gamma help state it
+_APPENDIX_A_DOMAIN = "%g, i.e. gamma below about 1 - %s" % (
+    RESIDUE_FLOOR, ("%g" % np.sqrt(RESIDUE_FLOOR)).replace("e-0", "e-"))
 
 Check = tuple[str, bool, float]  # (name, passed, deviation)
 # header, table rows, footer lines, JSON object, checks
@@ -64,7 +69,7 @@ Report = tuple[list[str], list[list], list[str], dict, list[Check]]
 
 
 def _tolerance() -> float:
-    raw = os.environ.get("QECWB_TOL", repr(DEFAULT_TOL))
+    raw = os.environ.get("QECWB_TOL", repr(TRACE_PRESERVING_TOL))
     try:
         tol = float(raw)
     except ValueError:
@@ -223,7 +228,7 @@ def cmd_ad_fidelity(args) -> Report:
             f = entanglement_fidelity(code, rec, channel).value
         rows.append([g, f])
     fit = None
-    if len(grid) >= 3 and grid[0] > 0 and grid[-1] <= 1e-2:
+    if in_series_domain(grid):
         fit = second_order_coeff(dict(zip(grid, (f for _, f in rows))).__getitem__, grid)
     footer = []
     if fit is not None:
@@ -328,9 +333,9 @@ def cmd_appendix_a(args) -> Report:
     p = code.projector
     sub_basis = [ket("0000"), ket("0011"), ket("1100"), ket("1111")]
     restricted = restrict(p @ dagger(a) @ a @ p, sub_basis)
-    if not (1.0 - gamma) ** 2 > 1e-12:
-        raise ValueError("appendix-a needs the restricted eigenvalue (1-gamma)^2 above 1e-12, "
-                         "i.e. gamma below about 1 - 1e-6; got gamma = %r" % gamma)
+    if not (1.0 - gamma) ** 2 > RESIDUE_FLOOR:
+        raise ValueError("appendix-a needs the restricted eigenvalue (1-gamma)^2 above %s; "
+                         "got gamma = %r" % (_APPENDIX_A_DOMAIN, gamma))
     # the restricted matrix has rank 2: keep its two largest eigenvalues
     nonzero = [float(x) for x in np.linalg.eigvalsh(restricted)[-2:]]
     lam_min, lam_max = nonzero
@@ -391,7 +396,7 @@ def cmd_certify(args) -> Report:
         norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
         state = (alpha * code.zero_logical + beta * code.one_logical) / norm
         worst = max(worst, abs(detection_probability(code, errors, state) - 1.0))
-    checks.append(("damping probability bookkeeping (100 random code states)", worst <= 1e-12, worst))
+    checks.append(("damping probability bookkeeping (100 random code states)", worst <= BOOKKEEPING_TOL, worst))
 
     all_ok = all(ok for _, ok, _ in checks)
     lines = [
@@ -441,14 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig1", help="truncated-series comparison of the three recoveries")
     common(p)
-    p.add_argument("--gamma-max", type=float, default=1e-2)
+    p.add_argument("--gamma-max", type=float, default=SERIES_NOISE_MAX)
     p.add_argument("--points", type=int, default=101)
     p.set_defaults(func=cmd_fig1)
 
     p = sub.add_parser("appendix-a", help="recovery unitary and residue for the no-damp error")
     common(p)
     p.add_argument("--gamma", type=float, default=0.1,
-                   help="damping rate; needs (1-gamma)^2 > 1e-12, i.e. gamma below about 1 - 1e-6")
+                   help="damping rate; needs (1-gamma)^2 > " + _APPENDIX_A_DOMAIN)
     p.set_defaults(func=cmd_appendix_a)
 
     p = sub.add_parser("certify", help="structural certificates for channels and recoveries")

@@ -46,9 +46,9 @@ class QuantumCode:
         if zero.shape != (dim,) or one.shape != (dim,):
             raise ValueError("codeword dimension mismatch")
         for v in (zero, one):
-            if abs(np.linalg.norm(v) - 1.0) > CODEWORD_TOL:
+            if not abs(np.linalg.norm(v) - 1.0) <= CODEWORD_TOL:
                 raise ValueError("codewords must be normalized")
-        if abs(np.vdot(zero, one)) > CODEWORD_TOL:
+        if not abs(np.vdot(zero, one)) <= CODEWORD_TOL:
             raise ValueError("codewords must be orthogonal")
         proj, iso = projector([zero, one]), np.stack([zero, one], axis=1)
         for name, value in (("zero_logical", zero), ("one_logical", one), ("projector", proj),

@@ -20,6 +20,7 @@ import numpy as np
 
 from .channels import KrausChannel, _label_order, ad_single, enlarge
 from .codes import QuantumCode, SelfComplementaryPair
+from .fidelity import SERIES_NOISE_MAX
 from .linalg import max_abs
 
 EXACT_TOL = 1e-10  # largest Knill-Laflamme violation exact_correctable calls exact
@@ -92,7 +93,7 @@ def _fit_slope(gammas: Sequence[float], values) -> np.ndarray:
 
 def _noise_samples(gammas: Sequence[float]) -> tuple[float, ...]:
     gammas = tuple(float(g) for g in gammas)
-    if len(set(gammas)) < 2 or not all(0.0 < g <= 1e-2 for g in gammas):
+    if len(set(gammas)) < 2 or not all(0.0 < g <= SERIES_NOISE_MAX for g in gammas):
         raise ValueError("need >= 2 distinct noise samples in (0, 1e-2], got %r" % (gammas,))
     return gammas
 

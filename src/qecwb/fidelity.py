@@ -33,6 +33,7 @@ USEFUL_SLACK = 1e-12  # coding counts as useful while F_code >= F_baseline - USE
 TRACE_PRESERVING_TOL = 1e-10  # largest recovery completeness defect entanglement_fidelity accepts
 UNITARY_BRANCH_TOL = 1e-12  # max-norm |A^dag A - p I| at which baseline_no_qec weights A by p
 CROSSING_MARGIN = 1e-15  # threshold_analysis brackets a crossing once p - (1 - F) < -this
+SERIES_NOISE_MAX = 1e-2  # largest noise sample of the series fit and of the violation-order fits
 
 
 @dataclass(frozen=True)
@@ -104,13 +105,10 @@ def nonvanishing_terms(
     """Indices (k, l) of recovery-operator terms contributing above tol.
 
     Leftover-projector rows are bookkept separately in the term table and
-    are not part of the (k, l) lattice returned here.
+    are not part of the (k, l) lattice returned here.  Keys come row by row.
     """
-    return [
-        t.key
-        for t in result.terms
-        if isinstance(t.key[0], int) and t.contribution > tol
-    ]
+    return [(k, l) for k, row in zip(result.row_keys, result.table.tolist()) if k != "O"
+            for l, trace in enumerate(row) if 0.25 * abs(trace) ** 2 > tol]
 
 
 def baseline_no_qec(channel: KrausChannel) -> float:
@@ -206,6 +204,11 @@ def threshold_analysis(
     return ThresholdReport(useful, threshold)
 
 
+def in_series_domain(gammas: np.ndarray) -> bool:
+    """Whether ``second_order_coeff`` fits ``gammas``: 3 or more, all in (0, SERIES_NOISE_MAX]."""
+    return len(gammas) >= 3 and bool(np.all((gammas > 0) & (gammas <= SERIES_NOISE_MAX)))
+
+
 def second_order_coeff(
     curve: Callable[[float], float], gammas: Sequence[float]
 ) -> SeriesEstimate:
@@ -216,10 +219,10 @@ def second_order_coeff(
     coefficients; the cubic term absorbs the higher-order tail so the
     quadratic coefficient is recovered to ~1e-3 on grids in (0, 1e-2].
     ``residual`` is the largest deviation of the fitted polynomial from the
-    samples.  A non-finite sample raises ``ValueError``.
+    samples.  A sample outside ``in_series_domain`` or a non-finite value raises ``ValueError``.
     """
     gammas = np.asarray(sorted(gammas), dtype=float)
-    if len(gammas) < 3 or gammas[0] <= 0 or gammas[-1] > 1e-2:
+    if not in_series_domain(gammas):
         raise ValueError("need >= 3 strictly positive samples, all <= 1e-2")
     if np.any(np.diff(gammas) <= 0):
         raise ValueError("samples must be distinct")

@@ -19,6 +19,8 @@ from typing import Sequence
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_STEPS = 200  # golden-section contractions numeric_optimum makes at most
+GOLDEN_WIDTH = 1e-12  # interval width at which numeric_optimum stops contracting
+RADIUS_SLACK = 1e-12  # FletcherParams accepts a radius up to 1 + this
 _LINEAR_SCALE = 4.0 * math.sqrt(2.0)
 
 
@@ -36,7 +38,7 @@ class FletcherParams:
     b_im: float
 
     def __post_init__(self):
-        if not self.radius <= 1.0 + 1e-12:
+        if not self.radius <= 1.0 + RADIUS_SLACK:
             raise ValueError("radius must not exceed 1")
 
     @property
@@ -106,7 +108,7 @@ def numeric_optimum(gamma: float) -> Optimum:
 
     Parametrizes (Re a, Re b) = (cos t, sin t) on [0, pi/2] with imaginary
     parts zero; the interval contracts by the golden ratio ``GOLDEN_STEPS``
-    times (or until it reaches 1e-12 width).  Near the maximum the objective
+    times (or until it reaches ``GOLDEN_WIDTH``).  Near the maximum the objective
     is flat to within rounding, which limits pure interval contraction to
     ~sqrt(eps) in the angle, so a final three-point parabolic step on a wide
     stencil pins the vertex down to ~1e-12.
@@ -122,7 +124,7 @@ def numeric_optimum(gamma: float) -> Optimum:
     d = lo + GOLDEN * (hi - lo)
     fc, fd = score(c), score(d)
     for _ in range(GOLDEN_STEPS):
-        if hi - lo < 1e-12:
+        if hi - lo < GOLDEN_WIDTH:
             break
         if fc < fd:
             lo, c, fc = c, d, fd

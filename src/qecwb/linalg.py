@@ -16,6 +16,9 @@ import numpy as np
 # gamma**2 effects down to gamma ~ 1e-4.
 HERMITICITY_TOL = 1e-10  # max-norm |M - M^dag| that hermitian_eig accepts
 EIGENVALUE_CLAMP_TOL = 1e-10  # psd_sqrt sets eigenvalues below this to zero
+NEGATIVE_EIGENVALUE_TOL = 1e-8  # psd_sqrt raises on an eigenvalue below -this
+PHASE_PIVOT_TOL = 1e-12  # hermitian_eig makes each eigenvector's first entry above this real > 0
+ORTHONORMAL_TOL = 1e-10  # max-norm |B^dag B - I| that restrict accepts of its basis B
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -55,11 +58,11 @@ def ket(bits: str) -> np.ndarray:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first component above 1e-12 is real positive."""
+    """Rotate each column so its first component above ``PHASE_PIVOT_TOL`` is real positive."""
     out = vectors.copy()
     for j in range(out.shape[1]):
         col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        nz = np.flatnonzero(np.abs(col) > PHASE_PIVOT_TOL)
         if nz.size:
             pivot = col[nz[0]]
             out[:, j] = col * (pivot.conjugate() / abs(pivot))
@@ -87,11 +90,11 @@ def hermitian_eig(m: np.ndarray):
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Principal square root of a positive semidefinite Hermitian matrix.
 
-    Eigenvalues below ``EIGENVALUE_CLAMP_TOL`` down to -1e-8 are clamped to
-    zero; anything more negative signals genuinely non-PSD input and raises.
+    Eigenvalues in [-``NEGATIVE_EIGENVALUE_TOL``, ``EIGENVALUE_CLAMP_TOL``) are set
+    to zero; anything more negative signals genuinely non-PSD input and raises.
     """
     values, vectors = hermitian_eig(m)
-    if values.min(initial=0.0) < -1e-8:
+    if values.min(initial=0.0) < -NEGATIVE_EIGENVALUE_TOL:
         raise ValueError("matrix has a negative eigenvalue: %g" % values.min())
     # zero everything below the clamp: sqrt would amplify O(eps) noise to O(1e-8)
     values = np.where(values < EIGENVALUE_CLAMP_TOL, 0.0, values)
@@ -126,7 +129,7 @@ def restrict(m: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
     b = np.column_stack([np.asarray(v, dtype=complex) for v in basis])
     if b.shape[0] != m.shape[1]:
         raise ValueError("basis dimension does not match matrix")
-    if max_abs(dagger(b) @ b - np.eye(b.shape[1])) > 1e-10:
+    if not max_abs(dagger(b) @ b - np.eye(b.shape[1])) <= ORTHONORMAL_TOL:
         raise ValueError("basis is not orthonormal")
     return dagger(b) @ m @ b
 

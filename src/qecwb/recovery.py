@@ -22,6 +22,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .codes import QuantumCode, leung4, repetition3
+from .fletcher import _check_damping
 from .linalg import (
     dagger,
     gram_schmidt,
@@ -33,6 +34,10 @@ from .linalg import (
 
 KERNEL_TOL = 1e-10
 UNIT_CONSTRAINT_TOL = 1e-10  # largest | |a|**2 + |b|**2 - 1 | that fletcher_recovery accepts
+PROJECTOR_TOL = 1e-10  # max-norm |P^2 - P| and |P - P^dag| that polar_decompose accepts
+RESIDUE_FLOOR = 1e-12  # residue's nonzero-eigenvalue cut; appendix-a needs (1-gamma)^2 above it
+EIGENVALUE_MATCH_TOL = 1e-9  # residue's gate on |p_l - largest| and |lambda_l p_l - smallest|
+RESIDUE_BAND_SLACK = 1e-10  # residue's bound_ok allows singular values up to the band + this
 
 
 @dataclass(frozen=True, eq=False)  # eq=False: the factors are arrays
@@ -102,7 +107,7 @@ def polar_decompose(a: np.ndarray, p: np.ndarray) -> PolarDecomposition:
     """Polar factorization of an error against a codespace projector.
 
     J is the PSD square root of P A^dag A P.  Eigenvectors of J with
-    eigenvalue above 1e-10 map to image directions A P v / lambda; both the
+    eigenvalue above ``KERNEL_TOL`` map to image directions A P v / lambda; both the
     domain and image orthonormal sets are then completed with computational
     basis vectors in index order, and U pairs the two completions term by
     term.  Off the subspace touched by P and A P this makes U the identity,
@@ -110,7 +115,7 @@ def polar_decompose(a: np.ndarray, p: np.ndarray) -> PolarDecomposition:
     """
     a = np.asarray(a, dtype=complex)
     p = np.asarray(p, dtype=complex)
-    if max_abs(p @ p - p) > 1e-10 or max_abs(p - dagger(p)) > 1e-10:
+    if not max_abs([p @ p - p, p - dagger(p)]) <= PROJECTOR_TOL:
         raise ValueError("p must be an orthogonal projector")
     dim = a.shape[0]
     j = psd_sqrt(p @ dagger(a) @ a @ p)
@@ -132,23 +137,25 @@ def polar_decompose(a: np.ndarray, p: np.ndarray) -> PolarDecomposition:
 def residue(a: np.ndarray, p: np.ndarray, p_l: float, lambda_l: float) -> ResidueResult:
     """Residue pi = sqrt(P A^dag A P) - sqrt(lambda * p) P.
 
-    ``p_l`` is the largest and ``lambda_l * p_l`` the smallest eigenvalue of
-    the restricted P A^dag A P; the singular values of pi must lie in
-    [0, sqrt(p_l) - sqrt(lambda_l p_l)].
+    ``p_l`` must be the largest and ``lambda_l * p_l`` the smallest eigenvalue above
+    ``RESIDUE_FLOOR`` of the restricted P A^dag A P, or ``ValueError`` is raised;
+    ``bound_ok`` says whether pi's singular values lie in [0, sqrt(p_l) - sqrt(lambda_l p_l)].
     """
     a = np.asarray(a, dtype=complex)
     p = np.asarray(p, dtype=complex)
     restricted = p @ dagger(a) @ a @ p
     root = psd_sqrt(restricted)
     eigs = np.linalg.eigvalsh(0.5 * (restricted + dagger(restricted)))
-    nonzero = eigs[eigs > 1e-12]
+    nonzero = eigs[eigs > RESIDUE_FLOOR]
     smallest = float(nonzero.min()) if nonzero.size else 0.0
-    if abs(lambda_l * p_l - smallest) > 1e-9:
+    if not abs(p_l - eigs[-1]) <= EIGENVALUE_MATCH_TOL:
+        raise ValueError("p_l must equal the largest restricted eigenvalue")
+    if not abs(lambda_l * p_l - smallest) <= EIGENVALUE_MATCH_TOL:
         raise ValueError("lambda_l * p_l must equal the smallest restricted eigenvalue")
     pi = root - np.sqrt(lambda_l * p_l) * p
     singular = np.linalg.svd(pi, compute_uv=False)
     upper = np.sqrt(p_l) - np.sqrt(lambda_l * p_l)
-    bound_ok = bool(np.all(singular <= upper + 1e-10) and np.all(singular >= -1e-10))
+    bound_ok = bool(np.all(singular <= upper + RESIDUE_BAND_SLACK))
     return ResidueResult(pi, bound_ok)
 
 
@@ -225,8 +232,7 @@ def standard_ad_recovery(gamma: float) -> RecoveryOperation:
     (operator 2 and the four double-damping operators) out into the leftover.
     The codespace projector itself is not among the operators.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("damping rate must lie in [0, 1)")
+    _check_damping(gamma)
     c2 = (1.0 - gamma) ** 2
     a, b = np.array([1.0, c2], dtype=complex) / np.linalg.norm(ket("0000") + c2 * ket("1111"))
     return _damping_recovery(a, b, keep_tail=False)

@@ -76,6 +76,17 @@ MUTANTS = (
     Mutant("pair-codeword-writeable", "codes.py",
            'object.__setattr__(self, "codewords", self._code.codewords)', "pass",
            "tests/test_codes.py"),
+    Mutant("residue-largest-eigenvalue-unchecked", "recovery.py",
+           "if not abs(p_l - eigs[-1]) <= EIGENVALUE_MATCH_TOL:", "if False:",
+           "tests/test_recovery.py"),
+    # NaN fails every comparison, so only the `not dev <= TOL` form rejects it.
+    Mutant("codeword-gate-lets-nan-through", "codes.py",
+           "if not abs(np.linalg.norm(v) - 1.0) <= CODEWORD_TOL:",
+           "if abs(np.linalg.norm(v) - 1.0) > CODEWORD_TOL:",
+           "tests/test_codes.py"),
+    Mutant("gate-value-not-in-readme", "recovery.py",
+           "PROJECTOR_TOL = 1e-10", "PROJECTOR_TOL = 1e-9",
+           "tests/test_tolerances.py"),
 )
 
 

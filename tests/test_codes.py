@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qecwb as q
-from qecwb.linalg import dagger, ket, max_abs
+from qecwb.linalg import dagger, ket, max_abs, restrict
 from test_kernel_oracle import permute_qubits_matrix
 
 
@@ -101,6 +101,20 @@ def test_array_holders_compare_by_identity(make):
     first, second = make(), make()
     assert first == first and first != second
     assert len({first, second, first}) == 2
+
+
+NAN_STATE = np.full(8, np.nan, dtype=complex)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: q.QuantumCode(3, NAN_STATE, ket("111")), "codewords must be normalized"),
+    (lambda: restrict(np.eye(8), [NAN_STATE]), "basis is not orthonormal"),
+    (lambda: q.polar_decompose(np.eye(8), np.outer(NAN_STATE, NAN_STATE)),
+     "p must be an orthogonal projector"),
+], ids=["code", "restrict", "polar"])
+def test_nan_fails_deviation_gates(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_self_complementary_basis():

@@ -209,13 +209,20 @@ def test_second_order_fit_residual_on_recovery_curves():
         assert q.second_order_coeff(curve, grid).residual <= 1e-6
 
 
-def test_second_order_coeff_validates_grid():
+def test_second_order_coeff_validates_grid(capfd):
     with pytest.raises(ValueError):
         q.second_order_coeff(lambda g: 1.0, [1e-3, 1e-2])
     with pytest.raises(ValueError):
         q.second_order_coeff(lambda g: 1.0, [0.0, 1e-3, 1e-2])
     with pytest.raises(ValueError):
         q.second_order_coeff(lambda g: 1.0, [1e-4, 1e-3, 0.5])
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for position in range(3):
+            grid = [1e-4, 1e-3, 1e-2]
+            grid[position] = bad
+            with pytest.raises(ValueError, match=r"need >= 3 strictly positive samples, all <= 1e-2"):
+                q.second_order_coeff(lambda g: 1.0, grid)
+    assert capfd.readouterr().err == ""  # no LAPACK lines from a fit that must not run
 
 
 def test_second_order_coeff_rejects_non_finite_samples():

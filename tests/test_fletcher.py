@@ -31,7 +31,8 @@ def test_params_reject_nan(coords):
 
 @pytest.mark.parametrize("gamma", [NAN, -0.5, 1.0, 2.0])
 def test_optimum_searches_reject_bad_damping(gamma):
-    for search in (q.closed_form_optimum, q.numeric_optimum, lambda g: q.radius_sweep(g, [0.5])):
+    for search in (q.closed_form_optimum, q.numeric_optimum, lambda g: q.radius_sweep(g, [0.5]),
+                   q.standard_ad_recovery):
         with pytest.raises(ValueError, match=r"damping rate must lie in \[0, 1\)"):
             search(gamma)
 

@@ -461,6 +461,9 @@ def test_fidelity_matches_term_loop(seed, n, n_ops, with_leftover):
         assert abs(term.contribution - 0.25 * abs(tr) ** 2) <= TOL
     assert abs(result.value - 0.25 * sum(abs(tr) ** 2 for _, tr in expected)) <= TOL
     assert -TOL <= result.value <= 1.0 + TOL
+    for tol in (q.fidelity.NONVANISHING_TOL, 1e-2):  # the term list, read row by row, as reference
+        assert q.nonvanishing_terms(result, tol) == [
+            t.key for t in result.terms if t.key[0] != "O" and t.contribution > tol]
 
 
 @oracle_settings

@@ -169,6 +169,31 @@ def test_residue_validates_eigenvalue():
         q.residue(ad_op(0.1, "0000"), code.projector, p_l=0.9, lambda_l=0.5)
 
 
+def restricted_extremes(a, p):
+    eigs = np.linalg.eigvalsh(p @ dagger(a) @ a @ p)
+    return eigs[eigs > 1e-12].min(), eigs.max()
+
+
+def test_residue_rejects_p_l_other_than_the_largest_eigenvalue():
+    # lambda_l * p_l still equals the smallest eigenvalue; the band would be
+    # sqrt(10 p_l) - sqrt(smallest), about 1.98 instead of about 0.01
+    a, p = ad_op(0.1, "0000"), q.leung4().projector
+    smallest, largest = restricted_extremes(a, p)
+    with pytest.raises(ValueError, match="p_l must equal the largest restricted eigenvalue"):
+        q.residue(a, p, p_l=10 * largest, lambda_l=smallest / (10 * largest))
+
+
+@pytest.mark.parametrize("which", ["p_l", "lambda_l", "both"])
+def test_residue_rejects_nan_parameters(which):
+    a, p = ad_op(0.1, "0000"), q.leung4().projector
+    smallest, largest = restricted_extremes(a, p)
+    params = {"p_l": largest, "lambda_l": smallest / largest}
+    for name in params if which == "both" else [which]:
+        params[name] = float("nan")
+    with pytest.raises(ValueError, match="must equal the (largest|smallest) restricted eigenvalue"):
+        q.residue(a, p, **params)
+
+
 def test_repetition_recovery_structure():
     rec = q.repetition_recovery()
     ops = dict(zip(rec.labels, rec.stack))
