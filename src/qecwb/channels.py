@@ -11,6 +11,7 @@ kets read off directly from labels; the 1s of a label count its error weight.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -46,17 +47,18 @@ class KrausChannel:
     stack: np.ndarray
 
     def __post_init__(self):
+        dim, labels = 2 ** self.n_qubits, tuple(self.labels)
         try:
             stack = np.array(self.stack, dtype=complex)
         except ValueError:  # operators of different shapes fail the shape check below
             stack = np.empty(0)
-        if stack.shape[1:] != (self.dim, self.dim) or not len(stack):
+        if stack.shape[1:] != (dim, dim) or not len(stack):
             raise ValueError("a %d-qubit channel needs one or more %d x %d Kraus operators"
-                             % (self.n_qubits, self.dim, self.dim))
-        if len(self.labels) != len(stack):
+                             % (self.n_qubits, dim, dim))
+        if len(labels) != len(stack):
             raise ValueError("a channel needs one label per Kraus operator")
         stack.flags.writeable = False
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "stack", stack)
 
     @property
@@ -89,7 +91,8 @@ _FLIP_PAIRS.flags.writeable = False
 def _two_outcome_channel(p: float, pair: np.ndarray) -> KrausChannel:
     if not 0.0 <= p <= 1.0:
         raise ValueError("error probability must lie in [0, 1]")
-    return KrausChannel(1, ("0", "1"), np.sqrt([1 - p, p])[:, None, None] * pair)
+    scales = np.array([math.sqrt(1 - p), math.sqrt(p)])
+    return KrausChannel(1, ("0", "1"), scales[:, None, None] * pair)
 
 
 def bitflip_single(p: float) -> KrausChannel:
@@ -110,8 +113,9 @@ def ad_single(gamma: float) -> KrausChannel:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("damping rate must lie in [0, 1]")
-    stack = [[[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], [[0.0, np.sqrt(gamma)], [0.0, 0.0]]]
-    return KrausChannel(1, ("0", "1"), stack)
+    pair = np.zeros((2, 2, 2), dtype=complex)
+    pair[0, 0, 0], pair[0, 1, 1], pair[1, 0, 1] = 1.0, math.sqrt(1.0 - gamma), math.sqrt(gamma)
+    return KrausChannel(1, ("0", "1"), pair)
 
 
 def _label_order_key(label: str) -> tuple:
@@ -160,7 +164,8 @@ def enlarge(channel: KrausChannel, n: int) -> KrausChannel:
     """
     if channel.n_qubits != 1:
         raise ValueError("enlarge expects a single-qubit channel")
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+    # an exact int skips the slower ABC test
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)) or n < 1:
         raise ValueError("the number of qubits must be a positive integer")
     n = int(n)  # a numpy integer keys the caches as the equal int
     if n == 1:

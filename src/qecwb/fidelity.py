@@ -8,14 +8,18 @@ the squared codespace-restricted traces of all composed operation elements.
 With the codeword isometry V = [|0_L> |1_L>] (d x 2), every restricted trace
 is Tr(V^dag R_k A_l V), so the whole (k, l) trace table is one contraction of
 the stacked V^dag R_k against the stacked A_l V.  The leftover projector of a
-recovery, when present, adds one more row to the table, keyed "O".
+recovery, when present, adds one more row to the table, keyed "O".  Both
+factor stacks are read-only arrays kept in two small caches keyed on the
+identity of the (code, recovery) and (code, channel) objects, so a sweep
+that applies one channel to several recoveries forms A_l V once per point,
+and a shared recovery forms V^dag R_k once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -77,6 +81,26 @@ class SeriesEstimate:
     residual: float
 
 
+# Keyed on the objects, which compare by identity; a cache holds its keys, so
+# an identity cannot be reused while its entry lives.  Three recoveries cover
+# one damping sweep point (a new standard and adapted one, the shared
+# code-projected one); one channel covers the point's shared channel.
+@lru_cache(maxsize=3)
+def _recovery_factors(code: QuantumCode, recovery: RecoveryOperation) -> np.ndarray:
+    """Read-only (K, 2, d) stack of V^dag R_k."""
+    left = dagger(code.isometry) @ recovery.stack
+    left.flags.writeable = False
+    return left
+
+
+@lru_cache(maxsize=1)
+def _channel_factors(code: QuantumCode, channel: KrausChannel) -> np.ndarray:
+    """Read-only (L, d, 2) stack of A_l V."""
+    right = channel.stack @ code.isometry
+    right.flags.writeable = False
+    return right
+
+
 def entanglement_fidelity(
     code: QuantumCode, recovery: RecoveryOperation, errors: KrausChannel
 ) -> FidelityResult:
@@ -92,9 +116,8 @@ def entanglement_fidelity(
         raise ValueError("recovery is not trace preserving")
     leftover = recovery.leftover is not None
     row_keys = tuple(range(len(recovery.stack) - leftover)) + ("O",) * leftover
-    left = dagger(code.isometry) @ recovery.stack  # (K, 2, d): V^dag R_k
-    right = errors.stack @ code.isometry  # (L, d, 2): A_l V
-    table = np.einsum("kia,lai->kl", left, right)
+    table = np.einsum("kia,lai->kl", _recovery_factors(code, recovery),
+                      _channel_factors(code, errors))
     value = 0.25 * float(np.vdot(table, table).real)
     return FidelityResult(value, table, row_keys)
 

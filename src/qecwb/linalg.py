@@ -46,7 +46,8 @@ def completeness_defect(ops) -> float:
     """Max-norm deviation of sum_k A_k^dag A_k from I; pass the A_k^dag for unitality."""
     stack = np.asarray(ops, dtype=complex)
     gram = (stack.conj().transpose(0, 2, 1) @ stack).sum(axis=0)
-    return max_abs(gram - np.eye(stack.shape[-1]))
+    gram.reshape(-1)[:: stack.shape[-1] + 1] -= 1.0  # the diagonal, in place
+    return max_abs(gram)
 
 
 def ket(bits: str) -> np.ndarray:
@@ -75,16 +76,17 @@ def hermitian_eig(m: np.ndarray):
     Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues ascending
     and orthonormal eigenvector columns.  Each eigenvector is normalized so
     that its first nonzero component is real positive, which makes the
-    decomposition reproducible.  Rejects non-square input and input further
-    than ``HERMITICITY_TOL`` from Hermitian in the max norm.
+    decomposition reproducible.  Rejects non-square input, input further
+    than ``HERMITICITY_TOL`` from Hermitian in the max norm (NaN entries
+    included), and non-finite eigenvalues or eigenvectors.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    if max_abs(m - dagger(m)) > HERMITICITY_TOL:
+    if not max_abs(m - dagger(m)) <= HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within %g" % HERMITICITY_TOL)
     values, vectors = np.linalg.eigh(m)
-    return values, assert_finite(_fix_phases(vectors))
+    return assert_finite(values), assert_finite(_fix_phases(vectors))
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -8,8 +8,11 @@ the first operator reads out and in whether the tail is kept: the
 channel-adapted recovery keeps it for any (a, b), the code-projected one is
 the channel-adapted one at a = b = 1/sqrt(2), and the standard one reads out
 the damped image of |0_L> and projects the tail out into its leftover.
-A recovery is a ``KrausChannel``: one labeled read-only stack, whose last row
-is the leftover when it is labeled "O".
+Everything that does not depend on (a, b) is built once per process as
+read-only arrays: the syndrome and tail operators, the leftover's fixed
+projectors and the kets that (a, b) combine.  A recovery is a
+``KrausChannel``: one labeled read-only stack, whose last row is the leftover
+when it is labeled "O".
 """
 
 from __future__ import annotations
@@ -189,7 +192,8 @@ _PROJECTED_LABELS = ("adapted-1", "damp-1", "damp-2", "damp-3", "damp-4")
 
 @lru_cache(maxsize=None)
 def _damping_fixed() -> tuple:
-    """Syndromes, tail, tail projector sum, |1_L><1_L|, |0000>, |1111>, (|0011>-|1100>)/sqrt(2)."""
+    """Syndromes, tail, tail projector sum, |1_L><1_L|, |0000>, |1111>,
+    (|0011>-|1100>)/sqrt(2) and the projector on that last ket."""
     zero, one = leung4().codewords
     syndromes = tuple(_transfer(leung4(), ket(s0), ket(s1)) for s0, s1 in _SYNDROMES)
     tail_rows = [ket(s) for s in _TAIL]
@@ -197,9 +201,10 @@ def _damping_fixed() -> tuple:
     tail_sum = sum(np.outer(row.conj(), row) for row in tail_rows)
     one_proj = np.outer(one, one.conj())
     kets = (ket("0000"), ket("1111"), (ket("0011") - ket("1100")) / np.sqrt(2))
-    for part in (*syndromes, *tail, tail_sum, one_proj, *kets):
+    odd_proj = np.outer(kets[2].conj(), kets[2])
+    for part in (*syndromes, *tail, tail_sum, one_proj, *kets, odd_proj):
         part.flags.writeable = False
-    return syndromes, tail, tail_sum, one_proj, *kets
+    return syndromes, tail, tail_sum, one_proj, *kets, odd_proj
 
 
 def _damping_recovery(a: complex, b: complex, keep_tail: bool) -> RecoveryOperation:
@@ -213,12 +218,12 @@ def _damping_recovery(a: complex, b: complex, keep_tail: bool) -> RecoveryOperat
     four become the leftover projector onto their six rows.
     """
     zero, one = leung4().codewords
-    syndromes, tail, tail_sum, one_proj, k0, k1, odd = _damping_fixed()
+    syndromes, tail, tail_sum, one_proj, k0, k1, odd, odd_proj = _damping_fixed()
     # rows of the operators; np.outer applies no conjugation of its own
     first = np.outer(zero, a * k0 + b * k1) + one_proj
     second_row = b.conjugate() * k0 - a.conjugate() * k1
     if not keep_tail:
-        leftover = tail_sum + np.outer(second_row.conj(), second_row) + np.outer(odd.conj(), odd)
+        leftover = tail_sum + np.outer(second_row.conj(), second_row) + odd_proj
         return RecoveryOperation(4, _PROJECTED_LABELS + ("O",), [first, *syndromes, leftover])
     second = np.outer(zero, second_row) + np.outer(one, odd)
     return RecoveryOperation(4, _KEPT_LABELS, [first, second, *syndromes, *tail])
@@ -234,7 +239,8 @@ def standard_ad_recovery(gamma: float) -> RecoveryOperation:
     """
     _check_damping(gamma)
     c2 = (1.0 - gamma) ** 2
-    a, b = np.array([1.0, c2], dtype=complex) / np.linalg.norm(ket("0000") + c2 * ket("1111"))
+    k0, k1 = _damping_fixed()[4:6]
+    a, b = (np.array([1.0, c2], dtype=complex) / np.linalg.norm(k0 + c2 * k1)).tolist()
     return _damping_recovery(a, b, keep_tail=False)
 
 

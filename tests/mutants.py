@@ -87,6 +87,21 @@ MUTANTS = (
     Mutant("gate-value-not-in-readme", "recovery.py",
            "PROJECTOR_TOL = 1e-10", "PROJECTOR_TOL = 1e-9",
            "tests/test_tolerances.py"),
+    # Without the NaN-rejecting gate, NaN input ends in another error (or none).
+    Mutant("hermiticity-gate-lets-nan-through", "linalg.py",
+           "if not max_abs(m - dagger(m)) <= HERMITICITY_TOL:",
+           "if max_abs(m - dagger(m)) > HERMITICITY_TOL:",
+           "tests/test_linalg.py"),
+    # A V cached per channel: a second code under the same channel reads the first code's V.
+    Mutant("channel-factors-keyed-on-channel-alone", "fidelity.py",
+           "@lru_cache(maxsize=1)\n"
+           "def _channel_factors(code: QuantumCode, channel: KrausChannel) -> np.ndarray:\n"
+           '    """Read-only (L, d, 2) stack of A_l V."""\n'
+           "    right = channel.stack @ code.isometry\n",
+           "_BY_CHANNEL = {}\n\n\n"
+           "def _channel_factors(code: QuantumCode, channel: KrausChannel) -> np.ndarray:\n"
+           "    right = _BY_CHANNEL.setdefault(channel, channel.stack @ code.isometry)\n",
+           "tests/test_fidelity.py"),
 )
 
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import qecwb as q
+from qecwb.channels import KrausChannel
+from qecwb.fidelity import _channel_factors, _recovery_factors
 from qecwb.recovery import RecoveryOperation
 
 
@@ -93,6 +95,51 @@ def test_nonvanishing_terms_ad_standard():
     # the leftover row carries its own (small) weight at this damping rate
     leftover = [t for t in result.terms if t.key == ("O", 15)]
     assert len(leftover) == 1 and leftover[0].contribution > 1e-14
+
+
+def damping_point(gamma):
+    opt = q.closed_form_optimum(gamma)
+    recoveries = (q.standard_ad_recovery(gamma), q.cp_recovery(),
+                  q.fletcher_recovery(opt.a_bar, opt.b_bar))
+    return recoveries, q.enlarge(q.ad_single(gamma), 4)
+
+
+def test_cold_and_warm_factor_caches_agree():
+    for gamma in (0.0, 1e-3, 0.1, 0.5):
+        recoveries, channel = damping_point(gamma)
+        for rec in recoveries:
+            _recovery_factors.cache_clear()
+            _channel_factors.cache_clear()
+            cold = q.entanglement_fidelity(q.leung4(), rec, channel)
+            warm = q.entanglement_fidelity(q.leung4(), rec, channel)
+            assert warm.value == cold.value and warm.row_keys == cold.row_keys
+            assert warm.table.tobytes() == cold.table.tobytes()
+    assert _recovery_factors.cache_info().hits and _channel_factors.cache_info().hits
+
+
+def test_one_channel_gives_each_code_its_own_fidelity():
+    recoveries, channel = damping_point(0.1)
+    for rec in recoveries:
+        for first, second in ((q.leung4(), q.grassl4()), (q.grassl4(), q.leung4())):
+            q.entanglement_fidelity(first, rec, channel)
+            shared = q.entanglement_fidelity(second, rec, channel)
+            # a new channel object of the same operators misses both caches
+            fresh = q.entanglement_fidelity(
+                second, rec, KrausChannel(4, channel.labels, channel.stack))
+            assert shared.value == fresh.value
+            assert shared.table.tobytes() == fresh.table.tobytes()
+    leung = q.entanglement_fidelity(q.leung4(), q.cp_recovery(), channel).value
+    grassl = q.entanglement_fidelity(q.grassl4(), q.cp_recovery(), channel).value
+    assert leung != grassl
+
+
+def test_cached_factors_are_read_only():
+    recoveries, channel = damping_point(0.1)
+    for rec in recoveries:
+        q.entanglement_fidelity(q.leung4(), rec, channel)
+        for factors in (_recovery_factors(q.leung4(), rec), _channel_factors(q.leung4(), channel)):
+            with pytest.raises(ValueError):
+                factors[0, 0, 0] = 0.0
 
 
 def test_fidelity_rejects_incomplete_recovery():

@@ -17,7 +17,10 @@ scan that re-evaluates the curves at every comparison in
 channel-adapted damping recoveries written out by hand, one operator at a
 time, against the one family builder behind them, and a golden-section
 search that builds validated parameters and the whole closed form at every
-step in ``numeric_optimum``.  Random
+step in ``numeric_optimum``.  Byte for byte, they also check
+``completeness_defect`` against its ``np.eye`` form, the damping recoveries'
+stacks against their conversion from operator lists, and the single-qubit
+channels against nested lists and one ``np.sqrt`` call.  Random
 single-qubit channels are cut from random 4 x 2 isometries, random
 recoveries from random (K d) x d isometries on three and four qubits.
 """
@@ -625,3 +628,97 @@ def test_threshold_analysis_evaluates_each_grid_point_once():
     bisection_steps = int(np.ceil(np.log2((grid[1] - grid[0]) / tol)))
     assert calls["coded"] <= len(grid) + bisection_steps
     assert calls["baseline"] == len(grid)
+
+
+# ---- bit-for-bit oracles of the construction forms the builders replaced ----
+
+
+def eye_form_completeness_defect(ops):
+    """``completeness_defect`` subtracting a built ``np.eye``, as it was written first."""
+    stack = np.asarray(ops, dtype=complex)
+    gram = (stack.conj().transpose(0, 2, 1) @ stack).sum(axis=0)
+    return max_abs(gram - np.eye(stack.shape[-1]))
+
+
+@oracle_settings
+@given(data=st.data(), n_ops=st.integers(1, 4), dim=st.sampled_from((2, 4, 8)),
+       daggered=st.booleans())
+def test_completeness_defect_equals_eye_form_bit_for_bit(data, n_ops, dim, daggered):
+    size = n_ops * dim * dim
+    entries = data.draw(st.lists(st.tuples(signed_reals, signed_reals), min_size=size,
+                                 max_size=size))
+    stack = np.array([complex(re, im) for re, im in entries]).reshape(n_ops, dim, dim)
+    if daggered:  # the unitality form certify passes: a strided view
+        stack = stack.conj().transpose(0, 2, 1)
+    assert float_bits(completeness_defect(stack)) == float_bits(eye_form_completeness_defect(stack))
+
+
+def test_nan_stack_still_fails_the_completeness_gate():
+    stack = np.array([np.eye(4, dtype=complex)])
+    stack[0, 1, 2] = np.nan
+    assert np.isnan(completeness_defect(stack))
+    assert not completeness_defect(stack) <= q.fidelity.TRACE_PRESERVING_TOL
+    channel = KrausChannel(2, ("a",), stack)
+    assert not channel.completeness_defect() <= q.fidelity.TRACE_PRESERVING_TOL
+    assert q.certify(channel) == q.ChannelCertificate(False, False)
+
+
+def list_form_damping_stack(a, b, keep_tail):
+    """The damping family's stack converted from a list of operators, every projector by
+    ``np.outer``, as the builder formed it before its fixed rows were templated."""
+    zero, one = q.leung4().codewords
+    k0, k1 = ket("0000"), ket("1111")
+    odd = (ket("0011") - ket("1100")) / np.sqrt(2)
+    syndromes = [np.outer(zero, ket(s0).conj()) + np.outer(one, ket(s1).conj())
+                 for s0, s1 in (("0111", "0100"), ("1011", "1000"), ("1101", "0001"),
+                                ("1110", "0010"))]
+    tail_rows = [ket(s) for s in ("1001", "1010", "0101", "0110")]
+    first = np.outer(zero, a * k0 + b * k1) + np.outer(one, one.conj())
+    second_row = b.conjugate() * k0 - a.conjugate() * k1
+    if not keep_tail:
+        leftover = (sum(np.outer(row.conj(), row) for row in tail_rows)
+                    + np.outer(second_row.conj(), second_row) + np.outer(odd.conj(), odd))
+        return np.array([first, *syndromes, leftover], dtype=complex)
+    second = np.outer(zero, second_row) + np.outer(one, odd)
+    return np.array([first, second, *syndromes, *(np.outer(zero, row) for row in tail_rows)],
+                    dtype=complex)
+
+
+DAMPING_CORNERS = (0.0, -0.0, 1e-300, *np.linspace(0.0, 0.999, 37).tolist(),
+                   *np.logspace(-4, -2, 9).tolist(), 0.999)
+
+
+def test_damping_stacks_equal_list_form_bit_for_bit():
+    half = complex(1 / np.sqrt(2))
+    assert q.cp_recovery().stack.tobytes() == list_form_damping_stack(half, half, True).tobytes()
+    for gamma in DAMPING_CORNERS:
+        c2 = (1.0 - gamma) ** 2
+        a, b = np.array([1.0, c2], dtype=complex) / np.linalg.norm(ket("0000") + c2 * ket("1111"))
+        expected = list_form_damping_stack(a, b, False)
+        assert q.standard_ad_recovery(gamma).stack.tobytes() == expected.tobytes(), gamma
+        opt = q.closed_form_optimum(gamma)
+        expected = list_form_damping_stack(complex(opt.a_bar), complex(opt.b_bar), True)
+        assert q.fletcher_recovery(opt.a_bar, opt.b_bar).stack.tobytes() == expected.tobytes()
+    rng = np.random.default_rng(5)
+    for _ in range(20):  # complex parameters with signs in every part
+        v = rng.normal(size=4)
+        a, b = complex(*v[:2] / np.linalg.norm(v)), complex(*v[2:] / np.linalg.norm(v))
+        assert q.fletcher_recovery(a, b).stack.tobytes() == list_form_damping_stack(
+            a, b, True).tobytes()
+
+
+def list_form_single_stacks(p):
+    """``ad_single`` from its nested list, the flip channels scaled by one ``np.sqrt`` call."""
+    ad = np.array([[[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], [[0.0, np.sqrt(p)], [0.0, 0.0]]],
+                  dtype=complex)
+    flips = [np.sqrt([1 - p, p])[:, None, None] * np.array(pair)
+             for pair in ((q.linalg.PAULI_I, q.linalg.PAULI_X), (q.linalg.PAULI_I, q.linalg.PAULI_Z))]
+    return ad, *flips
+
+
+@oracle_settings
+@given(p=st.one_of(st.sampled_from((0.0, -0.0, 1.0, 1e-300, 5e-324, 0.5)), st.floats(0.0, 1.0)))
+def test_single_qubit_stacks_equal_list_form_bit_for_bit(p):
+    built = (q.ad_single(p), q.bitflip_single(p), q.phaseflip_single(p))
+    for channel, expected in zip(built, list_form_single_stacks(p)):
+        assert channel.stack.tobytes() == expected.tobytes()

@@ -40,6 +40,28 @@ def test_hermitian_eig_rejects_bad_input():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def nan_diagonal_eye():
+    m = np.eye(4, dtype=complex)
+    m[2, 2] = np.nan
+    return m
+
+
+def test_nan_entry_fails_the_hermiticity_gate():
+    # NaN fails every comparison, so only the `not dev <= TOL` form of the gate rejects it
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eig(nan_diagonal_eye())
+    with pytest.raises(ValueError, match="not Hermitian"):
+        q.polar_decompose(nan_diagonal_eye(), np.eye(4))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        q.residue(nan_diagonal_eye(), np.eye(4), 1.0, 1.0)
+
+
+def test_hermitian_eig_rejects_overflowing_eigenvalues():
+    m = np.full((2, 2), 1e308, dtype=complex)  # Hermitian and finite; eigenvalue 2e308 is inf
+    with pytest.raises(ValueError, match="non-finite entries"):
+        hermitian_eig(m)
+
+
 def test_projector_spectrum_is_zero_one():
     values, _ = hermitian_eig(q.leung4().projector)
     distance = np.minimum(np.abs(values), np.abs(values - 1.0))
