@@ -7,8 +7,8 @@ the recovery-completeness gate, by default ``fidelity.TRACE_PRESERVING_TOL``;
 it must be a finite positive number.
 
 Exit status 1 means a certificate failed; each failed one is named on
-stderr as ``check failed: <name> (deviation <x>)``.  Bad input exits with
-one ``error: ...`` line.
+stderr as ``check failed: <name> (deviation <x>)``.  Bad input, or output
+that cannot be written, exits with one ``error: ...`` line.
 
     qecwb bitflip [--grid 0:1:101] [--format csv] [--out table.csv]
     qecwb ad-fidelity --recovery qec|cp|fletcher|fletcher-opt [--grid log:1e-4:1e-2:9]
@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,12 +52,12 @@ from . import (
     standard_ad_recovery,
     threshold_analysis,
 )
+from .channels import CHANNEL_TOL, certify
 from .fidelity import (SERIES_NOISE_MAX, TRACE_PRESERVING_TOL, USEFUL_SLACK, in_series_domain,
                        sweep_grid)
 from .linalg import dagger, ket, restrict
 from .recovery import RESIDUE_FLOOR
 
-CHANNEL_TOL = 1e-12
 BELOW_THRESHOLD_SLACK = 1e-12  # the bitflip row is below threshold while 1 - F <= p + this
 BOOKKEEPING_TOL = 1e-12  # certify: largest |sum of damping detection probabilities - 1|
 # appendix-a's domain, (1-gamma)^2 > RESIDUE_FLOOR, as its error message and --gamma help state it
@@ -109,14 +110,15 @@ def _parse_grid(expr: Optional[str], default: np.ndarray, lo: float, hi: float) 
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(out, "w", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise SystemExit("error: cannot write %s: %s" % (out, exc.strerror))
+    """Write ``text`` to ``out`` or stdout; a failed write exits 1 with one "error:" line."""
+    try:
+        with nullcontext(sys.stdout) if out is None else open(out, "w", newline="") as fh:
+            fh.write(text)
+            fh.flush()
+    except OSError as exc:
+        if out is None:  # send what stdout still buffers to devnull, so its flush at exit passes
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit("error: cannot write %s: %s" % ("stdout" if out is None else out, exc.strerror))
 
 
 def _cell(x, fmt: str) -> str:
@@ -371,13 +373,11 @@ def cmd_appendix_a(args) -> Report:
 def cmd_certify(args) -> Report:
     tol = _tolerance()
     rng = np.random.default_rng(20240601)
-    checks: list[Check] = []
-
-    for p in (0.0, 0.1, 0.3, 0.5, 1.0):
-        for maker, name in ((bitflip_single, "bitflip"), (phaseflip_single, "phaseflip")):
-            checks.append(_trace_preserving("%s(p=%g)" % (name, p), enlarge(maker(p), 3)))
-    for g in (0.0, 0.05, 0.1, 0.2, 0.9):
-        checks.append(_trace_preserving("damping(gamma=%g)" % g, enlarge(ad_single(g), 4)))
+    channels = [("%s(p=%g)" % (name, p), enlarge(maker(p), 3)) for p in (0.0, 0.1, 0.3, 0.5, 1.0)
+                for maker, name in ((bitflip_single, "bitflip"), (phaseflip_single, "phaseflip"))]
+    channels += [("damping(gamma=%g)" % g, enlarge(ad_single(g), 4)) for g in (0.0, 0.05, 0.1, 0.2, 0.9)]
+    checks = [_trace_preserving(name, channel) for name, channel in channels]
+    unital = {name: certify(channel).unital for name, channel in channels}  # information, never a check
 
     recoveries = [
         ("repetition recovery", repetition_recovery()),
@@ -403,9 +403,11 @@ def cmd_certify(args) -> Report:
         "%s: %s (deviation %.3e)" % (name, "pass" if ok else "FAIL", value)
         for name, ok, value in checks
     ]
+    lines += ["%s unital: %s" % (name, "yes" if ok else "no") for name, ok in unital.items()]
     lines.append("overall: %s" % ("pass" if all_ok else "FAIL"))
     json_obj = {
         "checks": [{"name": n, "pass": bool(ok), "deviation": v} for n, ok, v in checks],
+        "unital": unital,
         "overall": all_ok,
     }
     return [], [], lines, json_obj, checks

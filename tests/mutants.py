@@ -69,6 +69,16 @@ MUTANTS = (
     Mutant("channel-stack-writeable", "channels.py",
            "stack.flags.writeable = False", "stack.flags.writeable = True",
            "tests/test_channels.py"),
+    # Undaggered, the unitality sum is the completeness sum: damping reads unital.
+    Mutant("certify-unitality-undaggered", "channels.py",
+           "completeness_defect(channel.stack.conj().transpose(0, 2, 1))",
+           "completeness_defect(channel.stack)",
+           "tests/test_channels.py"),
+    # certify then passes the 5e-11-defect channel that the CLI's check fails.
+    Mutant("certify-gate-looser", "channels.py",
+           "channel.completeness_defect() <= CHANNEL_TOL",
+           "channel.completeness_defect() <= 100 * CHANNEL_TOL",
+           "tests/test_channels.py"),
     Mutant("code-codeword-not-copied", "codes.py",
            "zero = np.array(self.zero_logical, dtype=complex)",
            "zero = np.asarray(self.zero_logical, dtype=complex)",

@@ -5,6 +5,7 @@ import pytest
 
 import qecwb as q
 from qecwb.channels import _enlarge_pair, _product_gathers
+from qecwb.cli import _trace_preserving
 from qecwb.linalg import PAULI_X, PAULI_Z, dagger, max_abs
 
 
@@ -178,6 +179,16 @@ def test_certify_verdicts():
     enlarged = q.enlarge(q.bitflip_single(0.3), 3)
     clipped = q.KrausChannel(3, enlarged.labels[:4], enlarged.stack[:4])
     assert not q.certify(clipped).trace_preserving
+
+
+def test_certify_and_the_cli_share_one_trace_preservation_gate():
+    # scaled so that sum A^dag A = (1 + 5e-11) I: a defect of 50 x CHANNEL_TOL (1e-12)
+    single = q.bitflip_single(0.3)
+    scaled = q.KrausChannel(1, single.labels, np.sqrt(1 + 5e-11) * single.stack)
+    assert 1e-11 < scaled.completeness_defect() < 1e-10
+    for channel, verdict in ((single, True), (scaled, False)):
+        assert q.certify(channel).trace_preserving is verdict
+        assert _trace_preserving("bitflip(p=0.3)", channel)[1] is verdict
 
 
 def test_trace_preservation_across_parameters():

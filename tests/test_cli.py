@@ -25,13 +25,16 @@ def run_cli(capsys, *argv):
     return code, out
 
 
-def run_cli_process(*argv):
-    """(exit code, stdout, stderr) of a separate interpreter, so numpy warnings reach stderr."""
+def run_cli_process(*argv, stdout=subprocess.PIPE):
+    """(exit code, stdout, stderr) of a separate interpreter, so numpy warnings reach stderr.
+
+    Given a file or descriptor as ``stdout``, the child writes there and stdout is None.
+    """
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-m", "qecwb.cli", *argv], env=env, capture_output=True, text=True,
-        timeout=60,
+        [sys.executable, "-m", "qecwb.cli", *argv], env=env, stdout=stdout,
+        stderr=subprocess.PIPE, text=True, timeout=60,
     )
     return done.returncode, done.stdout, done.stderr
 
@@ -136,6 +139,47 @@ def test_certify_passes_and_env_override(capsys, monkeypatch):
     code, out = run_cli(capsys, "certify")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_certify_reports_unitality_without_a_check(capsys):
+    flips = ["%s(p=%g)" % (name, p) for p in (0.0, 0.1, 0.3, 0.5, 1.0)
+             for name in ("bitflip", "phaseflip")]
+    dampings = ["damping(gamma=%g)" % g for g in (0.0, 0.05, 0.1, 0.2, 0.9)]
+    # Pauli channels are unital at every p; damping only when it does nothing
+    expected = dict.fromkeys(flips, True) | {name: name == "damping(gamma=0)" for name in dampings}
+    code, out, err = run_cli_streams(capsys, "certify", "--format", "json")
+    payload = json.loads(out)
+    assert (code, err) == (0, "")
+    assert list(payload) == ["checks", "unital", "overall"]
+    assert list(payload["unital"].items()) == list(expected.items())
+    # keyed like the trace-preservation checks, which all pass, as does every other check
+    assert [c["name"] for c in payload["checks"][:15]] == [
+        "%s %d-qubit trace preservation" % (name, 4 if name in dampings else 3) for name in expected
+    ]
+    assert len(payload["checks"]) == 20 and all(c["pass"] for c in payload["checks"])
+    unital_lines = ["%s unital: %s" % (name, "yes" if ok else "no") for name, ok in expected.items()]
+    for fmt in ("text", "csv"):
+        code, out, err = run_cli_streams(capsys, "certify", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-16:] == unital_lines + ["overall: pass"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_full_stdout_fails_with_one_error_line():
+    with open("/dev/full", "w") as full:
+        result = run_cli_process("certify", stdout=full)
+    assert result == (1, None, "error: cannot write stdout: %s\n" % os.strerror(errno.ENOSPC))
+
+
+def test_closed_pipe_on_stdout_fails_with_one_error_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the child gets only the write end, so every write fails
+    try:
+        result = run_cli_process("fig1", stdout=write_end)
+    finally:
+        os.close(write_end)
+    # one line: no traceback, and no "Exception ignored" from the flush at exit
+    assert result == (1, None, "error: cannot write stdout: %s\n" % os.strerror(errno.EPIPE))
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0", "abc"])

@@ -73,11 +73,12 @@ def test_readme_tolerance_table_matches_the_source():
 
 
 @pytest.mark.parametrize("doctor, expected", [
-    (lambda t: re.sub(r"\| `CHANNEL_TOL` .*\n", "", t), "README misses cli.CHANNEL_TOL"),
-    (lambda t: t.replace("| `CHANNEL_TOL` |", "| `CHANNEL_TOL` | `1e-12` | `cli` | x |\n| `NO_SUCH_TOL` |"),
-     "README lists cli.NO_SUCH_TOL"),
+    (lambda t: re.sub(r"\| `CHANNEL_TOL` .*\n", "", t), "README misses channels.CHANNEL_TOL"),
+    (lambda t: t.replace("| `CHANNEL_TOL` |",
+                         "| `CHANNEL_TOL` | `1e-12` | `channels` | x |\n| `NO_SUCH_TOL` |"),
+     "README lists channels.NO_SUCH_TOL"),
     (lambda t: t.replace("| `CHANNEL_TOL` | `1e-12` |", "| `CHANNEL_TOL` | `1e-11` |"),
-     "README gives cli.CHANNEL_TOL as 1e-11"),
+     "README gives channels.CHANNEL_TOL as 1e-11"),
 ], ids=["missing", "unknown", "value"])
 def test_table_check_reports_each_kind_of_drift(doctor, expected):
     text = readme_text()
