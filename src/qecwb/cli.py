@@ -21,6 +21,7 @@ that cannot be written, exits with one ``error: ...`` line.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -112,11 +113,13 @@ def _parse_grid(expr: Optional[str], default: np.ndarray, lo: float, hi: float) 
 def _emit(text: str, out: Optional[str]) -> None:
     """Write ``text`` to ``out`` or stdout; a failed write exits 1 with one "error:" line."""
     try:
+        if out is None and sys.stdout is None:  # fd 1 was closed before start-up
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         with nullcontext(sys.stdout) if out is None else open(out, "w", newline="") as fh:
             fh.write(text)
             fh.flush()
     except OSError as exc:
-        if out is None:  # send what stdout still buffers to devnull, so its flush at exit passes
+        if out is None and sys.stdout is not None:  # devnull takes the buffer flushed at exit
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise SystemExit("error: cannot write %s: %s" % ("stdout" if out is None else out, exc.strerror))
 

@@ -1,11 +1,11 @@
 """Concrete quantum codes and the four-qubit self-complementary family.
 
-A code is a pair of orthonormal logical codewords; the projector onto their
-span and the isometry V = [|0_L> |1_L>] are built on construction.  A code
-holds read-only copies of its arrays, so the named codes, built once per
+A code is a pair of orthonormal logical codewords; the isometry
+V = [|0_L> |1_L>] and the projector V V^dag are built on construction.  A
+code holds read-only copies of its arrays, so the named codes, built once per
 process, are safe to share.  The four-qubit self-complementary states
 (|a> + |a-complement>)/sqrt(2) come in eight flavors, giving 28 candidate
-codeword pairs, which are built once too.
+codes (each a ``QuantumCode`` with its index pair), which are built once too.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import ket, max_abs, projector
+from .linalg import dagger, ket, max_abs
 
 CODESPACE_TOL = 1e-10  # max-norm gate of codespace membership and of equal projectors
 CODEWORD_TOL = 1e-12  # largest deviation of a codeword norm from 1 and of <0_L|1_L> from 0
@@ -50,9 +50,9 @@ class QuantumCode:
                 raise ValueError("codewords must be normalized")
         if not abs(np.vdot(zero, one)) <= CODEWORD_TOL:
             raise ValueError("codewords must be orthogonal")
-        proj, iso = projector([zero, one]), np.stack([zero, one], axis=1)
-        for name, value in (("zero_logical", zero), ("one_logical", one), ("projector", proj),
-                            ("isometry", iso)):
+        iso = np.stack([zero, one], axis=1)
+        for name, value in (("zero_logical", zero), ("one_logical", one),
+                            ("projector", iso @ dagger(iso)), ("isometry", iso)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -69,20 +69,14 @@ class QuantumCode:
 
 
 @dataclass(frozen=True, eq=False)  # eq=False: the codewords are arrays
-class SelfComplementaryPair:
-    """One of the 28 candidate (i, j) codeword pairs, 1-based; ``codewords`` are its code's."""
+class SelfComplementaryPair(QuantumCode):
+    """One of the 28 candidate codes, with its (i, j) basis indices, 1-based."""
 
-    index_pair: tuple[int, int]
-    codewords: tuple[np.ndarray, np.ndarray]
-    _code: QuantumCode = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_code", QuantumCode(4, *self.codewords))
-        object.__setattr__(self, "codewords", self._code.codewords)
+    index_pair: tuple[int, int] = field(kw_only=True)
 
     def as_code(self) -> QuantumCode:
-        """The pair's code, built with the pair; every call returns that same object."""
-        return self._code
+        """The pair itself: a pair is its code."""
+        return self
 
 
 def _equal_superposition(bits: str) -> np.ndarray:
@@ -122,7 +116,8 @@ def enumerate_pairs() -> list[SelfComplementaryPair]:
 @lru_cache(maxsize=None)
 def _pairs() -> tuple[SelfComplementaryPair, ...]:
     basis = enumerate((_equal_superposition(bits) for bits in SELF_COMPLEMENTARY_STRINGS), 1)
-    return tuple(SelfComplementaryPair((i, j), (u, v)) for (i, u), (j, v) in combinations(basis, 2))
+    return tuple(SelfComplementaryPair(4, u, v, index_pair=(i, j))
+                 for (i, u), (j, v) in combinations(basis, 2))
 
 
 def permutation_equivalent(c1: QuantumCode, c2: QuantumCode) -> Optional[tuple[int, ...]]:

@@ -7,7 +7,8 @@ exactly correctable when every restricted product
 ("first order") variants classify the violation by its scaling order in the
 noise parameter: a violation of order gamma**2 when the detection amplitudes
 are O(1) does not spoil first-order protection, while any O(gamma) or
-O(sqrt(gamma)) violation does.
+O(sqrt(gamma)) violation does.  A candidate pair is a code; it is classified
+against the weight <= 1 damping errors, the first rows of the enlarged stack.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, _label_order, ad_single, enlarge
+from .channels import KrausChannel, ad_single, enlarge
 from .codes import QuantumCode, SelfComplementaryPair
 from .fidelity import SERIES_NOISE_MAX
 from .linalg import max_abs
@@ -30,9 +31,9 @@ FIRST_ORDER_GAP = 1.0 - 0.1  # smallest slope by which a residual must outgrow l
 DEFAULT_GAMMAS = (1e-4, 1e-3, 1e-2)
 
 # Enlarged amplitude-damping errors of weight <= 1, the set whose first-order
-# correctability defines a "good" four-qubit code, and their 4-qubit ``enlarge`` stack rows.
+# correctability defines a "good" four-qubit code; ``enlarge`` orders its labels
+# by weight, so these are the first rows of its 4-qubit stack.
 WEIGHT_LE1_LABELS = ("0000", "1000", "0100", "0010", "0001")
-_WEIGHT_LE1_ROWS = np.array([_label_order(4)[0].index(label) for label in WEIGHT_LE1_LABELS])
 
 
 @dataclass(frozen=True)
@@ -212,8 +213,8 @@ def violation_order(
 
 
 def _weight_le1_rows(gamma: float) -> np.ndarray:
-    """The enlarged damping operators labeled ``WEIGHT_LE1_LABELS``, as one (5, 16, 16) copy."""
-    return enlarge(ad_single(gamma), 4).stack[_WEIGHT_LE1_ROWS]
+    """The enlarged damping operators labeled ``WEIGHT_LE1_LABELS``, a read-only view."""
+    return enlarge(ad_single(gamma), 4).stack[:len(WEIGHT_LE1_LABELS)]
 
 
 def weight_le1_ad_errors(gamma: float) -> KrausChannel:
@@ -234,7 +235,7 @@ def classify_pair(
     """
     gammas = _noise_samples(gammas)
     ops = np.stack([_weight_le1_rows(g) for g in gammas])
-    violations = _pair_violations(_gram_blocks(ops @ pair.as_code().isometry))
+    violations = _pair_violations(_gram_blocks(ops @ pair.isometry))
     columns = np.column_stack([violations, violations.max(axis=1)])
     slopes = _fit_slope(gammas, columns)
     vanishing = np.all(columns <= ZERO_FLOOR, axis=0)

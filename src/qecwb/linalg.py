@@ -135,12 +135,3 @@ def restrict(m: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
         raise ValueError("basis is not orthonormal")
     return dagger(b) @ m @ b
 
-
-def projector(states: Sequence[np.ndarray]) -> np.ndarray:
-    """Orthogonal projector onto the span of orthonormal states."""
-    dim = len(states[0])
-    p = np.zeros((dim, dim), dtype=complex)
-    for s in states:
-        s = np.asarray(s, dtype=complex)
-        p += np.outer(s, s.conj())
-    return p

@@ -83,9 +83,18 @@ MUTANTS = (
            "zero = np.array(self.zero_logical, dtype=complex)",
            "zero = np.asarray(self.zero_logical, dtype=complex)",
            "tests/test_codes.py"),
+    # A pair's codewords are its code's arrays, frozen by QuantumCode's constructor.
     Mutant("pair-codeword-writeable", "codes.py",
-           'object.__setattr__(self, "codewords", self._code.codewords)', "pass",
+           "value.flags.writeable = False", 'value.flags.writeable = name == "zero_logical"',
            "tests/test_codes.py"),
+    # Every named code is real, so only the complex-amplitude code sees this.
+    Mutant("code-projector-drops-conjugate", "codes.py",
+           '("projector", iso @ dagger(iso))', '("projector", iso @ iso.T)',
+           "tests/test_codes.py"),
+    # The slice relies on enlarge listing the weight <= 1 labels first.
+    Mutant("weight-le1-rows-shifted", "conditions.py",
+           ".stack[:len(WEIGHT_LE1_LABELS)]", ".stack[1:1 + len(WEIGHT_LE1_LABELS)]",
+           "tests/test_conditions.py"),
     Mutant("residue-largest-eigenvalue-unchecked", "recovery.py",
            "if not abs(p_l - eigs[-1]) <= EIGENVALUE_MATCH_TOL:", "if False:",
            "tests/test_recovery.py"),

@@ -182,6 +182,17 @@ def test_closed_pipe_on_stdout_fails_with_one_error_line():
     assert result == (1, None, "error: cannot write stdout: %s\n" % os.strerror(errno.EPIPE))
 
 
+def test_closed_stdout_fails_with_one_error_line():
+    # With fd 1 closed before start-up, the child's sys.stdout is None.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "qecwb.cli", "certify"], env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (
+        1, "error: cannot write stdout: %s\n" % os.strerror(errno.EBADF))
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0", "abc"])
 def test_invalid_tolerance_rejected(monkeypatch, value):
     monkeypatch.setenv("QECWB_TOL", value)

@@ -37,6 +37,17 @@ def test_projectors_idempotent_hermitian():
         assert max_abs(p - dagger(p)) <= 1e-12
 
 
+def test_complex_code_projector_is_the_hermitian_sum_of_codeword_outers():
+    # Every named code is real, so only complex amplitudes show a dropped conjugate.
+    rng = np.random.default_rng(7)
+    basis, _ = np.linalg.qr(rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)))
+    code = q.QuantumCode(3, basis[:, 0], basis[:, 1])
+    expected = sum(np.outer(word, word.conj()) for word in code.codewords)
+    assert max_abs(code.projector - expected) <= 1e-12
+    assert max_abs(code.projector - dagger(code.projector)) <= 1e-12
+    assert code.contains((basis[:, 0] + 1j * basis[:, 1]) / np.sqrt(2))
+
+
 def test_code_constructor_validates():
     with pytest.raises(ValueError):
         q.QuantumCode(2, np.array([1, 0, 0, 0], dtype=complex), np.array([1, 0, 0, 0], dtype=complex))
@@ -68,7 +79,7 @@ def test_code_leaves_caller_arrays_writeable():
     zero[0] = 0.5
     assert zero.flags.writeable and code.zero_logical[0] == 1.0
     plus = (ket("0000") + ket("1111")) / np.sqrt(2)
-    pair = q.SelfComplementaryPair((1, 6), (plus, q.leung4().one_logical))
+    pair = q.SelfComplementaryPair(4, plus, q.leung4().one_logical, index_pair=(1, 6))
     plus[0] = 0.0
     assert plus.flags.writeable and pair.codewords[0][0] == 1 / np.sqrt(2)
 
@@ -81,8 +92,7 @@ def test_pairs_and_their_codes_are_built_once_and_read_only():
     for first, pair in zip(pairs, again):
         assert first is pair and first.as_code() is pair.as_code()
     for pair in again:
-        code = pair.as_code()
-        assert all(word is own for word, own in zip(pair.codewords, code.codewords))
+        assert isinstance(pair, q.QuantumCode) and pair.as_code() is pair
         for word in pair.codewords:
             with pytest.raises(ValueError):
                 word[0] = 0.0
@@ -90,7 +100,7 @@ def test_pairs_and_their_codes_are_built_once_and_read_only():
 
 @pytest.mark.parametrize("make", [
     lambda: q.QuantumCode(3, ket("000"), ket("111")),
-    lambda: q.SelfComplementaryPair((1, 6), q.leung4().codewords),
+    lambda: q.SelfComplementaryPair(4, *q.leung4().codewords, index_pair=(1, 6)),
     lambda: q.standard_ad_recovery(0.1),
     lambda: q.ad_single(0.1).kraus[0],
     lambda: q.polar_decompose(np.eye(4), np.eye(4)),

@@ -212,6 +212,16 @@ def test_classify_pair_examples():
     assert not bad.good and bad.witness == ("0010", "0001")
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.1, 1.0])
+def test_weight_le1_errors_are_the_first_enlarged_rows(gamma):
+    channel = ad_errors(gamma)
+    assert channel.labels[:5] == q.conditions.WEIGHT_LE1_LABELS
+    five = weight_le1_ad_errors(gamma)
+    assert five.labels == q.conditions.WEIGHT_LE1_LABELS
+    for label, row in zip(five.labels, five.stack):
+        assert row.tobytes() == channel.stack[channel.labels.index(label)].tobytes()
+
+
 @pytest.mark.parametrize(
     "gammas", [(), (1e-3,), (1e-3, 1e-3, 1e-3), (0.0, 1e-3, 1e-2)]
 )
