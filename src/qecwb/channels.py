@@ -12,52 +12,52 @@ kets read off directly from labels; the 1s of a label count its error weight.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import PAULI_I, PAULI_X, PAULI_Z, completeness_defect
+from .linalg import PAULI_I, PAULI_X, PAULI_Z, _Frozen, completeness_defect, qubit_count
 
 CHANNEL_TOL = 1e-12  # largest completeness defect of a trace-preserving channel (certify, the CLI)
 
 
-@dataclass(frozen=True, eq=False)  # eq=False: the operator is an array
-class KrausTerm:
+class KrausTerm(_Frozen):
     """One Kraus operator with its label (the bitstring of error positions)."""
 
-    label: str
-    op: np.ndarray
+    _fields = ("label", "op")
+
+    def __init__(self, label: str, op: np.ndarray):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "op", op)
 
 
-@dataclass(frozen=True, eq=False)  # eq=False: the stack is an array
-class KrausChannel:
+class KrausChannel(_Frozen):
     """Labeled Kraus decomposition of a channel on ``n_qubits`` qubits.
 
-    Construction copies ``stack`` into a read-only complex (L, 2**n, 2**n)
-    array, so the caller's array stays writeable; row l is the operator
-    labeled ``labels[l]``.  ``kraus`` pairs labels with views of the rows,
-    and ``completeness_defect()`` computes the defect, the first time each
-    is read.
+    Construction checks ``n_qubits`` with ``qubit_count`` and copies ``stack``
+    into a read-only complex (L, 2**n, 2**n) array, so the caller's array
+    stays writeable; row l is the operator labeled ``labels[l]``.  ``kraus``
+    pairs labels with views of the rows, and ``completeness_defect()``
+    computes the defect, the first time each is read.
     """
 
-    n_qubits: int
-    labels: tuple[str, ...]
-    stack: np.ndarray
+    _fields = ("n_qubits", "labels", "stack")
 
-    def __post_init__(self):
-        dim, labels = 2 ** self.n_qubits, tuple(self.labels)
+    def __init__(self, n_qubits: int, labels: tuple[str, ...], stack: np.ndarray):
+        n_qubits, labels = qubit_count(n_qubits), tuple(labels)
+        dim = 2 ** n_qubits
         try:
-            stack = np.array(self.stack, dtype=complex)
+            stack = np.array(stack, dtype=complex)
         except ValueError:  # operators of different shapes fail the shape check below
             stack = np.empty(0)
         if stack.shape[1:] != (dim, dim) or not len(stack):
             raise ValueError("a %d-qubit channel needs one or more %d x %d Kraus operators"
-                             % (self.n_qubits, dim, dim))
+                             % (n_qubits, dim, dim))
         if len(labels) != len(stack):
             raise ValueError("a channel needs one label per Kraus operator")
         stack.flags.writeable = False
+        object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "stack", stack)
 
@@ -78,8 +78,7 @@ class KrausChannel:
         return self._defect
 
 
-@dataclass(frozen=True)
-class ChannelCertificate:
+class ChannelCertificate(NamedTuple):
     trace_preserving: bool
     unital: bool
 
@@ -164,10 +163,7 @@ def enlarge(channel: KrausChannel, n: int) -> KrausChannel:
     """
     if channel.n_qubits != 1:
         raise ValueError("enlarge expects a single-qubit channel")
-    # an exact int skips the slower ABC test
-    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)) or n < 1:
-        raise ValueError("the number of qubits must be a positive integer")
-    n = int(n)  # a numpy integer keys the caches as the equal int
+    n = qubit_count(n)  # a numpy integer keys the caches as the equal int
     if n == 1:
         return channel
     if channel.labels != ("0", "1"):  # the constructor has checked the 2 x 2 shape

@@ -10,14 +10,13 @@ codes (each a ``QuantumCode`` with its index pair), which are built once too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Optional
 
 import numpy as np
 
-from .linalg import dagger, ket, max_abs
+from .linalg import _Frozen, dagger, ket, max_abs, qubit_count
 
 CODESPACE_TOL = 1e-10  # max-norm gate of codespace membership and of equal projectors
 CODEWORD_TOL = 1e-12  # largest deviation of a codeword norm from 1 and of <0_L|1_L> from 0
@@ -29,20 +28,17 @@ SELF_COMPLEMENTARY_STRINGS = (
 )
 
 
-@dataclass(frozen=True, eq=False)  # eq=False: the codewords are arrays
-class QuantumCode:
-    """A [[n, 1]] code given by its two logical codewords."""
+class QuantumCode(_Frozen):
+    """A [[n, 1]] code given by its two logical codewords; it also holds, outside its repr,
+    the projector V V^dag and the isometry V, (d, 2) with columns |0_L>, |1_L>."""
 
-    n_qubits: int
-    zero_logical: np.ndarray
-    one_logical: np.ndarray
-    projector: np.ndarray = field(init=False, repr=False)
-    isometry: np.ndarray = field(init=False, repr=False)  # (d, 2): columns |0_L>, |1_L>
+    _fields = ("n_qubits", "zero_logical", "one_logical")
 
-    def __post_init__(self):
-        dim = 2 ** self.n_qubits
-        zero = np.array(self.zero_logical, dtype=complex)
-        one = np.array(self.one_logical, dtype=complex)
+    def __init__(self, n_qubits: int, zero_logical: np.ndarray, one_logical: np.ndarray):
+        n_qubits = qubit_count(n_qubits)
+        dim = 2 ** n_qubits
+        zero = np.array(zero_logical, dtype=complex)
+        one = np.array(one_logical, dtype=complex)
         if zero.shape != (dim,) or one.shape != (dim,):
             raise ValueError("codeword dimension mismatch")
         for v in (zero, one):
@@ -51,6 +47,7 @@ class QuantumCode:
         if not abs(np.vdot(zero, one)) <= CODEWORD_TOL:
             raise ValueError("codewords must be orthogonal")
         iso = np.stack([zero, one], axis=1)
+        object.__setattr__(self, "n_qubits", n_qubits)
         for name, value in (("zero_logical", zero), ("one_logical", one),
                             ("projector", iso @ dagger(iso)), ("isometry", iso)):
             value.flags.writeable = False
@@ -68,11 +65,15 @@ class QuantumCode:
         return max_abs(self.projector @ state - state) <= CODESPACE_TOL
 
 
-@dataclass(frozen=True, eq=False)  # eq=False: the codewords are arrays
 class SelfComplementaryPair(QuantumCode):
     """One of the 28 candidate codes, with its (i, j) basis indices, 1-based."""
 
-    index_pair: tuple[int, int] = field(kw_only=True)
+    _fields = QuantumCode._fields + ("index_pair",)
+
+    def __init__(self, n_qubits: int, zero_logical: np.ndarray, one_logical: np.ndarray, *,
+                 index_pair: tuple[int, int]):
+        super().__init__(n_qubits, zero_logical, one_logical)
+        object.__setattr__(self, "index_pair", index_pair)
 
     def as_code(self) -> QuantumCode:
         """The pair itself: a pair is its code."""

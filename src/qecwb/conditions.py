@@ -13,16 +13,15 @@ against the weight <= 1 damping errors, the first rows of the enlarged stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .channels import KrausChannel, ad_single, enlarge
 from .codes import QuantumCode, SelfComplementaryPair
 from .fidelity import SERIES_NOISE_MAX
-from .linalg import max_abs
+from .linalg import _Frozen, max_abs
 
 EXACT_TOL = 1e-10  # largest Knill-Laflamme violation exact_correctable calls exact
 ZERO_FLOOR = 1e-13  # a violation or residual at or below this counts as zero
@@ -36,30 +35,29 @@ DEFAULT_GAMMAS = (1e-4, 1e-3, 1e-2)
 WEIGHT_LE1_LABELS = ("0000", "1000", "0100", "0010", "0001")
 
 
-@dataclass(frozen=True)
-class DetectabilityReport:
+class DetectabilityReport(NamedTuple):
     lam: complex
     residual: float
 
 
-@dataclass(frozen=True, eq=False)  # eq=False: the blocks are arrays
-class KLGram:
+class KLGram(_Frozen):
     """All pairwise codespace-restricted 2x2 blocks <i_L|A_l^dag A_m|j_L>."""
 
-    labels: tuple[str, ...]
-    blocks: dict
-    diag_eigs: dict
+    _fields = ("labels", "blocks", "diag_eigs")
+
+    def __init__(self, labels: tuple[str, ...], blocks: dict, diag_eigs: dict):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "diag_eigs", diag_eigs)
 
 
-@dataclass(frozen=True)
-class CorrectabilityVerdict:
+class CorrectabilityVerdict(NamedTuple):
     exact: bool
     violation: float
     witness_pair: Optional[tuple[str, str]]
 
 
-@dataclass(frozen=True)
-class ViolationOrder:
+class ViolationOrder(NamedTuple):
     """Log-log scaling estimate of a correctability violation."""
 
     exact: bool
@@ -70,8 +68,7 @@ class ViolationOrder:
         return self.exact or (self.slope is not None and self.slope >= FIRST_ORDER_SLOPE)
 
 
-@dataclass(frozen=True)
-class PairClassification:
+class PairClassification(NamedTuple):
     index_pair: tuple[int, int]
     good: bool
     witness: Optional[tuple[str, str]]

@@ -18,15 +18,14 @@ and a shared recovery forms V^dag R_k once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .channels import KrausChannel
 from .codes import QuantumCode
-from .linalg import PAULI_I, dagger
+from .linalg import PAULI_I, _Frozen, dagger
 from .recovery import RecoveryOperation
 
 TermKey = tuple[Union[int, str], int]
@@ -40,15 +39,13 @@ CROSSING_MARGIN = 1e-15  # threshold_analysis brackets a crossing once p - (1 - 
 SERIES_NOISE_MAX = 1e-2  # largest noise sample of the series fit and of the violation-order fits
 
 
-@dataclass(frozen=True)
-class TermContribution:
+class TermContribution(NamedTuple):
     key: TermKey
     trace: complex
     contribution: float
 
 
-@dataclass(frozen=True, eq=False)  # eq=False: the table is an array
-class FidelityResult:
+class FidelityResult(_Frozen):
     """Fidelity value with its table of restricted traces.
 
     ``table[r, l]`` is <0_L|R A_l|0_L> + <1_L|R A_l|1_L> for the recovery
@@ -58,9 +55,12 @@ class FidelityResult:
     table the first time it is read.
     """
 
-    value: float
-    table: np.ndarray
-    row_keys: tuple[Union[int, str], ...]
+    _fields = ("value", "table", "row_keys")
+
+    def __init__(self, value: float, table: np.ndarray, row_keys: tuple[Union[int, str], ...]):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "row_keys", row_keys)
 
     @cached_property
     def terms(self) -> tuple[TermContribution, ...]:
@@ -71,8 +71,7 @@ class FidelityResult:
         )
 
 
-@dataclass(frozen=True)
-class SeriesEstimate:
+class SeriesEstimate(NamedTuple):
     """Truncated expansion c0 + c1*x + c2*x**2 fitted to a sampled curve."""
 
     c0: float
@@ -157,8 +156,7 @@ def baseline_no_qec(channel: KrausChannel) -> float:
     return 0.25 * total
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     coding_useful_range: Optional[tuple[float, float]]
     failure_threshold: float
 

@@ -14,8 +14,7 @@ parametrizing the real quadrant provides an independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_STEPS = 200  # golden-section contractions numeric_optimum makes at most
@@ -24,22 +23,31 @@ RADIUS_SLACK = 1e-12  # FletcherParams accepts a radius up to 1 + this
 _LINEAR_SCALE = 4.0 * math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class FletcherParams:
+class _FletcherFields(NamedTuple):
+    a_re: float
+    a_im: float
+    b_re: float
+    b_im: float
+
+
+class FletcherParams(_FletcherFields):
     """Real/imaginary decomposition of the recovery parameters (a, b).
 
     ``radius`` is the Euclidean norm of the four real coordinates; a valid
     trace-preserving recovery has radius 1.
     """
 
-    a_re: float
-    a_im: float
-    b_re: float
-    b_im: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a_re: float, a_im: float, b_re: float, b_im: float):
+        self = super().__new__(cls, a_re, a_im, b_re, b_im)
         if not self.radius <= 1.0 + RADIUS_SLACK:
             raise ValueError("radius must not exceed 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "FletcherParams":  # so _replace checks the radius too
+        return cls(*iterable)
 
     @property
     def radius(self) -> float:
@@ -51,8 +59,7 @@ class FletcherParams:
         return cls(a.real, a.imag, b.real, b.imag)
 
 
-@dataclass(frozen=True)
-class Optimum:
+class Optimum(NamedTuple):
     a_bar: float
     b_bar: float
     f_star: float

@@ -8,6 +8,7 @@ scalability.
 
 from __future__ import annotations
 
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +24,30 @@ ORTHONORMAL_TOL = 1e-10  # max-norm |B^dag B - I| that restrict accepts of its b
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+class _Frozen:
+    """Base of the array holders: ``__init__`` sets each field once, ``==`` is identity,
+    assignment and deletion raise ``AttributeError`` (``cached_property`` writes ``__dict__``),
+    and the repr lists each subclass's ``_fields`` as ``Name(field=value, ...)``."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields)
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+
+def qubit_count(n) -> int:
+    """``n`` as an int; ``ValueError`` unless a positive integer (numpy's too, not bool or 3.0)."""
+    # an exact int skips the slower ABC test
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)) or n < 1:
+        raise ValueError("the number of qubits must be a positive integer")
+    return int(n)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ when it is labeled "O".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -27,6 +26,7 @@ from .channels import KrausChannel
 from .codes import QuantumCode, leung4, repetition3
 from .fletcher import _check_damping
 from .linalg import (
+    _Frozen,
     dagger,
     gram_schmidt,
     hermitian_eig,
@@ -43,23 +43,26 @@ EIGENVALUE_MATCH_TOL = 1e-9  # residue's gate on |p_l - largest| and |lambda_l p
 RESIDUE_BAND_SLACK = 1e-10  # residue's bound_ok allows singular values up to the band + this
 
 
-@dataclass(frozen=True, eq=False)  # eq=False: the factors are arrays
-class PolarDecomposition:
+class PolarDecomposition(_Frozen):
     """Factors A P = U J with U unitary and J = sqrt(P A^dag A P) >= 0."""
 
-    u: np.ndarray
-    j: np.ndarray
+    _fields = ("u", "j")
+
+    def __init__(self, u: np.ndarray, j: np.ndarray):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "j", j)
 
 
-@dataclass(frozen=True, eq=False)  # eq=False: the residue is an array
-class ResidueResult:
+class ResidueResult(_Frozen):
     """Deviation of sqrt(P A^dag A P) from a multiple of the projector."""
 
-    pi: np.ndarray
-    bound_ok: bool
+    _fields = ("pi", "bound_ok")
+
+    def __init__(self, pi: np.ndarray, bound_ok: bool):
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "bound_ok", bound_ok)
 
 
-@dataclass(frozen=True, eq=False)  # eq=False: the stack is an array
 class RecoveryOperation(KrausChannel):
     """Labeled recovery operators R_k, optionally with a leftover projector last.
 
@@ -75,8 +78,8 @@ class RecoveryOperation(KrausChannel):
     members keep as operators instead.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, n_qubits: int, labels: tuple[str, ...], stack: np.ndarray):
+        super().__init__(n_qubits, labels, stack)
         if "O" in self.labels[:-1]:
             raise ValueError('only the last recovery operator may be the leftover "O"')
 

@@ -80,8 +80,8 @@ MUTANTS = (
            "channel.completeness_defect() <= 100 * CHANNEL_TOL",
            "tests/test_channels.py"),
     Mutant("code-codeword-not-copied", "codes.py",
-           "zero = np.array(self.zero_logical, dtype=complex)",
-           "zero = np.asarray(self.zero_logical, dtype=complex)",
+           "zero = np.array(zero_logical, dtype=complex)",
+           "zero = np.asarray(zero_logical, dtype=complex)",
            "tests/test_codes.py"),
     # A pair's codewords are its code's arrays, frozen by QuantumCode's constructor.
     Mutant("pair-codeword-writeable", "codes.py",
@@ -106,6 +106,11 @@ MUTANTS = (
     Mutant("gate-value-not-in-readme", "recovery.py",
            "PROJECTOR_TOL = 1e-10", "PROJECTOR_TOL = 1e-9",
            "tests/test_tolerances.py"),
+    # Every array holder inherits the frozen base's assignment guard.
+    Mutant("frozen-fields-assignable", "linalg.py",
+           'raise AttributeError("cannot assign to field %r" % name)',
+           "object.__setattr__(self, name, value)",
+           "tests/test_records.py"),
     # Without the NaN-rejecting gate, NaN input ends in another error (or none).
     Mutant("hermiticity-gate-lets-nan-through", "linalg.py",
            "if not max_abs(m - dagger(m)) <= HERMITICITY_TOL:",

@@ -152,6 +152,21 @@ def test_enlarge_rejects_non_integer_qubit_counts_cold_and_warm(warm_first):
     assert q.enlarge(channel, np.int32(1)) is channel
 
 
+@pytest.mark.parametrize("n", BAD_QUBIT_COUNTS + (1.0, 0, -1, np.int64(0)))
+@pytest.mark.parametrize("make", [q.KrausChannel, q.RecoveryOperation], ids=["channel", "recovery"])
+def test_channel_constructors_reject_non_positive_integer_qubit_counts(make, n):
+    # a 1-qubit stack, so True and 1.0 would pass every shape check
+    with pytest.raises(ValueError, match="the number of qubits must be a positive integer"):
+        make(n, ("0", "1"), q.bitflip_single(0.1).stack)
+
+
+@pytest.mark.parametrize("make", [q.KrausChannel, q.RecoveryOperation], ids=["channel", "recovery"])
+def test_channel_constructors_store_numpy_qubit_counts_as_int(make):
+    channel = make(np.int64(1), ("0", "1"), q.bitflip_single(0.1).stack)
+    assert type(channel.n_qubits) is int and channel.n_qubits == 1
+    assert q.enlarge(channel, 2).n_qubits == 2
+
+
 def test_enlarge_single_qubit_is_identity_operation():
     ch = q.ad_single(0.1)
     assert q.enlarge(ch, 1) is ch

@@ -3,6 +3,7 @@ import pytest
 
 import qecwb as q
 from qecwb.linalg import dagger, ket, max_abs, restrict
+from test_channels import BAD_QUBIT_COUNTS
 from test_kernel_oracle import permute_qubits_matrix
 
 
@@ -53,6 +54,26 @@ def test_code_constructor_validates():
         q.QuantumCode(2, np.array([1, 0, 0, 0], dtype=complex), np.array([1, 0, 0, 0], dtype=complex))
     with pytest.raises(ValueError):
         q.QuantumCode(2, 2.0 * np.array([1, 0, 0, 0], dtype=complex), np.array([0, 1, 0, 0], dtype=complex))
+
+
+CODE_MAKERS = [
+    lambda n: q.QuantumCode(n, ket("0"), ket("1")),
+    lambda n: q.SelfComplementaryPair(n, ket("0"), ket("1"), index_pair=(1, 2)),
+]
+
+
+@pytest.mark.parametrize("n", BAD_QUBIT_COUNTS + (1.0, 0, -1, np.int64(0)))
+@pytest.mark.parametrize("make", CODE_MAKERS, ids=["code", "pair"])
+def test_code_constructors_reject_non_positive_integer_qubit_counts(make, n):
+    # one-qubit codewords, so True and 1.0 would pass the dimension check
+    with pytest.raises(ValueError, match="the number of qubits must be a positive integer"):
+        make(n)
+
+
+@pytest.mark.parametrize("make", CODE_MAKERS, ids=["code", "pair"])
+def test_code_constructors_store_numpy_qubit_counts_as_int(make):
+    code = make(np.int64(1))
+    assert type(code.n_qubits) is int and q.permutation_equivalent(code, code) == (0,)
 
 
 def test_named_codes_are_built_once_and_read_only():
@@ -106,7 +127,10 @@ def test_pairs_and_their_codes_are_built_once_and_read_only():
     lambda: q.polar_decompose(np.eye(4), np.eye(4)),
     lambda: q.residue(np.eye(4), np.eye(4), 1.0, 1.0),
     lambda: q.kl_gram(q.leung4(), q.weight_le1_ad_errors(0.1)),
-], ids=["code", "pair", "recovery", "kraus-term", "polar", "residue", "kl-gram"])
+    lambda: q.bitflip_single(0.1),
+    lambda: q.entanglement_fidelity(q.repetition3(), q.repetition_recovery(),
+                                    q.enlarge(q.bitflip_single(0.1), 3)),
+], ids=["code", "pair", "recovery", "kraus-term", "polar", "residue", "kl-gram", "channel", "fidelity"])
 def test_array_holders_compare_by_identity(make):
     first, second = make(), make()
     assert first == first and first != second
