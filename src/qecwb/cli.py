@@ -85,6 +85,13 @@ def _num(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _grid_value(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise SystemExit("error: grid values must be numbers, got %r" % token) from None
+
+
 def _parse_grid(expr: Optional[str], default: np.ndarray, lo: float, hi: float) -> np.ndarray:
     if expr is None:
         grid = default
@@ -93,7 +100,13 @@ def _parse_grid(expr: Optional[str], default: np.ndarray, lo: float, hi: float) 
         log = parts[0] == "log" and len(parts) == 4
         if len(parts) != (4 if log else 3):
             raise SystemExit("error: grid must be a,b,c, start:stop:count or log:start:stop:count")
-        start, stop, count = float(parts[-3]), float(parts[-2]), int(parts[-1])
+        start, stop = _grid_value(parts[-3]), _grid_value(parts[-2])
+        try:
+            count = int(parts[-1])
+        except ValueError:
+            count = -1
+        if count < 0:
+            raise SystemExit("error: grid count must be a non-negative integer, got %r" % parts[-1])
         if log and not (start > 0 and stop > 0):
             raise SystemExit("error: log grid endpoints must be positive")
         # an infinite endpoint or an overflowing step gives non-finite values, rejected below
@@ -103,7 +116,7 @@ def _parse_grid(expr: Optional[str], default: np.ndarray, lo: float, hi: float) 
             else:
                 grid = np.linspace(start, stop, count)
     else:
-        grid = [float(tok) for tok in expr.split(",")] if expr.strip() else []
+        grid = [_grid_value(tok) for tok in expr.split(",")] if expr.strip() else []
     grid = sweep_grid(grid)  # its ValueError becomes main's "error:" line
     if grid[0] < lo or grid[-1] > hi:
         raise SystemExit("error: grid leaves the valid parameter domain [%g, %g]" % (lo, hi))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .codes import QuantumCode
-from .linalg import PAULI_I, _Frozen, dagger
+from .linalg import _Frozen, dagger
 from .recovery import RecoveryOperation
 
 TermKey = tuple[Union[int, str], int]
@@ -95,7 +95,8 @@ def _recovery_factors(code: QuantumCode, recovery: RecoveryOperation) -> np.ndar
 @lru_cache(maxsize=1)
 def _channel_factors(code: QuantumCode, channel: KrausChannel) -> np.ndarray:
     """Read-only (L, d, 2) stack of A_l V."""
-    right = channel.stack @ code.isometry
+    stack = channel.stack
+    right = (stack.reshape(-1, stack.shape[-1]) @ code.isometry).reshape(len(stack), -1, 2)
     right.flags.writeable = False
     return right
 
@@ -144,15 +145,15 @@ def baseline_no_qec(channel: KrausChannel) -> float:
     if channel.n_qubits != 1:
         raise ValueError("baseline is defined for single-qubit channels")
     stack = channel.stack
-    grams = stack.conj().transpose(0, 2, 1) @ stack
-    probs = (grams[:, 0, 0] + grams[:, 1, 1]).real / channel.dim
-    unitary = np.abs(grams - probs[:, None, None] * PAULI_I).max(axis=(1, 2)) <= UNITARY_BRANCH_TOL
-    weights = np.where(unitary, probs, 1.0).tolist()
-    # summed term by term with Python's abs: the vectorized np.abs of a complex
-    # array can differ from the scalar one in the last bit
     total = 0.0
-    for weight, trace in zip(weights, (stack[:, 0, 0] + stack[:, 1, 1]).tolist()):
-        total += weight * abs(trace) ** 2
+    # numpy forms the grams in one product; the 2 x 2 arithmetic on Python numbers costs less
+    # than numpy's per-call overhead. Scalar abs: the vectorized np.abs can differ from it in
+    # the last bit, which matters only within one ulp of the 1e-12 gate
+    for ((g00, g01), (g10, g11)), ((a00, _), (_, a11)) in zip(
+            (stack.conj().transpose(0, 2, 1) @ stack).tolist(), stack.tolist()):
+        prob = (g00 + g11).real / 2
+        unitary = all(abs(d) <= UNITARY_BRANCH_TOL for d in (g00 - prob, g01, g10, g11 - prob))
+        total += (prob if unitary else 1.0) * abs(a00 + a11) ** 2
     return 0.25 * total
 
 

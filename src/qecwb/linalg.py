@@ -58,7 +58,7 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def max_abs(m: np.ndarray) -> float:
     """Largest entrywise modulus (the max norm used for all certificates)."""
     m = np.asarray(m)
-    return 0.0 if m.size == 0 else float(np.max(np.abs(m)))
+    return 0.0 if m.size == 0 else float(np.abs(m).max())
 
 
 def assert_finite(m: np.ndarray) -> np.ndarray:

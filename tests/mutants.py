@@ -63,9 +63,13 @@ MUTANTS = (
            "rows = np.arange(2 * k)",
            "tests/test_channels.py"),
     Mutant("baseline-unitary-weight-ignored", "fidelity.py",
-           "weights = np.where(unitary, probs, 1.0).tolist()",
-           "weights = np.where(unitary, 1.0, 1.0).tolist()",
+           "total += (prob if unitary else 1.0) * abs(a00 + a11) ** 2",
+           "total += 1.0 * abs(a00 + a11) ** 2",
            "tests/test_fidelity.py"),
+    # Exact Pauli branches have g00 == g11; the bit-for-bit oracles on branches with g00 != g11 see this.
+    Mutant("baseline-prob-from-g00-alone", "fidelity.py",
+           "prob = (g00 + g11).real / 2", "prob = g00.real",
+           "tests/test_kernel_oracle.py"),
     Mutant("channel-stack-writeable", "channels.py",
            "stack.flags.writeable = False", "stack.flags.writeable = True",
            "tests/test_channels.py"),
@@ -121,7 +125,8 @@ MUTANTS = (
            "@lru_cache(maxsize=1)\n"
            "def _channel_factors(code: QuantumCode, channel: KrausChannel) -> np.ndarray:\n"
            '    """Read-only (L, d, 2) stack of A_l V."""\n'
-           "    right = channel.stack @ code.isometry\n",
+           "    stack = channel.stack\n"
+           "    right = (stack.reshape(-1, stack.shape[-1]) @ code.isometry).reshape(len(stack), -1, 2)\n",
            "_BY_CHANNEL = {}\n\n\n"
            "def _channel_factors(code: QuantumCode, channel: KrausChannel) -> np.ndarray:\n"
            "    right = _BY_CHANNEL.setdefault(channel, channel.stack @ code.isometry)\n",

@@ -259,6 +259,12 @@ def test_empty_or_malformed_grid_rejected(argv):
         (["ad-fidelity", "--grid", "nan"], "error: grid values must be finite"),
         (["ad-fidelity", "--grid", "0.1,nan"], "error: grid values must be finite"),
         (["bitflip", "--grid=-1e308:1e308:3"], "error: grid values must be finite"),
+        (["bitflip", "--grid", "0:1:-1"], "error: grid count must be a non-negative integer, got '-1'"),
+        (["bitflip", "--grid", "log:1e-3:1:2.5"],
+         "error: grid count must be a non-negative integer, got '2.5'"),
+        (["bitflip", "--grid", "a:1:3"], "error: grid values must be numbers, got 'a'"),
+        (["bitflip", "--grid", "0.1,abc"], "error: grid values must be numbers, got 'abc'"),
+        (["bitflip", "--grid", "0:1:0"], "error: grid is empty"),
     ],
 )
 def test_bad_grid_values_fail_with_one_stderr_line(argv, message):

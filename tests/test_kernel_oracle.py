@@ -6,7 +6,9 @@ A^dag A in ``completeness_defect``, one ``np.kron`` per label in
 rebuilt, and byte for byte on random complex pairs with signed zeros), a
 double loop over (k, l) codespace-restricted traces in
 ``entanglement_fidelity``, one Gram matrix and trace per operator in
-``baseline_no_qec`` (and its ``np.trace``/``np.eye`` form, byte for byte),
+``baseline_no_qec`` (and, byte for byte, its ``np.trace``/``np.eye`` form and its
+form that gates and weights whole numpy arrays, non-finite entries included), the
+per-operator products A_l V behind ``entanglement_fidelity`` (byte for byte),
 ``np.vdot`` blocks in ``kl_gram`` and the direct
 (G, L, d, 2) contraction in ``_gram_blocks`` (bitwise), a strict ``>``
 scan over error pairs in ``exact_correctable``, one block set per gamma and
@@ -36,7 +38,7 @@ from hypothesis import strategies as st
 import qecwb as q
 from qecwb.channels import KrausChannel
 from qecwb.conditions import _gram_blocks, _weight_le1_rows
-from qecwb.fidelity import THRESHOLD_TOL
+from qecwb.fidelity import THRESHOLD_TOL, _channel_factors
 from qecwb.linalg import completeness_defect, dagger, ket, max_abs
 from qecwb.recovery import RecoveryOperation
 
@@ -431,6 +433,90 @@ def test_baseline_equals_trace_form_bit_for_bit(seed, n_ops):
     for channel in (cut, unitary):
         assert float_bits(q.baseline_no_qec(channel)) == float_bits(
             trace_form_baseline_no_qec(channel))
+
+
+def array_form_baseline_no_qec(channel):
+    """``baseline_no_qec`` gating and weighting whole arrays in numpy, as it was before each
+    2 x 2 gram and trace was read as Python numbers; it must agree bit for bit."""
+    stack = channel.stack
+    grams = stack.conj().transpose(0, 2, 1) @ stack
+    probs = (grams[:, 0, 0] + grams[:, 1, 1]).real / channel.dim
+    unitary = np.abs(grams - probs[:, None, None] * np.eye(2)).max(axis=(1, 2)) <= 1e-12
+    weights = np.where(unitary, probs, 1.0).tolist()
+    total = 0.0
+    for weight, trace in zip(weights, (stack[:, 0, 0] + stack[:, 1, 1]).tolist()):
+        total += weight * abs(trace) ** 2
+    return 0.25 * total
+
+
+PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+
+
+def gate_edge_branch(rng, margin):
+    """sqrt(p) U diag(sqrt(1 + e), sqrt(1 - e)): A^dag A - p I is diag(pe, -pe), pe = margin * 1e-12."""
+    p = rng.uniform(0.05, 1.0)
+    e = margin * 1e-12 / p
+    return np.sqrt(p) * random_isometry(rng, 2, 2) @ np.diag([np.sqrt(1 + e), np.sqrt(1 - e)])
+
+
+@oracle_settings
+@given(seed=seeds, n_ops=st.integers(1, 4),
+       bad=st.sampled_from((np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(0, -np.inf),
+                            1e200)))
+def test_baseline_equals_array_form_bit_for_bit(seed, n_ops, bad):
+    rng = np.random.default_rng(seed)
+    labels = tuple("abcd"[:n_ops])
+    probs = rng.dirichlet(np.ones(n_ops))
+    phases = np.exp(2j * np.pi * rng.uniform(size=n_ops))
+    paulis = [w ** 0.5 * z * PAULIS[i] for w, z, i in zip(probs, phases, rng.integers(4, size=n_ops))]
+    # one branch each just inside and just outside the gate, the rest anywhere near it
+    margins = [0.999, 1.001, *rng.choice((0.999, 1.001, 0.5, 2.0), size=n_ops)][:n_ops]
+    edge = [gate_edge_branch(rng, m) for m in margins]
+    cut = random_isometry(rng, 2 * n_ops, 2).reshape(n_ops, 2, 2)
+    broken = cut.copy()
+    broken[rng.integers(n_ops), rng.integers(2), rng.integers(2)] = bad
+    for stack in (paulis, edge, cut, broken):
+        channel = KrausChannel(1, labels, stack)
+        assert float_outcome(q.baseline_no_qec, channel) == float_outcome(
+            array_form_baseline_no_qec, channel)
+
+
+def float_outcome(f, channel):
+    """The bits of ``f(channel)``, "nan" for any NaN, or the overflow that Python's
+    ``abs(trace) ** 2`` raises on a trace above about 1e154."""
+    try:
+        with np.errstate(all="ignore"):
+            value = f(channel)
+    except OverflowError:
+        return "OverflowError"
+    return "nan" if math.isnan(value) else float_bits(value)
+
+
+def test_gate_edge_branches_straddle_the_unitary_gate():
+    rng = np.random.default_rng(3)
+    for margin, unitary in ((0.999, True), (1.001, False)):
+        a = gate_edge_branch(rng, margin)
+        gram = a.conj().T @ a
+        assert gram[0, 0] != gram[1, 1]
+        prob = np.trace(gram).real / 2
+        assert (max_abs(gram - prob * np.eye(2)) <= q.fidelity.UNITARY_BRANCH_TOL) == unitary
+        weight = prob if unitary else 1.0
+        channel = KrausChannel(1, ("a",), [a])
+        assert q.baseline_no_qec(channel) == 0.25 * weight * abs(np.trace(a)) ** 2
+
+
+@oracle_settings
+@given(seed=seeds, n=st.integers(1, 4), n_ops=st.integers(1, 16))
+def test_channel_factors_equal_batched_product_bit_for_bit(seed, n, n_ops):
+    rng = np.random.default_rng(seed)
+    code, dim = random_code(rng, n), 2 ** n
+    ops = rng.normal(size=(n_ops, dim, dim)) + 1j * rng.normal(size=(n_ops, dim, dim))
+    labels = tuple("k%d" % k for k in range(n_ops))
+    for channel in (KrausChannel(n, labels, ops), q.enlarge(random_single_channel(rng), n)):
+        factors = _channel_factors(code, channel)
+        batched = channel.stack @ code.isometry
+        assert factors.shape == batched.shape and not factors.flags.writeable
+        assert factors.tobytes() == batched.tobytes()
 
 
 # finite reals with both signed zeros drawn often
