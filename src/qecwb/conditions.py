@@ -83,10 +83,24 @@ def detectability(code: QuantumCode, a: np.ndarray) -> DetectabilityReport:
     return DetectabilityReport(lam, float(max_abs(pap - lam * p)))
 
 
+@lru_cache(maxsize=8)
+def _slope_design(gammas: tuple[float, ...]) -> tuple[np.ndarray, float, float]:
+    """Design, slope scale and rcond of ``np.polyfit(log gammas, y, 1)``, whose steps a fit takes."""
+    lhs = np.vander(np.log(np.asarray(gammas, dtype=float)), 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    lhs.flags.writeable = False
+    return lhs, scale[0], len(gammas) * np.finfo(float).eps
+
+
 def _fit_slope(gammas: Sequence[float], values) -> np.ndarray:
     """Log-log slope of a (G,) array, or of each column of a (G, k) one; zeros clamp to 1e-300."""
+    lhs, scale, rcond = _slope_design(tuple(gammas))
     logv = np.log(np.maximum(np.asarray(values, dtype=float), 1e-300))
-    return np.polyfit(np.log(np.asarray(gammas, dtype=float)), logv, 1)[0]
+    coef, _, rank, _ = np.linalg.lstsq(lhs, logv, rcond)
+    if rank < 2:
+        raise ValueError("noise samples %r are too close to fix a log-log slope" % (tuple(gammas),))
+    return coef[0] / scale
 
 
 def _noise_samples(gammas: Sequence[float]) -> tuple[float, ...]:
@@ -124,12 +138,18 @@ def _error_ops(code: QuantumCode, errors: KrausChannel) -> np.ndarray:
     return errors.stack
 
 
+def _images(ops: np.ndarray, isometry: np.ndarray) -> np.ndarray:
+    """Images A_l V, (..., d, k), of a (..., d, d) stack: one (... d, d) @ (d, k) product."""
+    return (ops.reshape(-1, ops.shape[-1]) @ isometry).reshape(*ops.shape[:-1], isometry.shape[-1])
+
+
 def _gram_blocks(images: np.ndarray) -> np.ndarray:
-    """Blocks (A_l V)^dag (A_m V), (G, L, L, 2, 2), of images A_l V stacked as (G, L, d, 2)."""
-    # Laid out (G, L, 2, d), the sum over d reads contiguous memory and forms
-    # the direct contraction's products in its order: the same bits, faster.
-    x = np.ascontiguousarray(images.transpose(0, 1, 3, 2))
-    return np.einsum("glia,gmja->glmij", x.conj(), x)
+    """Blocks (A_l V)^dag (A_m V), (G, L, L, k, k), of images A_l V stacked as (G, L, d, k)."""
+    # Laid out as (G, L k, d) rows, one 3-index einsum sums over contiguous d and
+    # forms the direct contraction's products in its order: the same bits, faster.
+    g, n, d, k = images.shape
+    x = np.ascontiguousarray(images.transpose(0, 1, 3, 2)).reshape(g, n * k, d)
+    return np.einsum("gpa,gqa->gpq", x.conj(), x).reshape(g, n, k, n, k).transpose(0, 1, 3, 2, 4)
 
 
 def _upper_pairs(items: Sequence) -> list[tuple]:
@@ -165,7 +185,7 @@ def kl_gram(code: QuantumCode, errors: KrausChannel) -> KLGram:
     ``eigvalsh``.
     """
     labels = errors.labels
-    grams = _gram_blocks((_error_ops(code, errors) @ code.isometry)[None])[0]
+    grams = _gram_blocks(_images(_error_ops(code, errors), code.isometry)[None])[0]
     diag = grams[np.arange(len(labels)), np.arange(len(labels))]
     eigs = np.linalg.eigvalsh(0.5 * (diag + diag.conj().swapaxes(1, 2)))
     blocks = {(l, m): grams[i, j] for i, l in enumerate(labels) for j, m in enumerate(labels)}
@@ -181,7 +201,7 @@ def exact_correctable(code: QuantumCode, errors: KrausChannel) -> Correctability
     most ``EXACT_TOL``; the witness is the first pair (l <= m, row-major)
     achieving it, or None when every pair satisfies the conditions exactly.
     """
-    images = _error_ops(code, errors) @ code.isometry
+    images = _images(_error_ops(code, errors), code.isometry)
     violations = _pair_violations(_gram_blocks(images[None]))[0]
     k = int(np.argmax(violations))
     worst = float(violations[k])
@@ -202,7 +222,7 @@ def violation_order(
     of Kraus operators at every sample.
     """
     gammas = _noise_samples(gammas)
-    images = np.array([_error_ops(c, e) @ c.isometry for c, e in map(family, gammas)])
+    images = np.array([_images(_error_ops(c, e), c.isometry) for c, e in map(family, gammas)])
     violations = _pair_violations(_gram_blocks(images)).max(axis=1)
     if np.all(violations <= ZERO_FLOOR):
         return ViolationOrder(True, None)
@@ -232,7 +252,7 @@ def classify_pair(
     """
     gammas = _noise_samples(gammas)
     ops = np.stack([_weight_le1_rows(g) for g in gammas])
-    violations = _pair_violations(_gram_blocks(ops @ pair.isometry))
+    violations = _pair_violations(_gram_blocks(_images(ops, pair.isometry)))
     columns = np.column_stack([violations, violations.max(axis=1)])
     slopes = _fit_slope(gammas, columns)
     vanishing = np.all(columns <= ZERO_FLOOR, axis=0)

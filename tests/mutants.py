@@ -35,8 +35,24 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # Damping images are real, so only the random complex oracles see this.
     Mutant("gram-drops-conjugate", "conditions.py",
-           'np.einsum("glia,gmja->glmij", x.conj(), x)', 'np.einsum("glia,gmja->glmij", x, x)',
+           'np.einsum("gpa,gqa->gpq", x.conj(), x)', 'np.einsum("gpa,gqa->gpq", x, x)',
            "tests/test_kernel_oracle.py"),
+    # Unscaled, the design still fits, but dividing by the scale no longer undoes it.
+    Mutant("fit-drops-column-scale", "conditions.py",
+           "    lhs /= scale\n", "",
+           "tests/test_kernel_oracle.py"),
+    # Polyfit's warning becomes an error; without it the fit returns a slope.
+    Mutant("fit-rank-unchecked", "conditions.py",
+           "if rank < 2:", "if rank < 1:",
+           "tests/test_conditions.py"),
+    # Two distinct samples are the documented minimum of a sweep.
+    Mutant("sweep-needs-three-samples", "conditions.py",
+           "if len(set(gammas)) < 2", "if len(set(gammas)) <= 2",
+           "tests/test_conditions.py"),
+    # An error set whose violations are all exactly zero has no witness.
+    Mutant("zero-violation-witnessed", "conditions.py",
+           "if worst > 0.0 else None", "if worst >= 0.0 else None",
+           "tests/test_conditions.py"),
     Mutant("upper-pairs-reversed", "conditions.py",
            "return [(a, b) for i, a in enumerate(items) for b in items[i:]]",
            "return [(a, b) for i, a in enumerate(items) for b in items[i:]][::-1]",
@@ -70,6 +86,9 @@ MUTANTS = (
     Mutant("baseline-prob-from-g00-alone", "fidelity.py",
            "prob = (g00 + g11).real / 2", "prob = g00.real",
            "tests/test_kernel_oracle.py"),
+    Mutant("baseline-overflow-unnamed", "fidelity.py",
+           "    except OverflowError:", "    except ZeroDivisionError:",
+           "tests/test_fidelity.py"),
     Mutant("channel-stack-writeable", "channels.py",
            "stack.flags.writeable = False", "stack.flags.writeable = True",
            "tests/test_channels.py"),

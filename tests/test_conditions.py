@@ -305,3 +305,26 @@ def test_states_of_another_shape_are_named(state):
         code.contains(state)
     with pytest.raises(ValueError, match="state and code dimensions differ"):
         q.detection_probability(code, weight_le1_ad_errors(0.1), state)
+
+
+def test_noise_sweep_accepts_exactly_two_distinct_samples():
+    pair = {p.index_pair: p for p in q.enumerate_pairs()}[(1, 6)]
+    for gammas in [(1e-3, 1e-2), (1e-3, 1e-3, 1e-2)]:
+        good = q.classify_pair(pair, gammas)
+        assert good.good and abs(good.slope - 2.0) <= 0.1
+        order = q.violation_order(lambda g: (pair, weight_le1_ad_errors(g)), gammas)
+        assert order.first_order_correctable and abs(order.slope - 2.0) <= 0.1
+
+
+def test_samples_too_close_to_fix_a_slope_raise():
+    # distinct, so the sweep is valid, but their logarithms are too close for a fit
+    gammas = (1e-3, float(np.nextafter(1e-3, 1.0)))
+    with pytest.raises(ValueError, match="too close to fix a log-log slope"):
+        q.classify_pair(q.enumerate_pairs()[1], gammas)
+    with pytest.raises(ValueError, match="too close to fix a log-log slope"):
+        q.violation_order(lambda g: (q.leung4(), weight_le1_ad_errors(g)), gammas)
+
+
+def test_exact_correctable_names_no_witness_when_every_violation_is_zero():
+    identity = q.KrausChannel(3, ("id",), [np.eye(8, dtype=complex)])
+    assert q.exact_correctable(q.repetition3(), identity) == (True, 0.0, None)

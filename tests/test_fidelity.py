@@ -209,6 +209,13 @@ def test_baseline_values():
         q.baseline_no_qec(q.enlarge(q.bitflip_single(0.1), 2))
 
 
+@pytest.mark.parametrize("entry", [1e200, -1e200j, 2e154])
+def test_baseline_names_a_trace_too_large_to_square(entry):
+    channel = KrausChannel(1, ("a",), [np.diag([entry, 0.0])])
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="trace is too large to square"):
+        q.baseline_no_qec(channel)
+
+
 def test_threshold_analysis_bitflip():
     coded = lambda p: 1 - 3 * p**2 + 2 * p**3
     baseline = lambda p: 1 - 2 * p + p**2

@@ -10,7 +10,9 @@ double loop over (k, l) codespace-restricted traces in
 form that gates and weights whole numpy arrays, non-finite entries included), the
 per-operator products A_l V behind ``entanglement_fidelity`` (byte for byte),
 ``np.vdot`` blocks in ``kl_gram`` and the direct
-(G, L, d, 2) contraction in ``_gram_blocks`` (bitwise), a strict ``>``
+(G, L, d, 2) contraction in ``_gram_blocks`` (bitwise), the batched
+``ops @ isometry`` product behind ``_images`` and ``np.polyfit`` behind
+``_fit_slope`` (byte for byte; where polyfit warns of rank, the fit raises), a strict ``>``
 scan over error pairs in ``exact_correctable``, one block set per gamma and
 one ``polyfit`` per error pair in ``classify_pair``, and one dense
 permutation matrix per candidate in ``permutation_equivalent``, a
@@ -28,16 +30,18 @@ recoveries from random (K d) x d isometries on three and four qubits.
 """
 
 import math
+import warnings
 from functools import reduce
 from itertools import permutations, product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qecwb as q
 from qecwb.channels import KrausChannel
-from qecwb.conditions import _gram_blocks, _weight_le1_rows
+from qecwb.conditions import _fit_slope, _gram_blocks, _images, _weight_le1_rows
 from qecwb.fidelity import THRESHOLD_TOL, _channel_factors
 from qecwb.linalg import completeness_defect, dagger, ket, max_abs
 from qecwb.recovery import RecoveryOperation
@@ -482,13 +486,17 @@ def test_baseline_equals_array_form_bit_for_bit(seed, n_ops, bad):
 
 
 def float_outcome(f, channel):
-    """The bits of ``f(channel)``, "nan" for any NaN, or the overflow that Python's
-    ``abs(trace) ** 2`` raises on a trace above about 1e154."""
+    """The bits of ``f(channel)``, "nan" for any NaN, or "overflow" on a trace above
+    about 1e154: Python's ``abs(trace) ** 2`` raises it, and ``baseline_no_qec`` names it."""
     try:
         with np.errstate(all="ignore"):
             value = f(channel)
     except OverflowError:
-        return "OverflowError"
+        return "overflow"
+    except ValueError as exc:
+        if "too large to square" not in str(exc):
+            raise
+        return "overflow"
     return "nan" if math.isnan(value) else float_bits(value)
 
 
@@ -576,6 +584,42 @@ def test_kl_gram_matches_vdot_blocks(seed, n, size):
 
 SEARCH_RANGES = ((1e-4, 3e-4), (1e-3, 3e-3), (4e-3, 1e-2))  # perfbench's code-search gammas
 search_gammas = st.tuples(*(st.floats(lo, hi) for lo, hi in SEARCH_RANGES))
+
+
+@oracle_settings
+@given(seed=seeds, n=qubits, n_ops=st.integers(1, 16), g=st.sampled_from((None, 1, 3)))
+def test_images_equal_batched_product_bit_for_bit(seed, n, n_ops, g):
+    rng = np.random.default_rng(seed)
+    dim = 2**n
+    shape = (n_ops, dim, dim) if g is None else (g, n_ops, dim, dim)
+    ops = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    isometry = random_code(rng, n).isometry
+    images, batched = _images(ops, isometry), ops @ isometry
+    assert images.shape == batched.shape and images.tobytes() == batched.tobytes()
+
+
+noise_samples = st.lists(st.floats(0.0, 1e-2, exclude_min=True),
+                         min_size=2, max_size=5, unique=True)
+fit_values = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1e-300, 1e-10))
+
+
+@oracle_settings
+@given(data=st.data(), gammas=noise_samples, columns=st.sampled_from((None, 1, 4, 15)))
+def test_fit_slope_equals_polyfit_bit_for_bit(data, gammas, columns):
+    shape = (len(gammas),) if columns is None else (len(gammas), columns)
+    size = int(np.prod(shape))
+    values = np.array(data.draw(st.lists(fit_values, min_size=size, max_size=size))).reshape(shape)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        expected = np.polyfit(np.log(gammas), np.log(np.maximum(values, 1e-300)), 1)[0]
+    if caught:  # polyfit warns that the samples cannot fix a slope; the kernel raises
+        assert [w.category.__name__ for w in caught] == ["RankWarning"]
+        with pytest.raises(ValueError, match="too close to fix a log-log slope"):
+            _fit_slope(tuple(gammas), values)
+        return
+    slope = _fit_slope(tuple(gammas), values)
+    assert np.shape(slope) == np.shape(expected)
+    assert np.asarray(slope).tobytes() == np.asarray(expected).tobytes()
 
 
 def direct_gram_blocks(images):
