@@ -21,7 +21,7 @@ import numpy as np
 from .channels import KrausChannel, ad_single, enlarge
 from .codes import QuantumCode, SelfComplementaryPair
 from .fidelity import SERIES_NOISE_MAX
-from .linalg import _Frozen, max_abs
+from .linalg import _Frozen, _images, max_abs
 
 EXACT_TOL = 1e-10  # largest Knill-Laflamme violation exact_correctable calls exact
 ZERO_FLOOR = 1e-13  # a violation or residual at or below this counts as zero
@@ -136,11 +136,6 @@ def _error_ops(code: QuantumCode, errors: KrausChannel) -> np.ndarray:
     if errors.dim != code.isometry.shape[0]:
         raise ValueError("code and error dimensions differ")
     return errors.stack
-
-
-def _images(ops: np.ndarray, isometry: np.ndarray) -> np.ndarray:
-    """Images A_l V, (..., d, k), of a (..., d, d) stack: one (... d, d) @ (d, k) product."""
-    return (ops.reshape(-1, ops.shape[-1]) @ isometry).reshape(*ops.shape[:-1], isometry.shape[-1])
 
 
 def _gram_blocks(images: np.ndarray) -> np.ndarray:

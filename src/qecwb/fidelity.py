@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .codes import QuantumCode
-from .linalg import _Frozen, dagger
+from .linalg import _Frozen, _images
 from .recovery import RecoveryOperation
 
 TermKey = tuple[Union[int, str], int]
@@ -87,7 +87,7 @@ class SeriesEstimate(NamedTuple):
 @lru_cache(maxsize=3)
 def _recovery_factors(code: QuantumCode, recovery: RecoveryOperation) -> np.ndarray:
     """Read-only (K, 2, d) stack of V^dag R_k."""
-    left = dagger(code.isometry) @ recovery.stack
+    left = code.isometry.conj().T @ recovery.stack
     left.flags.writeable = False
     return left
 
@@ -95,8 +95,7 @@ def _recovery_factors(code: QuantumCode, recovery: RecoveryOperation) -> np.ndar
 @lru_cache(maxsize=1)
 def _channel_factors(code: QuantumCode, channel: KrausChannel) -> np.ndarray:
     """Read-only (L, d, 2) stack of A_l V."""
-    stack = channel.stack
-    right = (stack.reshape(-1, stack.shape[-1]) @ code.isometry).reshape(len(stack), -1, 2)
+    right = _images(channel.stack, code.isometry)
     right.flags.writeable = False
     return right
 

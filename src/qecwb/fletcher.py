@@ -102,12 +102,13 @@ def fletcher_fidelity_closed(params: FletcherParams, gamma: float) -> float:
 def closed_form_optimum(gamma: float) -> Optimum:
     """Analytic maximizer over the unit sphere: real positive (a, b)."""
     _check_damping(gamma)
-    c2 = (1.0 - gamma) ** 2
+    c = 1.0 - gamma
+    c2 = c**2
     scale = math.sqrt(1.0 + c2 * c2)
     a_bar = 1.0 / scale
     b_bar = c2 / scale
-    f_star = fletcher_fidelity_closed(FletcherParams(a_bar, 0.0, b_bar, 0.0), gamma)
-    return Optimum(a_bar, b_bar, f_star)
+    # fletcher_fidelity_closed of the unit vector just built, without re-checking its radius
+    return Optimum(a_bar, b_bar, base_fidelity(gamma) + _linear_term(a_bar, b_bar, c, c**3))
 
 
 def numeric_optimum(gamma: float) -> Optimum:
@@ -121,11 +122,12 @@ def numeric_optimum(gamma: float) -> Optimum:
     stencil pins the vertex down to ~1e-12.
     """
     _check_damping(gamma)
-    f0, damped, damped3 = base_fidelity(gamma), 1.0 - gamma, (1.0 - gamma) ** 3
+    f0, damped, damped3 = base_fidelity(gamma), 2.0 * (1.0 - gamma), 2.0 * (1.0 - gamma) ** 3
+    cos, sin = math.cos, math.sin
 
     def score(theta: float) -> float:
-        # _linear_term(cos, sin, damped, damped3), inlined on this hot loop
-        return f0 + (2.0 * math.cos(theta) * damped + 2.0 * math.sin(theta) * damped3) / _LINEAR_SCALE
+        # _linear_term(cos, sin, 1 - gamma, (1 - gamma)**3) inlined, its exact 2.0 folded in
+        return f0 + (cos(theta) * damped + sin(theta) * damped3) / _LINEAR_SCALE
 
     lo, hi = 0.0, math.pi / 2.0
     c = hi - GOLDEN * (hi - lo)

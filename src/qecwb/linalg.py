@@ -72,7 +72,12 @@ def completeness_defect(ops) -> float:
     stack = np.asarray(ops, dtype=complex)
     gram = (stack.conj().transpose(0, 2, 1) @ stack).sum(axis=0)
     gram.reshape(-1)[:: stack.shape[-1] + 1] -= 1.0  # the diagonal, in place
-    return max_abs(gram)
+    return float(np.abs(gram).max())
+
+
+def _images(ops: np.ndarray, isometry: np.ndarray) -> np.ndarray:
+    """Images A_l V, (..., d, k), of a (..., d, d) stack: one (... d, d) @ (d, k) product."""
+    return (ops.reshape(-1, ops.shape[-1]) @ isometry).reshape(ops.shape[:-1] + (-1,))
 
 
 def ket(bits: str) -> np.ndarray:

@@ -9,14 +9,15 @@ channel-adapted recovery keeps it for any (a, b), the code-projected one is
 the channel-adapted one at a = b = 1/sqrt(2), and the standard one reads out
 the damped image of |0_L> and projects the tail out into its leftover.
 Everything that does not depend on (a, b) is built once per process as
-read-only arrays: the syndrome and tail operators, the leftover's fixed
-projectors and the kets that (a, b) combine.  A recovery is a
+read-only arrays: a template stack per member kind, which a member copies
+and adds its (a, b) outer products to in place.  A recovery is a
 ``KrausChannel``: one labeled read-only stack, whose last row is the leftover
 when it is labeled "O".
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -195,19 +196,22 @@ _PROJECTED_LABELS = ("adapted-1", "damp-1", "damp-2", "damp-3", "damp-4")
 
 @lru_cache(maxsize=None)
 def _damping_fixed() -> tuple:
-    """Syndromes, tail, tail projector sum, |1_L><1_L|, |0000>, |1111>,
-    (|0011>-|1100>)/sqrt(2) and the projector on that last ket."""
-    zero, one = leung4().codewords
-    syndromes = tuple(_transfer(leung4(), ket(s0), ket(s1)) for s0, s1 in _SYNDROMES)
+    """Read-only template stacks of the projected and the kept member, whose rows that (a, b)
+    enter hold their fixed parts, and the kets |0000>, |1111> that (a, b) combine."""
+    code = leung4()
+    zero, one = code.codewords
+    syndromes = [_transfer(code, ket(s0), ket(s1)) for s0, s1 in _SYNDROMES]
     tail_rows = [ket(s) for s in _TAIL]
-    tail = tuple(np.outer(zero, row) for row in tail_rows)
-    tail_sum = sum(np.outer(row.conj(), row) for row in tail_rows)
+    odd = (ket("0011") - ket("1100")) / np.sqrt(2)
     one_proj = np.outer(one, one.conj())
-    kets = (ket("0000"), ket("1111"), (ket("0011") - ket("1100")) / np.sqrt(2))
-    odd_proj = np.outer(kets[2].conj(), kets[2])
-    for part in (*syndromes, *tail, tail_sum, one_proj, *kets, odd_proj):
+    leftover = sum(np.outer(row.conj(), row) for row in tail_rows) + np.outer(odd.conj(), odd)
+    projected = np.array([one_proj, *syndromes, leftover])
+    kept = np.array([one_proj, np.outer(one, odd), *syndromes,
+                     *(np.outer(zero, row) for row in tail_rows)])
+    parts = (projected, kept, ket("0000"), ket("1111"))
+    for part in parts:
         part.flags.writeable = False
-    return syndromes, tail, tail_sum, one_proj, *kets, odd_proj
+    return parts
 
 
 def _damping_recovery(a: complex, b: complex, keep_tail: bool) -> RecoveryOperation:
@@ -220,16 +224,17 @@ def _damping_recovery(a: complex, b: complex, keep_tail: bool) -> RecoveryOperat
     and 0110 to |0_L>.  Without ``keep_tail``, operator 2 and the rank-one
     four become the leftover projector onto their six rows.
     """
-    zero, one = leung4().codewords
-    syndromes, tail, tail_sum, one_proj, k0, k1, odd, odd_proj = _damping_fixed()
-    # rows of the operators; np.outer applies no conjugation of its own
-    first = np.outer(zero, a * k0 + b * k1) + one_proj
+    projected, kept, k0, k1 = _damping_fixed()
+    zero = leung4().zero_logical[:, None]
     second_row = b.conjugate() * k0 - a.conjugate() * k1
-    if not keep_tail:
-        leftover = tail_sum + np.outer(second_row.conj(), second_row) + odd_proj
-        return RecoveryOperation(4, _PROJECTED_LABELS + ("O",), [first, *syndromes, leftover])
-    second = np.outer(zero, second_row) + np.outer(one, odd)
-    return RecoveryOperation(4, _KEPT_LABELS, [first, second, *syndromes, *tail])
+    # np.outer's x[:, None] * y[None, :], nonzero only where the template is zero: the same bits
+    stack = (kept if keep_tail else projected).copy()
+    stack[0] += zero * (a * k0 + b * k1)
+    if keep_tail:
+        stack[1] += zero * second_row
+        return RecoveryOperation(4, _KEPT_LABELS, stack)
+    stack[-1] += second_row.conj()[:, None] * second_row
+    return RecoveryOperation(4, _PROJECTED_LABELS + ("O",), stack)
 
 
 def standard_ad_recovery(gamma: float) -> RecoveryOperation:
@@ -242,9 +247,9 @@ def standard_ad_recovery(gamma: float) -> RecoveryOperation:
     """
     _check_damping(gamma)
     c2 = (1.0 - gamma) ** 2
-    k0, k1 = _damping_fixed()[4:6]
-    a, b = (np.array([1.0, c2], dtype=complex) / np.linalg.norm(k0 + c2 * k1)).tolist()
-    return _damping_recovery(a, b, keep_tail=False)
+    # bit for bit numpy's (1, c2) / norm(|0000> + c2 |1111>), which multiplies by 1 / norm
+    scale = 1.0 / math.sqrt(1.0 + c2 * c2)
+    return _damping_recovery(complex(scale, 0.0), complex(c2 * scale, 0.0), keep_tail=False)
 
 
 @lru_cache(maxsize=None)

@@ -144,12 +144,34 @@ MUTANTS = (
            "@lru_cache(maxsize=1)\n"
            "def _channel_factors(code: QuantumCode, channel: KrausChannel) -> np.ndarray:\n"
            '    """Read-only (L, d, 2) stack of A_l V."""\n'
-           "    stack = channel.stack\n"
-           "    right = (stack.reshape(-1, stack.shape[-1]) @ code.isometry).reshape(len(stack), -1, 2)\n",
+           "    right = _images(channel.stack, code.isometry)\n",
            "_BY_CHANNEL = {}\n\n\n"
            "def _channel_factors(code: QuantumCode, channel: KrausChannel) -> np.ndarray:\n"
-           "    right = _BY_CHANNEL.setdefault(channel, channel.stack @ code.isometry)\n",
+           "    right = _BY_CHANNEL.setdefault(channel, _images(channel.stack, code.isometry))\n",
            "tests/test_fidelity.py"),
+    # Dividing by the root rounds differently from numpy's multiply by 1 / norm on about a fifth of gammas.
+    Mutant("standard-params-divided", "recovery.py",
+           "complex(c2 * scale, 0.0)", "complex(c2 / math.sqrt(1.0 + c2 * c2), 0.0)",
+           "tests/test_kernel_oracle.py"),
+    Mutant("numeric-score-drops-folded-two", "fletcher.py",
+           "base_fidelity(gamma), 2.0 * (1.0 - gamma),", "base_fidelity(gamma), 1.0 - gamma,",
+           "tests/test_kernel_oracle.py"),
+    # Three samples are the documented minimum of the series fit (the quadratic branch).
+    Mutant("series-needs-four-samples", "fidelity.py",
+           "return len(gammas) >= 3 and", "return len(gammas) > 3 and",
+           "tests/test_fidelity.py"),
+    # Four samples of a cubic fitted by a quadratic misread c2.
+    Mutant("cubic-needs-five-samples", "fidelity.py",
+           "degree = 3 if len(gammas) >= 4 else 2", "degree = 3 if len(gammas) > 4 else 2",
+           "tests/test_fidelity.py"),
+    # Distinct samples 1e-9 or 1e-6 apart near 1e-3, or so small that g**2 underflows, fit at low rank.
+    Mutant("series-rank-unchecked", "fidelity.py",
+           "if rank < degree + 1:", "if rank < degree - 1:",
+           "tests/test_fidelity.py"),
+    # An error that kills a codespace direction leaves a singular value outside the band.
+    Mutant("residue-band-widened", "recovery.py",
+           "upper = np.sqrt(p_l) - np.sqrt(lambda_l * p_l)", "upper = np.sqrt(p_l) + np.sqrt(lambda_l * p_l)",
+           "tests/test_recovery.py"),
 )
 
 

@@ -247,6 +247,33 @@ def test_second_order_coeff_known_quadratics():
     assert abs(fit.c2 + 2.0) <= 1e-3
 
 
+def test_second_order_coeff_three_samples_fit_the_quadratic_exactly():
+    fit = q.second_order_coeff(lambda g: 1 - 2 * g + 3 * g**2, [1e-3, 4e-3, 1e-2])
+    assert abs(fit.c0 - 1.0) <= 1e-12
+    assert abs(fit.c1 + 2.0) <= 1e-10
+    assert abs(fit.c2 - 3.0) <= 1e-9
+    assert fit.residual <= 1e-14
+
+
+def test_second_order_coeff_four_samples_fit_the_cubic_exactly():
+    # a quadratic fit to these four samples reads c2 = 3.65
+    fit = q.second_order_coeff(lambda g: 1 - 2 * g + 3 * g**2 + 40 * g**3, [1e-3, 3e-3, 6e-3, 1e-2])
+    assert abs(fit.c0 - 1.0) <= 1e-12
+    assert abs(fit.c1 + 2.0) <= 1e-10
+    assert abs(fit.c2 - 3.0) <= 1e-8
+    assert fit.residual <= 1e-14
+
+
+@pytest.mark.parametrize("grid", [
+    [1e-3, 1.000001e-3, 1.000002e-3],  # 1e-9 apart: rank 2 of 3
+    [1e-3, 1.001e-3, 1.002e-3, 1.003e-3],  # 1e-6 apart: rank 3 of 4
+    [1e-300, 2e-300, 3e-300],  # g**2 underflows: rank 1 of 3
+])
+def test_second_order_coeff_rejects_distinct_samples_of_deficient_rank(grid):
+    with pytest.raises(ValueError, match="ill-conditioned fit"):
+        q.second_order_coeff(lambda g: 1 - 2 * g + 3 * g**2, grid)
+
+
 def test_second_order_fit_residual_on_recovery_curves():
     grid = np.logspace(-4, -2, 9)
     code = q.leung4()

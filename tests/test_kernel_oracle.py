@@ -23,7 +23,8 @@ time, against the one family builder behind them, and a golden-section
 search that builds validated parameters and the whole closed form at every
 step in ``numeric_optimum``.  Byte for byte, they also check
 ``completeness_defect`` against its ``np.eye`` form, the damping recoveries'
-stacks against their conversion from operator lists, and the single-qubit
+stacks against their conversion from operator lists (the standard member's
+parameters from numpy's norm form), and the single-qubit
 channels against nested lists and one ``np.sqrt`` call.  Random
 single-qubit channels are cut from random 4 x 2 isometries, random
 recoveries from random (K d) x d isometries on three and four qubits.
@@ -41,9 +42,9 @@ from hypothesis import strategies as st
 
 import qecwb as q
 from qecwb.channels import KrausChannel
-from qecwb.conditions import _fit_slope, _gram_blocks, _images, _weight_le1_rows
+from qecwb.conditions import _fit_slope, _gram_blocks, _weight_le1_rows
 from qecwb.fidelity import THRESHOLD_TOL, _channel_factors
-from qecwb.linalg import completeness_defect, dagger, ket, max_abs
+from qecwb.linalg import _images, completeness_defect, dagger, ket, max_abs
 from qecwb.recovery import RecoveryOperation
 
 TOL = 1e-12
@@ -835,6 +836,20 @@ def test_damping_stacks_equal_list_form_bit_for_bit():
         a, b = complex(*v[:2] / np.linalg.norm(v)), complex(*v[2:] / np.linalg.norm(v))
         assert q.fletcher_recovery(a, b).stack.tobytes() == list_form_damping_stack(
             a, b, True).tobytes()
+
+
+def norm_form_standard_parameters(gamma):
+    """The standard member's (a, b) as numpy formed them: (1, c2) / norm(|0000> + c2 |1111>)."""
+    c2 = (1.0 - gamma) ** 2
+    return (np.array([1.0, c2], dtype=complex) / np.linalg.norm(ket("0000") + c2 * ket("1111"))).tolist()
+
+
+@oracle_settings
+@given(gamma=st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 1e-300, 0.999999)),
+                       st.floats(0.0, 1.0, exclude_max=True)))
+def test_standard_parameters_equal_norm_form_bit_for_bit(gamma):
+    expected = list_form_damping_stack(*norm_form_standard_parameters(gamma), False)
+    assert q.standard_ad_recovery(gamma).stack.tobytes() == expected.tobytes()
 
 
 def list_form_single_stacks(p):

@@ -163,6 +163,16 @@ def test_residue_bound_over_damping_range():
             assert res.bound_ok
 
 
+def test_residue_bound_fails_when_the_error_kills_a_codespace_direction():
+    # restricted eigenvalues 1, 0.64 and 0 on the codespace: pi = diag(0.2, 0, -0.8), whose
+    # singular value 0.8 lies outside [0, sqrt(p_l) - sqrt(lambda_l p_l)] = [0, 0.2]
+    p = np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex)
+    a = np.diag([1.0, 0.8, 0.0, 0.0]).astype(complex)
+    res = q.residue(a, p, p_l=1.0, lambda_l=0.64)
+    assert max_abs(res.pi - np.diag([0.2, 0.0, -0.8, 0.0])) <= 1e-12
+    assert not res.bound_ok
+
+
 def test_residue_validates_eigenvalue():
     code = q.leung4()
     with pytest.raises(ValueError):
