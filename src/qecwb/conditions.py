@@ -131,13 +131,6 @@ def detectable_to_first_order(family: Callable[[float], tuple[QuantumCode, np.nd
     return gap >= FIRST_ORDER_GAP
 
 
-def _error_ops(code: QuantumCode, errors: KrausChannel) -> np.ndarray:
-    """The channel's (L, d, d) Kraus stack; rejects a d other than the code's."""
-    if errors.dim != code.isometry.shape[0]:
-        raise ValueError("code and error dimensions differ")
-    return errors.stack
-
-
 def _gram_blocks(images: np.ndarray) -> np.ndarray:
     """Blocks (A_l V)^dag (A_m V), (G, L, L, k, k), of images A_l V stacked as (G, L, d, k)."""
     # Laid out as (G, L k, d) rows, one 3-index einsum sums over contiguous d and
@@ -147,21 +140,21 @@ def _gram_blocks(images: np.ndarray) -> np.ndarray:
     return np.einsum("gpa,gqa->gpq", x.conj(), x).reshape(g, n, k, n, k).transpose(0, 1, 3, 2, 4)
 
 
-def _upper_pairs(items: Sequence) -> list[tuple]:
-    """Pairs (items[i], items[j]), i <= j, in row-major order."""
-    return [(a, b) for i, a in enumerate(items) for b in items[i:]]
-
-
 @lru_cache(maxsize=None)
 def _upper_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row and column index arrays of ``_upper_pairs(range(n))``, built once per n."""
-    index = np.array(list(zip(*_upper_pairs(range(n)))))
-    index.flags.writeable = False
-    return index[0], index[1]
+    """Read-only row and column indices of the pairs i <= j < n, row-major, built once per n."""
+    rows, cols = np.triu_indices(n)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _upper_pair(labels: tuple[str, ...], k: int) -> tuple[str, str]:
+    """The labels of pair k in ``_upper_index`` order."""
+    return tuple(labels[index[k]] for index in _upper_index(len(labels)))
 
 
 def _pair_violations(grams: np.ndarray) -> np.ndarray:
-    """max(|b01|, |b10|, |b00 - b11|) of each block, in ``_upper_pairs`` order.
+    """max(|b01|, |b10|, |b00 - b11|) of each block, in ``_upper_index`` order.
 
     ``grams`` is (G, L, L, 2, 2); the result is (G, L (L + 1) / 2).
     """
@@ -169,6 +162,14 @@ def _pair_violations(grams: np.ndarray) -> np.ndarray:
     b = grams[:, rows, cols]
     off = np.maximum(np.abs(b[..., 0, 1]), np.abs(b[..., 1, 0]))
     return np.maximum(off, np.abs(b[..., 0, 0] - b[..., 1, 1]))
+
+
+def _scaling_orders(gammas: tuple[float, ...], images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slope and all-zero flag of each pair's violation across a sweep of (G, L, d, 2) images,
+    in ``_upper_index`` order, then of the worst pair's: every column from one fit."""
+    violations = _pair_violations(_gram_blocks(images))
+    columns = np.column_stack([violations, violations.max(axis=1)])
+    return _fit_slope(gammas, columns), np.all(columns <= ZERO_FLOOR, axis=0)
 
 
 def kl_gram(code: QuantumCode, errors: KrausChannel) -> KLGram:
@@ -180,7 +181,7 @@ def kl_gram(code: QuantumCode, errors: KrausChannel) -> KLGram:
     ``eigvalsh``.
     """
     labels = errors.labels
-    grams = _gram_blocks(_images(_error_ops(code, errors), code.isometry)[None])[0]
+    grams = _gram_blocks(_images(errors.stack, code.isometry)[None])[0]
     diag = grams[np.arange(len(labels)), np.arange(len(labels))]
     eigs = np.linalg.eigvalsh(0.5 * (diag + diag.conj().swapaxes(1, 2)))
     blocks = {(l, m): grams[i, j] for i, l in enumerate(labels) for j, m in enumerate(labels)}
@@ -196,11 +197,10 @@ def exact_correctable(code: QuantumCode, errors: KrausChannel) -> Correctability
     most ``EXACT_TOL``; the witness is the first pair (l <= m, row-major)
     achieving it, or None when every pair satisfies the conditions exactly.
     """
-    images = _images(_error_ops(code, errors), code.isometry)
-    violations = _pair_violations(_gram_blocks(images[None]))[0]
+    violations = _pair_violations(_gram_blocks(_images(errors.stack, code.isometry)[None]))[0]
     k = int(np.argmax(violations))
     worst = float(violations[k])
-    witness = _upper_pairs(errors.labels)[k] if worst > 0.0 else None
+    witness = _upper_pair(errors.labels, k) if worst > 0.0 else None
     return CorrectabilityVerdict(worst <= EXACT_TOL, worst, witness)
 
 
@@ -214,14 +214,13 @@ def violation_order(
     at least ~2 marks the set as first-order correctable (violations are
     O(gamma**2) while detection probabilities carry O(gamma) weight).  The
     family maps gamma to a code and an error channel, with the same number
-    of Kraus operators at every sample.
+    of Kraus operators at every sample.  Samples too close to fix a slope
+    raise ``ValueError``, also for an exact set.
     """
     gammas = _noise_samples(gammas)
-    images = np.array([_images(_error_ops(c, e), c.isometry) for c, e in map(family, gammas)])
-    violations = _pair_violations(_gram_blocks(images)).max(axis=1)
-    if np.all(violations <= ZERO_FLOOR):
-        return ViolationOrder(True, None)
-    return ViolationOrder(False, float(_fit_slope(gammas, violations)))
+    images = np.array([_images(e.stack, c.isometry) for c, e in map(family, gammas)])
+    slopes, vanishing = _scaling_orders(gammas, images)
+    return ViolationOrder(True, None) if vanishing[-1] else ViolationOrder(False, float(slopes[-1]))
 
 
 def _weight_le1_rows(gamma: float) -> np.ndarray:
@@ -243,17 +242,14 @@ def classify_pair(
     correctable.  Every error pair (l, m) is classified separately by its
     violation slope; the reported witness is the last failing pair in
     (l, m) index order.  The pair slopes and the overall slope (of the
-    worst pair violation) come from one fit.
+    worst pair violation, ``violation_order``'s) come from one fit.
     """
     gammas = _noise_samples(gammas)
     ops = np.stack([_weight_le1_rows(g) for g in gammas])
-    violations = _pair_violations(_gram_blocks(_images(ops, pair.isometry)))
-    columns = np.column_stack([violations, violations.max(axis=1)])
-    slopes = _fit_slope(gammas, columns)
-    vanishing = np.all(columns <= ZERO_FLOOR, axis=0)
+    slopes, vanishing = _scaling_orders(gammas, _images(ops, pair.isometry))
     failing = np.flatnonzero(~vanishing[:-1] & (slopes[:-1] < FIRST_ORDER_SLOPE))
     slope = None if vanishing[-1] else float(slopes[-1])
-    witness = _upper_pairs(WEIGHT_LE1_LABELS)[failing[-1]] if failing.size else None
+    witness = _upper_pair(WEIGHT_LE1_LABELS, failing[-1]) if failing.size else None
     return PairClassification(pair.index_pair, not failing.size, witness, slope)
 
 
@@ -262,12 +258,10 @@ def detection_probability(code: QuantumCode, errors: KrausChannel, state: np.nda
 
     ``state`` must be a (d,) vector in the codespace.
     """
-    ops = _error_ops(code, errors)
     state = np.asarray(state, dtype=complex)
     if not code.contains(state):
         raise ValueError("state does not lie in the codespace")
     total = 0.0
-    for op in ops:
-        image = op @ state
+    for image in _images(errors.stack, state[:, None])[..., 0]:
         total += float(np.real(np.vdot(image, image)))
     return total

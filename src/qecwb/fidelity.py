@@ -154,8 +154,11 @@ def baseline_no_qec(channel: KrausChannel) -> float:
             prob = (g00 + g11).real / 2
             unitary = all(abs(d) <= UNITARY_BRANCH_TOL for d in (g00 - prob, g01, g10, g11 - prob))
             total += (prob if unitary else 1.0) * abs(a00 + a11) ** 2
-    except OverflowError:  # Python's float ** 2, above about 1.3e154
-        raise ValueError("baseline overflows: a Kraus trace is too large to square") from None
+            if not (math.isfinite(prob) and math.isfinite(total)):  # non-finite entry, A^dag A, sum
+                raise OverflowError
+    except OverflowError:  # and Python's float ** 2, above about 1.3e154
+        raise ValueError("baseline overflows: a Kraus trace is too large to square,"
+                         " or a branch or the sum is not finite") from None
     return 0.25 * total
 
 

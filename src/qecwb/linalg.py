@@ -77,6 +77,8 @@ def completeness_defect(ops) -> float:
 
 def _images(ops: np.ndarray, isometry: np.ndarray) -> np.ndarray:
     """Images A_l V, (..., d, k), of a (..., d, d) stack: one (... d, d) @ (d, k) product."""
+    if ops.shape[-1] != isometry.shape[0]:
+        raise ValueError("code and error dimensions differ")
     return (ops.reshape(-1, ops.shape[-1]) @ isometry).reshape(ops.shape[:-1] + (-1,))
 
 

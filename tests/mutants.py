@@ -53,10 +53,70 @@ MUTANTS = (
     Mutant("zero-violation-witnessed", "conditions.py",
            "if worst > 0.0 else None", "if worst >= 0.0 else None",
            "tests/test_conditions.py"),
+    # One pair order feeds the violations and the witness labels alike.
     Mutant("upper-pairs-reversed", "conditions.py",
-           "return [(a, b) for i, a in enumerate(items) for b in items[i:]]",
-           "return [(a, b) for i, a in enumerate(items) for b in items[i:]][::-1]",
+           "    rows, cols = np.triu_indices(n)\n",
+           "    rows, cols = (index[::-1] for index in np.triu_indices(n))\n",
            "tests/test_kernel_oracle.py"),
+    # The matmul then fails in numpy with its own message.
+    Mutant("images-dimension-unchecked", "linalg.py",
+           "    if ops.shape[-1] != isometry.shape[0]:\n"
+           '        raise ValueError("code and error dimensions differ")\n',
+           "",
+           "tests/test_conditions.py"),
+    # Each of these gate edits differs from the source only at the tolerance itself,
+    # so each test puts an input exactly on that value.
+    Mutant("exact-gate-exclusive", "conditions.py",
+           "worst <= EXACT_TOL", "worst < EXACT_TOL",
+           "tests/test_conditions.py"),
+    Mutant("first-order-slope-gate-exclusive", "conditions.py",
+           "self.slope >= FIRST_ORDER_SLOPE", "self.slope > FIRST_ORDER_SLOPE",
+           "tests/test_conditions.py"),
+    Mutant("scaling-zero-floor-exclusive", "conditions.py",
+           "np.all(columns <= ZERO_FLOOR, axis=0)", "np.all(columns < ZERO_FLOOR, axis=0)",
+           "tests/test_conditions.py"),
+    Mutant("detectable-zero-floor-exclusive", "conditions.py",
+           "if np.all(residuals <= ZERO_FLOOR):", "if np.all(residuals < ZERO_FLOOR):",
+           "tests/test_conditions.py"),
+    Mutant("detectable-residual-floor-exclusive", "conditions.py",
+           "np.any(residuals <= ZERO_FLOOR) or", "np.any(residuals < ZERO_FLOOR) or",
+           "tests/test_conditions.py"),
+    Mutant("detectable-amplitude-floor-exclusive", "conditions.py",
+           "np.any(lams <= ZERO_FLOOR)", "np.any(lams < ZERO_FLOOR)",
+           "tests/test_conditions.py"),
+    Mutant("hermiticity-gate-exclusive", "linalg.py",
+           "if not max_abs(m - dagger(m)) <= HERMITICITY_TOL:",
+           "if not max_abs(m - dagger(m)) < HERMITICITY_TOL:",
+           "tests/test_linalg.py"),
+    Mutant("negative-eigenvalue-gate-inclusive", "linalg.py",
+           "values.min(initial=0.0) < -NEGATIVE_EIGENVALUE_TOL",
+           "values.min(initial=0.0) <= -NEGATIVE_EIGENVALUE_TOL",
+           "tests/test_linalg.py"),
+    Mutant("eigenvalue-clamp-inclusive", "linalg.py",
+           "np.where(values < EIGENVALUE_CLAMP_TOL", "np.where(values <= EIGENVALUE_CLAMP_TOL",
+           "tests/test_linalg.py"),
+    Mutant("orthonormal-gate-exclusive", "linalg.py",
+           "<= ORTHONORMAL_TOL:", "< ORTHONORMAL_TOL:",
+           "tests/test_linalg.py"),
+    Mutant("gram-schmidt-keeps-residual-at-tol", "linalg.py",
+           "if norm > tol:", "if norm >= tol:",
+           "tests/test_linalg.py"),
+    Mutant("phase-pivot-at-tolerance", "linalg.py",
+           "np.abs(col) > PHASE_PIVOT_TOL", "np.abs(col) >= PHASE_PIVOT_TOL",
+           "tests/test_linalg.py"),
+    # Dividing by conj(p) / |p| multiplies by p / |p|: the pivot becomes p**2 / |p|.
+    Mutant("phase-rotation-inverted", "linalg.py",
+           "col * (pivot.conjugate() / abs(pivot))", "col / (pivot.conjugate() / abs(pivot))",
+           "tests/test_linalg.py"),
+    # LAPACK reads an rcond of 1 or more as machine precision, below polyfit's len * eps.
+    Mutant("fit-rcond-at-machine-precision", "conditions.py",
+           "len(gammas) * np.finfo(float).eps", "len(gammas) / np.finfo(float).eps",
+           "tests/test_conditions.py"),
+    # Column 0 is the first pair's violation, not the worst pair's.
+    Mutant("violation-order-reads-first-column", "conditions.py",
+           "ViolationOrder(True, None) if vanishing[-1] else ViolationOrder(False, float(slopes[-1]))",
+           "ViolationOrder(True, None) if vanishing[0] else ViolationOrder(False, float(slopes[0]))",
+           "tests/test_conditions.py"),
     Mutant("cp-recovery-wrong-sign", "recovery.py",
            "return fletcher_recovery(1 / np.sqrt(2), 1 / np.sqrt(2))",
            "return fletcher_recovery(1 / np.sqrt(2), -1 / np.sqrt(2))",
@@ -88,6 +148,10 @@ MUTANTS = (
            "tests/test_kernel_oracle.py"),
     Mutant("baseline-overflow-unnamed", "fidelity.py",
            "    except OverflowError:", "    except ZeroDivisionError:",
+           "tests/test_fidelity.py"),
+    # An overflowed A^dag A then reads as a non-unitary branch of finite trace.
+    Mutant("baseline-non-finite-unchecked", "fidelity.py",
+           "if not (math.isfinite(prob) and math.isfinite(total)):", "if False:",
            "tests/test_fidelity.py"),
     Mutant("channel-stack-writeable", "channels.py",
            "stack.flags.writeable = False", "stack.flags.writeable = True",

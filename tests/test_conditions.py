@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qecwb as q
-from qecwb.conditions import EXACT_TOL, weight_le1_ad_errors
+from qecwb.conditions import EXACT_TOL, FIRST_ORDER_SLOPE, ZERO_FLOOR, weight_le1_ad_errors
 from qecwb.linalg import max_abs
 
 
@@ -328,3 +328,70 @@ def test_samples_too_close_to_fix_a_slope_raise():
 def test_exact_correctable_names_no_witness_when_every_violation_is_zero():
     identity = q.KrausChannel(3, ("id",), [np.eye(8, dtype=complex)])
     assert q.exact_correctable(q.repetition3(), identity) == (True, 0.0, None)
+
+
+def test_violation_order_reads_classify_pairs_overall_slope():
+    # one fit, one column layout: the worst pair's slope is the same number in both
+    for pair in q.enumerate_pairs():
+        order = q.violation_order(lambda g: (pair, weight_le1_ad_errors(g)))
+        assert order.slope == q.classify_pair(pair).slope
+
+
+def test_the_rank_cut_is_polyfits_relative_to_the_sample_count():
+    # the scaled design's singular values differ by 1.47 eps: rank 1 at polyfit's
+    # rcond of 2 eps (two samples), rank 2 at machine precision
+    gammas = (5e-4, 0.0005000000000000053)
+    with pytest.raises(ValueError, match="too close to fix a log-log slope"):
+        q.classify_pair(q.enumerate_pairs()[1], gammas)
+
+
+def test_exact_sets_on_samples_too_close_to_fix_a_slope_raise():
+    # every violation vanishes, but the sweep still cannot fix a slope, as in classify_pair
+    gammas = (1e-3, float(np.nextafter(1e-3, 1.0)))
+    with pytest.raises(ValueError, match="too close to fix a log-log slope"):
+        q.violation_order(lambda g: (q.repetition3(), bitflip_errors(g, 4)), gammas)
+
+
+def flip_error(lam, c):
+    """lam I + c |000><111| on three qubits.  On the repetition code its detection amplitude
+    is lam and its detectability residual c, and as an error set its only Knill-Laflamme
+    violation is c: every product behind them is exact."""
+    op = lam * np.eye(8, dtype=complex)
+    op[0, 7] = c
+    return op
+
+
+def flip_errors(c):
+    return q.KrausChannel(3, ("a",), [flip_error(1.0, c)])
+
+
+def test_exact_correctable_gate_includes_its_tolerance():
+    verdict = q.exact_correctable(q.repetition3(), flip_errors(EXACT_TOL))
+    assert verdict.violation == EXACT_TOL and verdict.exact
+    assert not q.exact_correctable(q.repetition3(), flip_errors(2 * EXACT_TOL)).exact
+
+
+def test_violations_at_the_zero_floor_count_as_zero():
+    assert q.violation_order(lambda g: (q.repetition3(), flip_errors(ZERO_FLOOR))) == (True, None)
+    assert not q.violation_order(lambda g: (q.repetition3(), flip_errors(2 * ZERO_FLOOR))).exact
+
+
+def test_first_order_slope_gate_includes_its_value():
+    assert q.ViolationOrder(False, FIRST_ORDER_SLOPE).first_order_correctable
+    below = float(np.nextafter(FIRST_ORDER_SLOPE, 0.0))
+    assert not q.ViolationOrder(False, below).first_order_correctable
+
+
+def test_residuals_at_the_zero_floor_count_as_zero():
+    assert q.detectable_to_first_order(lambda g: (q.repetition3(), flip_error(1.0, ZERO_FLOOR)))
+
+
+@pytest.mark.parametrize("lam, residual", [
+    (lambda g: 1.0, lambda g: ZERO_FLOOR * (g / 1e-4) ** 2),  # residual at the floor at 1e-4
+    (lambda g: ZERO_FLOOR, lambda g: g**2),  # amplitude at the floor everywhere
+], ids=["residual", "amplitude"])
+def test_a_sweep_that_touches_the_zero_floor_is_not_detectable(lam, residual):
+    # fitted instead, each would read as a residual that outgrows its amplitude by two orders
+    family = lambda g: (q.repetition3(), flip_error(lam(g), residual(g)))
+    assert q.detectability(*family(1e-4)) == (lam(1e-4), residual(1e-4))
+    assert not q.detectable_to_first_order(family)

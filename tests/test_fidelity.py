@@ -340,3 +340,15 @@ def test_threshold_analysis_rejects_bad_grids(grid, message):
 def test_threshold_analysis_rejects_non_finite_curve_values(coded, baseline):
     with pytest.raises(ValueError, match="curve values must be finite"):
         q.threshold_analysis(coded, baseline, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+
+
+@pytest.mark.parametrize("stack", [
+    [[[0.5, 1e200], [0.0, 0.5]]],  # A^dag A overflows, the trace does not
+    [np.diag([np.nan, 0.5])],
+    [np.diag([np.inf, 0.5])],
+    [np.diag([1.3e154, 0.0])] * 2,  # each squared trace is finite, their sum is not
+], ids=["gram-overflow", "nan", "inf", "sum-overflow"])
+def test_baseline_names_a_value_that_is_not_finite(stack):
+    channel = KrausChannel(1, tuple("ab"[:len(stack)]), stack)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="or the sum is not finite"):
+        q.baseline_no_qec(channel)

@@ -442,7 +442,8 @@ def test_baseline_equals_trace_form_bit_for_bit(seed, n_ops):
 
 def array_form_baseline_no_qec(channel):
     """``baseline_no_qec`` gating and weighting whole arrays in numpy, as it was before each
-    2 x 2 gram and trace was read as Python numbers; it must agree bit for bit."""
+    2 x 2 gram and trace was read as Python numbers; it must agree bit for bit.  A branch
+    probability or a sum that is not finite overflows, as it does in ``baseline_no_qec``."""
     stack = channel.stack
     grams = stack.conj().transpose(0, 2, 1) @ stack
     probs = (grams[:, 0, 0] + grams[:, 1, 1]).real / channel.dim
@@ -451,6 +452,8 @@ def array_form_baseline_no_qec(channel):
     total = 0.0
     for weight, trace in zip(weights, (stack[:, 0, 0] + stack[:, 1, 1]).tolist()):
         total += weight * abs(trace) ** 2
+    if not (np.isfinite(probs).all() and math.isfinite(total)):
+        raise OverflowError
     return 0.25 * total
 
 
@@ -487,8 +490,9 @@ def test_baseline_equals_array_form_bit_for_bit(seed, n_ops, bad):
 
 
 def float_outcome(f, channel):
-    """The bits of ``f(channel)``, "nan" for any NaN, or "overflow" on a trace above
-    about 1e154: Python's ``abs(trace) ** 2`` raises it, and ``baseline_no_qec`` names it."""
+    """The bits of ``f(channel)``, "nan" for any NaN, or "overflow" on a non-finite branch
+    probability or sum, or on a trace above about 1e154 (Python's ``abs(trace) ** 2`` raises
+    it): ``baseline_no_qec`` names each."""
     try:
         with np.errstate(all="ignore"):
             value = f(channel)
@@ -597,6 +601,30 @@ def test_images_equal_batched_product_bit_for_bit(seed, n, n_ops, g):
     isometry = random_code(rng, n).isometry
     images, batched = _images(ops, isometry), ops @ isometry
     assert images.shape == batched.shape and images.tobytes() == batched.tobytes()
+
+
+def loop_detection_probability(errors, state):
+    """sum_k <psi|A_k^dag A_k|psi>, one ``op @ state`` image at a time."""
+    total = 0.0
+    for op in errors.stack:
+        image = op @ state
+        total += float(np.real(np.vdot(image, image)))
+    return total
+
+
+@oracle_settings
+@given(seed=seeds, n=qubits, n_ops=st.integers(1, 16))
+def test_state_images_equal_per_operator_products_bit_for_bit(seed, n, n_ops):
+    rng = np.random.default_rng(seed)
+    dim = 2**n
+    ops = rng.normal(size=(n_ops, dim, dim)) + 1j * rng.normal(size=(n_ops, dim, dim))
+    code = random_code(rng, n)
+    state = code.isometry @ random_isometry(rng, 2, 1)[:, 0]
+    for image, op in zip(_images(ops, state[:, None])[..., 0], ops):
+        assert image.tobytes() == (op @ state).tobytes()
+    errors = KrausChannel(n, tuple("e%d" % k for k in range(n_ops)), ops)
+    assert float_bits(q.detection_probability(code, errors, state)) == float_bits(
+        loop_detection_probability(errors, state))
 
 
 noise_samples = st.lists(st.floats(0.0, 1e-2, exclude_min=True),

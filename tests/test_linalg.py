@@ -167,3 +167,35 @@ def test_trace_and_restrict():
     assert max_abs(block - np.eye(2)) <= 1e-12
     with pytest.raises(ValueError):
         restrict(np.eye(4), [np.ones(3)])
+
+
+def test_hermitian_eig_makes_each_complex_pivot_real_positive():
+    rng = np.random.default_rng(17)
+    a = random_complex(rng, 4, 4)
+    _, vectors = hermitian_eig(a + dagger(a))
+    for col in vectors.T:
+        pivot = col[np.flatnonzero(np.abs(col) > q.linalg.PHASE_PIVOT_TOL)[0]]
+        assert pivot.real > 0 and abs(pivot.imag) <= 1e-15
+
+
+def test_phase_pivot_is_the_first_entry_above_the_tolerance():
+    # an entry of exactly PHASE_PIVOT_TOL is not a pivot, so the next one is rotated to 1
+    fixed = q.linalg._fix_phases(np.array([[q.linalg.PHASE_PIVOT_TOL], [1j]]))
+    assert fixed[1, 0] == 1.0
+
+
+def test_linalg_gates_include_their_tolerances():
+    # each input sits exactly at its gate, which accepts it
+    values, _ = hermitian_eig(np.array([[0.0, q.linalg.HERMITICITY_TOL], [0.0, 0.0]]))
+    assert values.size == 2
+    root = psd_sqrt(np.diag([-q.linalg.NEGATIVE_EIGENVALUE_TOL, 1.0]))  # clamped to zero
+    assert max_abs(root - np.diag([0.0, 1.0])) == 0.0
+    clamp = q.linalg.EIGENVALUE_CLAMP_TOL  # kept, not set to zero
+    assert abs(psd_sqrt(np.diag([clamp, 1.0]))[0, 0] - np.sqrt(clamp)) <= 1e-20
+    basis = [np.array([1.0, 0.0]), np.array([q.linalg.ORTHONORMAL_TOL, 1.0])]
+    assert restrict(np.eye(2), basis).shape == (2, 2)
+
+
+def test_gram_schmidt_drops_a_residual_of_exactly_tol():
+    assert gram_schmidt([np.array([0.5, 0.0])], tol=0.5) == []
+    assert len(gram_schmidt([np.array([0.5, 0.0])], tol=0.25)) == 1
