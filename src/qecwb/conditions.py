@@ -9,6 +9,10 @@ noise parameter: a violation of order gamma**2 when the detection amplitudes
 are O(1) does not spoil first-order protection, while any O(gamma) or
 O(sqrt(gamma)) violation does.  A candidate pair is a code; it is classified
 against the weight <= 1 damping errors, the first rows of the enlarged stack.
+A search over the pairs stacks those rows once per gamma triple: each
+``classify_pair`` still asks ``enlarge`` for every sample's channel and keys
+the stack on the channels it returns, so a rebuilt enlargement rebuilds it.
+Error sets whose violations are not finite raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -164,12 +168,20 @@ def _pair_violations(grams: np.ndarray) -> np.ndarray:
     return np.maximum(off, np.abs(b[..., 0, 0] - b[..., 1, 1]))
 
 
-def _scaling_orders(gammas: tuple[float, ...], images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slope and all-zero flag of each pair's violation across a sweep of (G, L, d, 2) images,
-    in ``_upper_index`` order, then of the worst pair's: every column from one fit."""
+def _finite_violations(images: np.ndarray) -> np.ndarray:
+    """``_pair_violations`` of (G, L, d, 2) images; ``ValueError`` unless every one is finite."""
     violations = _pair_violations(_gram_blocks(images))
-    columns = np.column_stack([violations, violations.max(axis=1)])
-    return _fit_slope(gammas, columns), np.all(columns <= ZERO_FLOOR, axis=0)
+    if not np.isfinite(violations).all():
+        raise ValueError("Knill-Laflamme violation is not finite: an error operator has a NaN"
+                         " or infinite entry, or its products overflow")
+    return violations
+
+
+def _scaling_orders(gammas: tuple[float, ...], violations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slope and all-zero flag of each pair's violation across a sweep, the (G, P) columns
+    in ``_upper_index`` order, then of the worst pair's: every column from one fit."""
+    columns = np.concatenate([violations, violations.max(axis=1, keepdims=True)], axis=1)
+    return _fit_slope(gammas, columns), (columns <= ZERO_FLOOR).all(axis=0)
 
 
 def kl_gram(code: QuantumCode, errors: KrausChannel) -> KLGram:
@@ -197,7 +209,7 @@ def exact_correctable(code: QuantumCode, errors: KrausChannel) -> Correctability
     most ``EXACT_TOL``; the witness is the first pair (l <= m, row-major)
     achieving it, or None when every pair satisfies the conditions exactly.
     """
-    violations = _pair_violations(_gram_blocks(_images(errors.stack, code.isometry)[None]))[0]
+    violations = _finite_violations(_images(errors.stack, code.isometry)[None])[0]
     k = int(np.argmax(violations))
     worst = float(violations[k])
     witness = _upper_pair(errors.labels, k) if worst > 0.0 else None
@@ -219,18 +231,33 @@ def violation_order(
     """
     gammas = _noise_samples(gammas)
     images = np.array([_images(e.stack, c.isometry) for c, e in map(family, gammas)])
-    slopes, vanishing = _scaling_orders(gammas, images)
+    slopes, vanishing = _scaling_orders(gammas, _finite_violations(images))
     return ViolationOrder(True, None) if vanishing[-1] else ViolationOrder(False, float(slopes[-1]))
 
 
-def _weight_le1_rows(gamma: float) -> np.ndarray:
-    """The enlarged damping operators labeled ``WEIGHT_LE1_LABELS``, a read-only view."""
-    return enlarge(ad_single(gamma), 4).stack[:len(WEIGHT_LE1_LABELS)]
+def _weight_le1_rows(enlarged: KrausChannel) -> np.ndarray:
+    """The operators of a 4-qubit enlarged channel labeled ``WEIGHT_LE1_LABELS``, a read-only view."""
+    return enlarged.stack[:len(WEIGHT_LE1_LABELS)]
 
 
 def weight_le1_ad_errors(gamma: float) -> KrausChannel:
     """The five enlarged damping errors of weight <= 1 on four qubits, as one channel."""
-    return KrausChannel(4, WEIGHT_LE1_LABELS, _weight_le1_rows(gamma))
+    return KrausChannel(4, WEIGHT_LE1_LABELS, _weight_le1_rows(enlarge(ad_single(gamma), 4)))
+
+
+@lru_cache(maxsize=8)
+def _damping(gamma: float) -> KrausChannel:
+    """``ad_single`` of a validated (positive, finite) sample, shared by the calls of a search."""
+    return ad_single(gamma)
+
+
+@lru_cache(maxsize=1)
+def _search_rows(*enlarged: KrausChannel) -> np.ndarray:
+    """Read-only (G, 5, 16, 16) weight <= 1 rows of a sweep's enlarged channels, one stack
+    per sweep, keyed on the channels by identity (``KrausChannel`` compares so)."""
+    rows = np.stack([_weight_le1_rows(channel) for channel in enlarged])
+    rows.flags.writeable = False
+    return rows
 
 
 def classify_pair(
@@ -245,8 +272,10 @@ def classify_pair(
     worst pair violation, ``violation_order``'s) come from one fit.
     """
     gammas = _noise_samples(gammas)
-    ops = np.stack([_weight_le1_rows(g) for g in gammas])
-    slopes, vanishing = _scaling_orders(gammas, _images(ops, pair.isometry))
+    ops = _search_rows(*(enlarge(_damping(g), 4) for g in gammas))
+    # Rows of validated damping channels are finite, so this path skips the finiteness check.
+    violations = _pair_violations(_gram_blocks(_images(ops, pair.isometry)))
+    slopes, vanishing = _scaling_orders(gammas, violations)
     failing = np.flatnonzero(~vanishing[:-1] & (slopes[:-1] < FIRST_ORDER_SLOPE))
     slope = None if vanishing[-1] else float(slopes[-1])
     witness = _upper_pair(WEIGHT_LE1_LABELS, failing[-1]) if failing.size else None

@@ -73,7 +73,7 @@ MUTANTS = (
            "self.slope >= FIRST_ORDER_SLOPE", "self.slope > FIRST_ORDER_SLOPE",
            "tests/test_conditions.py"),
     Mutant("scaling-zero-floor-exclusive", "conditions.py",
-           "np.all(columns <= ZERO_FLOOR, axis=0)", "np.all(columns < ZERO_FLOOR, axis=0)",
+           "(columns <= ZERO_FLOOR).all(axis=0)", "(columns < ZERO_FLOOR).all(axis=0)",
            "tests/test_conditions.py"),
     Mutant("detectable-zero-floor-exclusive", "conditions.py",
            "if np.all(residuals <= ZERO_FLOOR):", "if np.all(residuals < ZERO_FLOOR):",
@@ -178,6 +178,25 @@ MUTANTS = (
     Mutant("code-projector-drops-conjugate", "codes.py",
            '("projector", iso @ dagger(iso))', '("projector", iso @ iso.T)',
            "tests/test_codes.py"),
+    # A stack keyed on the first sample's channel alone: a second sweep that shares that
+    # sample reads the first sweep's rows (with two samples, the wrong shape), and
+    # cache_clear still empties it.
+    Mutant("search-rows-keyed-on-first-channel", "conditions.py",
+           "@lru_cache(maxsize=1)\n"
+           "def _search_rows(*enlarged: KrausChannel) -> np.ndarray:\n",
+           "class _AnyRest(tuple):\n"
+           "    __hash__, __eq__ = (lambda self: 0), (lambda self, other: True)\n\n\n"
+           "def _search_rows(first, *rest):\n"
+           "    return _rows_by_first(first, _AnyRest(rest))\n\n\n"
+           "_search_rows.cache_clear = lambda: _rows_by_first.cache_clear()\n\n\n"
+           "@lru_cache(maxsize=1)\n"
+           "def _rows_by_first(first, rest) -> np.ndarray:\n"
+           "    enlarged = (first, *rest)\n",
+           "tests/test_conditions.py"),
+    # Unchecked, a NaN violation reads as "not correctable, no witness".
+    Mutant("kl-violations-non-finite-unchecked", "conditions.py",
+           "if not np.isfinite(violations).all():", "if False:",
+           "tests/test_conditions.py"),
     # The slice relies on enlarge listing the weight <= 1 labels first.
     Mutant("weight-le1-rows-shifted", "conditions.py",
            ".stack[:len(WEIGHT_LE1_LABELS)]", ".stack[1:1 + len(WEIGHT_LE1_LABELS)]",
@@ -189,6 +208,18 @@ MUTANTS = (
     Mutant("codeword-gate-lets-nan-through", "codes.py",
            "if not abs(np.linalg.norm(v) - 1.0) <= CODEWORD_TOL:",
            "if abs(np.linalg.norm(v) - 1.0) > CODEWORD_TOL:",
+           "tests/test_codes.py"),
+    # The codes' tolerance gates, each hit by an input exactly on its tolerance.
+    Mutant("codespace-gate-exclusive", "codes.py",
+           "max_abs(self.projector @ state - state) <= CODESPACE_TOL",
+           "max_abs(self.projector @ state - state) < CODESPACE_TOL",
+           "tests/test_codes.py"),
+    Mutant("orthogonality-gate-exclusive", "codes.py",
+           "if not abs(np.vdot(zero, one)) <= CODEWORD_TOL:",
+           "if not abs(np.vdot(zero, one)) < CODEWORD_TOL:",
+           "tests/test_codes.py"),
+    Mutant("permutation-gate-exclusive", "codes.py",
+           "max_abs(moved - c2.projector) <= CODESPACE_TOL", "max_abs(moved - c2.projector) < CODESPACE_TOL",
            "tests/test_codes.py"),
     Mutant("gate-value-not-in-readme", "recovery.py",
            "PROJECTOR_TOL = 1e-10", "PROJECTOR_TOL = 1e-9",

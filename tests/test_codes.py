@@ -207,3 +207,30 @@ def test_permutation_equivalence_negative_case():
 def test_permutation_equivalent_dimension_mismatch():
     with pytest.raises(ValueError):
         q.permutation_equivalent(q.repetition3(), q.leung4())
+
+
+# Each gate includes its tolerance; every product behind these deviations is exact,
+# so each input sits exactly on the tolerance and twice it fails.
+def test_codespace_membership_gate_includes_its_tolerance():
+    code = q.repetition3()
+    on = ket("000") + q.codes.CODESPACE_TOL * ket("001")
+    assert max_abs(code.projector @ on - on) == q.codes.CODESPACE_TOL and code.contains(on)
+    assert not code.contains(ket("000") + 2 * q.codes.CODESPACE_TOL * ket("001"))
+
+
+def test_codeword_orthogonality_gate_includes_its_tolerance():
+    tol = q.codes.CODEWORD_TOL
+    code = q.QuantumCode(3, ket("000"), ket("111") + tol * ket("000"))
+    assert abs(np.vdot(code.zero_logical, code.one_logical)) == tol
+    with pytest.raises(ValueError, match="orthogonal"):
+        q.QuantumCode(3, ket("000"), ket("111") + 2 * tol * ket("000"))
+
+
+def test_permutation_equivalence_gate_includes_its_tolerance():
+    def tilted(c):  # projector |000><000| + |v><v|, v = |111> + c|110>: off by c from repetition3's
+        return q.QuantumCode(3, ket("000"), ket("111") + c * ket("110"))
+
+    tol = q.codes.CODESPACE_TOL
+    assert max_abs(tilted(tol).projector - q.repetition3().projector) == tol
+    assert q.permutation_equivalent(q.repetition3(), tilted(tol)) == (0, 1, 2)
+    assert q.permutation_equivalent(q.repetition3(), tilted(2 * tol)) is None

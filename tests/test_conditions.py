@@ -395,3 +395,77 @@ def test_a_sweep_that_touches_the_zero_floor_is_not_detectable(lam, residual):
     family = lambda g: (q.repetition3(), flip_error(lam(g), residual(g)))
     assert q.detectability(*family(1e-4)) == (lam(1e-4), residual(1e-4))
     assert not q.detectable_to_first_order(family)
+
+
+def entry_errors(value):
+    """The identity on three qubits with ``value`` as its first entry, as one error set."""
+    op = np.eye(8, dtype=complex)
+    op[0, 0] = value
+    return q.KrausChannel(3, ("a",), [op])
+
+
+def damping_with_entry(value):
+    stack = weight_le1_ad_errors(0.1).stack.copy()
+    stack[2, 3, 3] = value
+    return q.KrausChannel(4, q.conditions.WEIGHT_LE1_LABELS, stack)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, -np.inf), 1e200],
+                         ids=["nan", "inf", "-inf", "-infj", "overflow"])
+def test_error_sets_that_are_not_finite_are_named(value):
+    # NaN fails every comparison: unchecked, the verdict read (False, nan, None)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="violation is not finite"):
+        q.exact_correctable(q.repetition3(), entry_errors(value))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="violation is not finite"):
+        q.violation_order(lambda g: (q.repetition3(), entry_errors(value)))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="violation is not finite"):
+        q.exact_correctable(q.leung4(), damping_with_entry(value))
+
+
+# Three samples, one from each of the code search's ranges, and three triples
+# that each share one of them, so a memo keyed on part of a triple reads stale rows.
+TRIPLE = (1.5e-4, 2e-3, 6e-3)
+SHARING = [(1.5e-4, 1.2e-3, 5e-3), (2.5e-4, 2e-3, 9e-3), (1.1e-4, 2.8e-3, 6e-3)]
+
+
+def classify_all(gammas, cold=False):
+    """Every pair's classification; ``cold`` empties the search's memos before each one."""
+    results = []
+    for pair in q.enumerate_pairs():
+        if cold:
+            q.conditions._search_rows.cache_clear()
+            q.conditions._damping.cache_clear()
+        results.append(q.classify_pair(pair, gammas))
+    return results
+
+
+def test_search_rows_from_a_warm_memo_equal_a_cold_one():
+    cold = {gammas: classify_all(gammas, cold=True) for gammas in [TRIPLE] + SHARING}
+    for gammas in SHARING:
+        assert classify_all(TRIPLE) == cold[TRIPLE]
+        assert classify_all(gammas) == cold[gammas], gammas
+    q.channels._enlarge_pair.cache_clear()  # rebuilt enlargements miss the memo
+    assert classify_all(TRIPLE) == cold[TRIPLE]
+
+
+def test_search_rows_are_the_read_only_weight_le1_rows():
+    rows = q.conditions._search_rows(*(q.enlarge(q.ad_single(g), 4) for g in TRIPLE))
+    assert not rows.flags.writeable
+    assert np.array_equal(rows, np.stack([weight_le1_ad_errors(g).stack for g in TRIPLE]))
+    with pytest.raises(ValueError):
+        rows[0, 0, 0, 0] = 0.0
+
+
+def test_classify_pair_asks_enlarge_once_per_sample(monkeypatch):
+    calls = []
+
+    def counting(channel, n):
+        calls.append(n)
+        return q.channels.enlarge(channel, n)
+
+    monkeypatch.setattr(q.conditions, "enlarge", counting)
+    pair = q.enumerate_pairs()[5]
+    for gammas in (TRIPLE, TRIPLE, SHARING[0]):
+        del calls[:]
+        q.classify_pair(pair, gammas)
+        assert calls == [4, 4, 4], gammas

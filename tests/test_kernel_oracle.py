@@ -42,7 +42,7 @@ from hypothesis import strategies as st
 
 import qecwb as q
 from qecwb.channels import KrausChannel
-from qecwb.conditions import _fit_slope, _gram_blocks, _weight_le1_rows
+from qecwb.conditions import _fit_slope, _gram_blocks
 from qecwb.fidelity import THRESHOLD_TOL, _channel_factors
 from qecwb.linalg import _images, completeness_defect, dagger, ket, max_abs
 from qecwb.recovery import RecoveryOperation
@@ -666,7 +666,7 @@ def test_gram_blocks_equal_direct_contraction_on_random_complex_images(seed, g, 
 
 def test_gram_blocks_equal_direct_contraction_at_the_search_corners():
     for gammas in product(*SEARCH_RANGES):
-        ops = np.stack([_weight_le1_rows(g) for g in gammas])
+        ops = np.stack([q.weight_le1_ad_errors(g).stack for g in gammas])
         for pair in q.enumerate_pairs():
             images = ops @ pair.as_code().isometry
             assert np.array_equal(_gram_blocks(images), direct_gram_blocks(images)), gammas
