@@ -4,8 +4,8 @@ A code is a pair of orthonormal logical codewords; the isometry
 V = [|0_L> |1_L>] and the projector V V^dag are built on construction.  A
 code holds read-only copies of its arrays, so the named codes, built once per
 process, are safe to share.  The four-qubit self-complementary states
-(|a> + |a-complement>)/sqrt(2) come in eight flavors, giving 28 candidate
-codes (each a ``QuantumCode`` with its index pair), which are built once too.
+(|a> + |a-complement>)/sqrt(2), the columns of one (16, 8) matrix, give 28
+candidate codes (each a ``QuantumCode`` with its index pair), built once too.
 """
 
 from __future__ import annotations
@@ -115,10 +115,24 @@ def enumerate_pairs() -> list[SelfComplementaryPair]:
 
 
 @lru_cache(maxsize=None)
+def _candidate_states() -> np.ndarray:
+    """Read-only (16, 8) matrix of the eight self-complementary states; column i - 1 is state i."""
+    states = np.stack([_equal_superposition(bits) for bits in SELF_COMPLEMENTARY_STRINGS], axis=1)
+    states.flags.writeable = False
+    return states
+
+
+@lru_cache(maxsize=None)
 def _pairs() -> tuple[SelfComplementaryPair, ...]:
-    basis = enumerate((_equal_superposition(bits) for bits in SELF_COMPLEMENTARY_STRINGS), 1)
-    return tuple(SelfComplementaryPair(4, u, v, index_pair=(i, j))
-                 for (i, u), (j, v) in combinations(basis, 2))
+    states = _candidate_states().T
+    return tuple(SelfComplementaryPair(4, states[i], states[j], index_pair=(i + 1, j + 1))
+                 for i, j in combinations(range(len(states)), 2))
+
+
+@lru_cache(maxsize=None)
+def _pair_columns() -> dict:
+    """Each shared pair's two ``_candidate_states`` columns, keyed by identity (pairs compare so)."""
+    return {pair: np.subtract(pair.index_pair, 1) for pair in _pairs()}
 
 
 def permutation_equivalent(c1: QuantumCode, c2: QuantumCode) -> Optional[tuple[int, ...]]:

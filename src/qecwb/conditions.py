@@ -9,10 +9,11 @@ noise parameter: a violation of order gamma**2 when the detection amplitudes
 are O(1) does not spoil first-order protection, while any O(gamma) or
 O(sqrt(gamma)) violation does.  A candidate pair is a code; it is classified
 against the weight <= 1 damping errors, the first rows of the enlarged stack.
-A search over the pairs stacks those rows once per gamma triple: each
-``classify_pair`` still asks ``enlarge`` for every sample's channel and keys
-the stack on the channels it returns, so a rebuilt enlargement rebuilds it.
-Error sets whose violations are not finite raise ``ValueError``.
+A search forms the Gram of the eight candidate states once per gamma triple,
+keyed on the three channels ``classify_pair`` still asks ``enlarge`` for; a pair
+``enumerate_pairs`` shares reads its blocks at its two state columns, a
+hand-built pair uses its own codewords.  Non-finite blocks, violations or
+detection probabilities raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .channels import KrausChannel, ad_single, enlarge
-from .codes import QuantumCode, SelfComplementaryPair
+from .codes import QuantumCode, SelfComplementaryPair, _candidate_states, _pair_columns
 from .fidelity import SERIES_NOISE_MAX
 from .linalg import _Frozen, _images, max_abs
 
@@ -168,13 +169,21 @@ def _pair_violations(grams: np.ndarray) -> np.ndarray:
     return np.maximum(off, np.abs(b[..., 0, 0] - b[..., 1, 1]))
 
 
-def _finite_violations(images: np.ndarray) -> np.ndarray:
-    """``_pair_violations`` of (G, L, d, 2) images; ``ValueError`` unless every one is finite."""
-    violations = _pair_violations(_gram_blocks(images))
-    if not np.isfinite(violations).all():
-        raise ValueError("Knill-Laflamme violation is not finite: an error operator has a NaN"
-                         " or infinite entry, or its products overflow")
-    return violations
+def _finite(values, what: str):
+    """``values``, or ``ValueError`` naming ``what`` unless every entry is finite."""
+    if not np.isfinite(values).all():
+        raise ValueError("%s is not finite: an error operator has a NaN or infinite entry,"
+                         " or its products overflow" % what)
+    return values
+
+
+def _finite_violations(problems) -> np.ndarray:
+    """(G, P) ``_pair_violations`` of each sample's (stack, isometry) images; ``ValueError``
+    unless every one is finite, numpy's floating-point warnings silenced on the way there."""
+    with np.errstate(all="ignore"):
+        images = np.array([_images(stack, isometry) for stack, isometry in problems])
+        violations = _pair_violations(_gram_blocks(images))
+    return _finite(violations, "Knill-Laflamme violation")
 
 
 def _scaling_orders(gammas: tuple[float, ...], violations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +202,9 @@ def kl_gram(code: QuantumCode, errors: KrausChannel) -> KLGram:
     ``eigvalsh``.
     """
     labels = errors.labels
-    grams = _gram_blocks(_images(errors.stack, code.isometry)[None])[0]
+    with np.errstate(all="ignore"):
+        grams = _gram_blocks(_images(errors.stack, code.isometry)[None])[0]
+    _finite(grams, "Knill-Laflamme block")
     diag = grams[np.arange(len(labels)), np.arange(len(labels))]
     eigs = np.linalg.eigvalsh(0.5 * (diag + diag.conj().swapaxes(1, 2)))
     blocks = {(l, m): grams[i, j] for i, l in enumerate(labels) for j, m in enumerate(labels)}
@@ -209,7 +220,7 @@ def exact_correctable(code: QuantumCode, errors: KrausChannel) -> Correctability
     most ``EXACT_TOL``; the witness is the first pair (l <= m, row-major)
     achieving it, or None when every pair satisfies the conditions exactly.
     """
-    violations = _finite_violations(_images(errors.stack, code.isometry)[None])[0]
+    violations = _finite_violations([(errors.stack, code.isometry)])[0]
     k = int(np.argmax(violations))
     worst = float(violations[k])
     witness = _upper_pair(errors.labels, k) if worst > 0.0 else None
@@ -230,8 +241,8 @@ def violation_order(
     raise ``ValueError``, also for an exact set.
     """
     gammas = _noise_samples(gammas)
-    images = np.array([_images(e.stack, c.isometry) for c, e in map(family, gammas)])
-    slopes, vanishing = _scaling_orders(gammas, _finite_violations(images))
+    violations = _finite_violations([(e.stack, c.isometry) for c, e in map(family, gammas)])
+    slopes, vanishing = _scaling_orders(gammas, violations)
     return ViolationOrder(True, None) if vanishing[-1] else ViolationOrder(False, float(slopes[-1]))
 
 
@@ -251,13 +262,18 @@ def _damping(gamma: float) -> KrausChannel:
     return ad_single(gamma)
 
 
+def _sweep_rows(enlarged: Sequence[KrausChannel]) -> np.ndarray:
+    """The (G, 5, 16, 16) weight <= 1 rows of a sweep's enlarged channels."""
+    return np.stack([_weight_le1_rows(channel) for channel in enlarged])
+
+
 @lru_cache(maxsize=1)
-def _search_rows(*enlarged: KrausChannel) -> np.ndarray:
-    """Read-only (G, 5, 16, 16) weight <= 1 rows of a sweep's enlarged channels, one stack
-    per sweep, keyed on the channels by identity (``KrausChannel`` compares so)."""
-    rows = np.stack([_weight_le1_rows(channel) for channel in enlarged])
-    rows.flags.writeable = False
-    return rows
+def _search_gram(*enlarged: KrausChannel) -> np.ndarray:
+    """Read-only (G, 5, 5, 8, 8) blocks of the eight candidate states under a sweep's weight
+    <= 1 rows, one Gram per sweep, keyed on the channels by identity (``KrausChannel`` compares so)."""
+    gram = _gram_blocks(_images(_sweep_rows(enlarged), _candidate_states()))
+    gram.flags.writeable = False
+    return gram
 
 
 def classify_pair(
@@ -272,9 +288,12 @@ def classify_pair(
     worst pair violation, ``violation_order``'s) come from one fit.
     """
     gammas = _noise_samples(gammas)
-    ops = _search_rows(*(enlarge(_damping(g), 4) for g in gammas))
+    enlarged = [enlarge(_damping(g), 4) for g in gammas]
     # Rows of validated damping channels are finite, so this path skips the finiteness check.
-    violations = _pair_violations(_gram_blocks(_images(ops, pair.isometry)))
+    columns = _pair_columns().get(pair)
+    grams = (_gram_blocks(_images(_sweep_rows(enlarged), pair.isometry)) if columns is None
+             else _search_gram(*enlarged)[..., columns[:, None], columns])
+    violations = _pair_violations(grams)
     slopes, vanishing = _scaling_orders(gammas, violations)
     failing = np.flatnonzero(~vanishing[:-1] & (slopes[:-1] < FIRST_ORDER_SLOPE))
     slope = None if vanishing[-1] else float(slopes[-1])
@@ -291,6 +310,7 @@ def detection_probability(code: QuantumCode, errors: KrausChannel, state: np.nda
     if not code.contains(state):
         raise ValueError("state does not lie in the codespace")
     total = 0.0
-    for image in _images(errors.stack, state[:, None])[..., 0]:
-        total += float(np.real(np.vdot(image, image)))
-    return total
+    with np.errstate(all="ignore"):
+        for image in _images(errors.stack, state[:, None])[..., 0]:
+            total += float(np.real(np.vdot(image, image)))
+    return _finite(total, "detection probability")

@@ -178,24 +178,36 @@ MUTANTS = (
     Mutant("code-projector-drops-conjugate", "codes.py",
            '("projector", iso @ dagger(iso))', '("projector", iso @ iso.T)',
            "tests/test_codes.py"),
-    # A stack keyed on the first sample's channel alone: a second sweep that shares that
-    # sample reads the first sweep's rows (with two samples, the wrong shape), and
+    # A Gram keyed on the first sample's channel alone: a second sweep that shares that
+    # sample reads the first sweep's blocks (with two samples, the wrong shape), and
     # cache_clear still empties it.
     Mutant("search-rows-keyed-on-first-channel", "conditions.py",
            "@lru_cache(maxsize=1)\n"
-           "def _search_rows(*enlarged: KrausChannel) -> np.ndarray:\n",
+           "def _search_gram(*enlarged: KrausChannel) -> np.ndarray:\n",
            "class _AnyRest(tuple):\n"
            "    __hash__, __eq__ = (lambda self: 0), (lambda self, other: True)\n\n\n"
-           "def _search_rows(first, *rest):\n"
-           "    return _rows_by_first(first, _AnyRest(rest))\n\n\n"
-           "_search_rows.cache_clear = lambda: _rows_by_first.cache_clear()\n\n\n"
+           "def _search_gram(first, *rest):\n"
+           "    return _gram_by_first(first, _AnyRest(rest))\n\n\n"
+           "_search_gram.cache_clear = lambda: _gram_by_first.cache_clear()\n\n\n"
            "@lru_cache(maxsize=1)\n"
-           "def _rows_by_first(first, rest) -> np.ndarray:\n"
+           "def _gram_by_first(first, rest) -> np.ndarray:\n"
            "    enlarged = (first, *rest)\n",
+           "tests/test_conditions.py"),
+    # A hand-built pair whose codewords are not those of its index pair reads another
+    # pair's blocks, or columns the Gram does not have.
+    Mutant("search-gram-trusts-index-pair", "conditions.py",
+           "columns = _pair_columns().get(pair)", "columns = np.subtract(pair.index_pair, 1)",
            "tests/test_conditions.py"),
     # Unchecked, a NaN violation reads as "not correctable, no witness".
     Mutant("kl-violations-non-finite-unchecked", "conditions.py",
-           "if not np.isfinite(violations).all():", "if False:",
+           'return _finite(violations, "Knill-Laflamme violation")', "return violations",
+           "tests/test_conditions.py"),
+    # Unchecked, a NaN entry reads diag_eigs (nan, nan) and a detection probability nan.
+    Mutant("kl-gram-non-finite-unchecked", "conditions.py",
+           '    _finite(grams, "Knill-Laflamme block")\n', "",
+           "tests/test_conditions.py"),
+    Mutant("detection-probability-non-finite-unchecked", "conditions.py",
+           'return _finite(total, "detection probability")', "return total",
            "tests/test_conditions.py"),
     # The slice relies on enlarge listing the weight <= 1 labels first.
     Mutant("weight-le1-rows-shifted", "conditions.py",

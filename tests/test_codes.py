@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -103,6 +108,27 @@ def test_code_leaves_caller_arrays_writeable():
     pair = q.SelfComplementaryPair(4, plus, q.leung4().one_logical, index_pair=(1, 6))
     plus[0] = 0.0
     assert plus.flags.writeable and pair.codewords[0][0] == 1 / np.sqrt(2)
+
+
+def test_candidate_states_are_the_read_only_columns_of_the_shared_pairs():
+    states = q.codes._candidate_states()
+    assert states.shape == (16, 8) and not states.flags.writeable
+    for i, bits in enumerate(q.codes.SELF_COMPLEMENTARY_STRINGS):
+        assert states[:, i].tobytes() == q.codes._equal_superposition(bits).tobytes()
+    for pair in q.enumerate_pairs():
+        i, j = pair.index_pair
+        assert pair.isometry.tobytes() == states[:, [i - 1, j - 1]].tobytes()
+        assert q.codes._pair_columns()[pair].tolist() == [i - 1, j - 1]
+    twin = q.SelfComplementaryPair(4, *q.enumerate_pairs()[0].codewords, index_pair=(1, 2))
+    assert twin not in q.codes._pair_columns()
+
+
+def test_candidate_states_are_built_on_first_use_not_at_import():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = "import qecwb; print(qecwb.codes._candidate_states.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
 
 
 def test_pairs_and_their_codes_are_built_once_and_read_only():

@@ -1,11 +1,12 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 import qecwb as q
-from qecwb.conditions import EXACT_TOL, FIRST_ORDER_SLOPE, ZERO_FLOOR, weight_le1_ad_errors
-from qecwb.linalg import max_abs
+from qecwb.conditions import EXACT_TOL, FIRST_ORDER_SLOPE, ZERO_FLOOR, _gram_blocks, weight_le1_ad_errors
+from qecwb.linalg import _images, max_abs
 
 
 def subset(channel, rows):
@@ -413,13 +414,23 @@ def damping_with_entry(value):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, -np.inf), 1e200],
                          ids=["nan", "inf", "-inf", "-infj", "overflow"])
 def test_error_sets_that_are_not_finite_are_named(value):
-    # NaN fails every comparison: unchecked, the verdict read (False, nan, None)
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="violation is not finite"):
-        q.exact_correctable(q.repetition3(), entry_errors(value))
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="violation is not finite"):
-        q.violation_order(lambda g: (q.repetition3(), entry_errors(value)))
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="violation is not finite"):
-        q.exact_correctable(q.leung4(), damping_with_entry(value))
+    # NaN fails every comparison: unchecked, the verdict read (False, nan, None), kl_gram's
+    # diag_eigs (nan, nan) and the detection probability nan.  The named error must also
+    # come before numpy's warning of inf * 0 in the products.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Knill-Laflamme violation is not finite"):
+            q.exact_correctable(q.repetition3(), entry_errors(value))
+        with pytest.raises(ValueError, match="Knill-Laflamme violation is not finite"):
+            q.violation_order(lambda g: (q.repetition3(), entry_errors(value)))
+        with pytest.raises(ValueError, match="Knill-Laflamme violation is not finite"):
+            q.exact_correctable(q.leung4(), damping_with_entry(value))
+        with pytest.raises(ValueError, match="Knill-Laflamme block is not finite"):
+            q.kl_gram(q.repetition3(), entry_errors(value))
+        with pytest.raises(ValueError, match="Knill-Laflamme block is not finite"):
+            q.kl_gram(q.leung4(), damping_with_entry(value))
+        with pytest.raises(ValueError, match="detection probability is not finite"):
+            q.detection_probability(q.repetition3(), entry_errors(value), q.repetition3().zero_logical)
 
 
 # Three samples, one from each of the code search's ranges, and three triples
@@ -433,13 +444,13 @@ def classify_all(gammas, cold=False):
     results = []
     for pair in q.enumerate_pairs():
         if cold:
-            q.conditions._search_rows.cache_clear()
+            q.conditions._search_gram.cache_clear()
             q.conditions._damping.cache_clear()
         results.append(q.classify_pair(pair, gammas))
     return results
 
 
-def test_search_rows_from_a_warm_memo_equal_a_cold_one():
+def test_search_gram_from_a_warm_memo_equal_a_cold_one():
     cold = {gammas: classify_all(gammas, cold=True) for gammas in [TRIPLE] + SHARING}
     for gammas in SHARING:
         assert classify_all(TRIPLE) == cold[TRIPLE]
@@ -448,12 +459,43 @@ def test_search_rows_from_a_warm_memo_equal_a_cold_one():
     assert classify_all(TRIPLE) == cold[TRIPLE]
 
 
-def test_search_rows_are_the_read_only_weight_le1_rows():
-    rows = q.conditions._search_rows(*(q.enlarge(q.ad_single(g), 4) for g in TRIPLE))
-    assert not rows.flags.writeable
-    assert np.array_equal(rows, np.stack([weight_le1_ad_errors(g).stack for g in TRIPLE]))
+def test_search_gram_is_the_read_only_gram_of_the_candidate_states():
+    gram = q.conditions._search_gram(*(q.enlarge(q.ad_single(g), 4) for g in TRIPLE))
+    assert not gram.flags.writeable and gram.shape == (3, 5, 5, 8, 8)
+    rows = np.stack([weight_le1_ad_errors(g).stack for g in TRIPLE])
+    expected = _gram_blocks(_images(rows, q.codes._candidate_states()))
+    assert gram.tobytes() == expected.tobytes()
     with pytest.raises(ValueError):
-        rows[0, 0, 0, 0] = 0.0
+        gram[0, 0, 0, 0, 0] = 0.0
+
+
+def hand_built(codewords_of, index_pair):
+    """A pair that no search shares: the codewords of shared pair ``codewords_of``, labeled
+    ``index_pair``."""
+    shared = {p.index_pair: p for p in q.enumerate_pairs()}[codewords_of]
+    return q.SelfComplementaryPair(4, *shared.codewords, index_pair=index_pair), shared
+
+
+def classification_bits(result):
+    slope = None if result.slope is None else result.slope.hex()
+    return result.good, result.witness, slope
+
+
+@pytest.mark.parametrize("gammas", [TRIPLE] + SHARING)
+@pytest.mark.parametrize("codewords_of, index_pair", [
+    ((1, 6), (1, 6)),  # the same codewords as a shared pair, its index pair too
+    ((1, 6), (2, 3)),  # a good pair's codewords under a bad pair's index pair
+    ((2, 3), (1, 6)),
+    ((7, 8), (9, 10)),  # an index pair no shared pair has
+], ids=["same", "good-as-bad", "bad-as-good", "no-column"])
+def test_hand_built_pairs_are_classified_from_their_own_codewords(gammas, codewords_of, index_pair):
+    pair, shared = hand_built(codewords_of, index_pair)
+    for cold in (True, False):
+        if cold:
+            q.conditions._search_gram.cache_clear()
+        got, expected = q.classify_pair(pair, gammas), q.classify_pair(shared, gammas)
+        assert got.index_pair == index_pair
+        assert classification_bits(got) == classification_bits(expected), cold
 
 
 def test_classify_pair_asks_enlarge_once_per_sample(monkeypatch):

@@ -46,6 +46,7 @@ from qecwb.conditions import _fit_slope, _gram_blocks
 from qecwb.fidelity import THRESHOLD_TOL, _channel_factors
 from qecwb.linalg import _images, completeness_defect, dagger, ket, max_abs
 from qecwb.recovery import RecoveryOperation
+from test_conditions import SHARING, TRIPLE
 
 TOL = 1e-12
 
@@ -670,6 +671,26 @@ def test_gram_blocks_equal_direct_contraction_at_the_search_corners():
         for pair in q.enumerate_pairs():
             images = ops @ pair.as_code().isometry
             assert np.array_equal(_gram_blocks(images), direct_gram_blocks(images)), gammas
+
+
+@pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+def test_search_gram_blocks_equal_each_shared_pairs_own_blocks_bit_for_bit(cold):
+    # A search reads a pair's blocks at its state columns i - 1, j - 1 of one Gram.
+    for gammas in [TRIPLE] + SHARING:
+        enlarged = [q.enlarge(q.ad_single(g), 4) for g in gammas]
+        rows = np.stack([q.weight_le1_ad_errors(g).stack for g in gammas])
+        q.conditions._search_gram.cache_clear()
+        for pair in q.enumerate_pairs():
+            if cold:
+                q.conditions._search_gram.cache_clear()
+            else:
+                q.classify_pair(pair, gammas)
+            misses = q.conditions._search_gram.cache_info().misses
+            i, j = np.subtract(pair.index_pair, 1)
+            blocks = q.conditions._search_gram(*enlarged)[..., [[i], [j]], [i, j]]
+            assert q.conditions._search_gram.cache_info().misses == misses + cold
+            expected = _gram_blocks(_images(rows, pair.isometry))
+            assert blocks.tobytes() == expected.tobytes(), (gammas, pair.index_pair)
 
 
 @oracle_settings
