@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import PAULI_I, PAULI_X, PAULI_Z, _Frozen, completeness_defect, qubit_count
+from .linalg import PAULI_I, PAULI_X, PAULI_Z, _Frozen, bounded, completeness_defect, qubit_count
 
 CHANNEL_TOL = 1e-12  # largest completeness defect of a trace-preserving channel (certify, the CLI)
 
@@ -37,9 +37,10 @@ class KrausChannel(_Frozen):
 
     Construction checks ``n_qubits`` with ``qubit_count`` and copies ``stack``
     into a read-only complex (L, 2**n, 2**n) array, so the caller's array
-    stays writeable; row l is the operator labeled ``labels[l]``.  ``kraus``
-    pairs labels with views of the rows, and ``completeness_defect()``
-    computes the defect, the first time each is read.
+    stays writeable; row l is the operator labeled ``labels[l]``.  The entry gate
+    ``linalg.bounded`` refuses NaN, infinite or overweight stacks, so no kernel
+    product overflows.  ``kraus`` pairs labels with views of the rows, and
+    ``completeness_defect()`` computes the defect, the first time each is read.
     """
 
     _fields = ("n_qubits", "labels", "stack")
@@ -56,6 +57,7 @@ class KrausChannel(_Frozen):
                              % (n_qubits, dim, dim))
         if len(labels) != len(stack):
             raise ValueError("a channel needs one label per Kraus operator")
+        bounded(stack, "Kraus operators")
         stack.flags.writeable = False
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "labels", labels)

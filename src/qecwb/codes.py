@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import _Frozen, dagger, ket, max_abs, qubit_count
+from .linalg import _Frozen, bounded, dagger, ket, max_abs, qubit_count
 
 CODESPACE_TOL = 1e-10  # max-norm gate of codespace membership and of equal projectors
 CODEWORD_TOL = 1e-12  # largest deviation of a codeword norm from 1 and of <0_L|1_L> from 0
@@ -42,7 +42,7 @@ class QuantumCode(_Frozen):
         if zero.shape != (dim,) or one.shape != (dim,):
             raise ValueError("codeword dimension mismatch")
         for v in (zero, one):
-            if not abs(np.linalg.norm(v) - 1.0) <= CODEWORD_TOL:
+            if not abs(np.linalg.norm(bounded(v, "codewords")) - 1.0) <= CODEWORD_TOL:
                 raise ValueError("codewords must be normalized")
         if not abs(np.vdot(zero, one)) <= CODEWORD_TOL:
             raise ValueError("codewords must be orthogonal")

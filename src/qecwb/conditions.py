@@ -12,8 +12,8 @@ against the weight <= 1 damping errors, the first rows of the enlarged stack.
 A search forms the Gram of the eight candidate states once per gamma triple,
 keyed on the three channels ``classify_pair`` still asks ``enlarge`` for; a pair
 ``enumerate_pairs`` shares reads its blocks at its two state columns, a
-hand-built pair uses its own codewords.  Non-finite blocks, violations or
-detection probabilities raise ``ValueError``.
+hand-built pair uses its own codewords.  Every product is finite: the errors
+pass ``KrausChannel``'s entry gate, and a raw error or state ``linalg.bounded``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .channels import KrausChannel, ad_single, enlarge
 from .codes import QuantumCode, SelfComplementaryPair, _candidate_states, _pair_columns
 from .fidelity import SERIES_NOISE_MAX
-from .linalg import _Frozen, _images, max_abs
+from .linalg import _Frozen, _images, bounded, max_abs
 
 EXACT_TOL = 1e-10  # largest Knill-Laflamme violation exact_correctable calls exact
 ZERO_FLOOR = 1e-13  # a violation or residual at or below this counts as zero
@@ -83,7 +83,7 @@ class PairClassification(NamedTuple):
 def detectability(code: QuantumCode, a: np.ndarray) -> DetectabilityReport:
     """Residual of P A P = lambda P, lambda = tr(PAP)/tr(P); exactly detectable if <= EXACT_TOL."""
     p = code.projector
-    pap = p @ np.asarray(a, dtype=complex) @ p
+    pap = p @ bounded(np.asarray(a, dtype=complex), "error operator") @ p
     lam = complex(np.trace(pap) / np.trace(p).real)
     return DetectabilityReport(lam, float(max_abs(pap - lam * p)))
 
@@ -125,15 +125,13 @@ def detectable_to_first_order(family: Callable[[float], tuple[QuantumCode, np.nd
     on top of lambda = O(1) passes, while an error whose entire amplitude is
     O(gamma**2) (so residual ~ lambda) fails.
     """
-    reports = [detectability(*family(g)) for g in DEFAULT_GAMMAS]
-    residuals = np.array([rep.residual for rep in reports])
-    lams = np.array([abs(rep.lam) for rep in reports])
-    if np.all(residuals <= ZERO_FLOOR):
-        return True
-    if np.any(residuals <= ZERO_FLOOR) or np.any(lams <= ZERO_FLOOR):
-        return False
-    gap = _fit_slope(DEFAULT_GAMMAS, residuals) - _fit_slope(DEFAULT_GAMMAS, lams)
-    return gap >= FIRST_ORDER_GAP
+    columns = np.array([(rep.residual, abs(rep.lam)) for rep in
+                        (detectability(*family(g)) for g in DEFAULT_GAMMAS)])
+    zero = columns <= ZERO_FLOOR
+    if zero.any():  # all residuals zero passes; any other zero leaves no slope to fit
+        return bool(zero[:, 0].all())
+    residual_slope, lam_slope = _fit_slope(DEFAULT_GAMMAS, columns)
+    return residual_slope - lam_slope >= FIRST_ORDER_GAP
 
 
 def _gram_blocks(images: np.ndarray) -> np.ndarray:
@@ -169,21 +167,10 @@ def _pair_violations(grams: np.ndarray) -> np.ndarray:
     return np.maximum(off, np.abs(b[..., 0, 0] - b[..., 1, 1]))
 
 
-def _finite(values, what: str):
-    """``values``, or ``ValueError`` naming ``what`` unless every entry is finite."""
-    if not np.isfinite(values).all():
-        raise ValueError("%s is not finite: an error operator has a NaN or infinite entry,"
-                         " or its products overflow" % what)
-    return values
-
-
-def _finite_violations(problems) -> np.ndarray:
-    """(G, P) ``_pair_violations`` of each sample's (stack, isometry) images; ``ValueError``
-    unless every one is finite, numpy's floating-point warnings silenced on the way there."""
-    with np.errstate(all="ignore"):
-        images = np.array([_images(stack, isometry) for stack, isometry in problems])
-        violations = _pair_violations(_gram_blocks(images))
-    return _finite(violations, "Knill-Laflamme violation")
+def _violations(problems) -> np.ndarray:
+    """(G, P) ``_pair_violations`` of each sample's (stack, isometry) images."""
+    images = np.array([_images(stack, isometry) for stack, isometry in problems])
+    return _pair_violations(_gram_blocks(images))
 
 
 def _scaling_orders(gammas: tuple[float, ...], violations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,9 +189,7 @@ def kl_gram(code: QuantumCode, errors: KrausChannel) -> KLGram:
     ``eigvalsh``.
     """
     labels = errors.labels
-    with np.errstate(all="ignore"):
-        grams = _gram_blocks(_images(errors.stack, code.isometry)[None])[0]
-    _finite(grams, "Knill-Laflamme block")
+    grams = _gram_blocks(_images(errors.stack, code.isometry)[None])[0]
     diag = grams[np.arange(len(labels)), np.arange(len(labels))]
     eigs = np.linalg.eigvalsh(0.5 * (diag + diag.conj().swapaxes(1, 2)))
     blocks = {(l, m): grams[i, j] for i, l in enumerate(labels) for j, m in enumerate(labels)}
@@ -220,7 +205,7 @@ def exact_correctable(code: QuantumCode, errors: KrausChannel) -> Correctability
     most ``EXACT_TOL``; the witness is the first pair (l <= m, row-major)
     achieving it, or None when every pair satisfies the conditions exactly.
     """
-    violations = _finite_violations([(errors.stack, code.isometry)])[0]
+    violations = _violations([(errors.stack, code.isometry)])[0]
     k = int(np.argmax(violations))
     worst = float(violations[k])
     witness = _upper_pair(errors.labels, k) if worst > 0.0 else None
@@ -241,7 +226,7 @@ def violation_order(
     raise ``ValueError``, also for an exact set.
     """
     gammas = _noise_samples(gammas)
-    violations = _finite_violations([(e.stack, c.isometry) for c, e in map(family, gammas)])
+    violations = _violations([(e.stack, c.isometry) for c, e in map(family, gammas)])
     slopes, vanishing = _scaling_orders(gammas, violations)
     return ViolationOrder(True, None) if vanishing[-1] else ViolationOrder(False, float(slopes[-1]))
 
@@ -289,7 +274,6 @@ def classify_pair(
     """
     gammas = _noise_samples(gammas)
     enlarged = [enlarge(_damping(g), 4) for g in gammas]
-    # Rows of validated damping channels are finite, so this path skips the finiteness check.
     columns = _pair_columns().get(pair)
     grams = (_gram_blocks(_images(_sweep_rows(enlarged), pair.isometry)) if columns is None
              else _search_gram(*enlarged)[..., columns[:, None], columns])
@@ -304,13 +288,9 @@ def classify_pair(
 def detection_probability(code: QuantumCode, errors: KrausChannel, state: np.ndarray) -> float:
     """Total detection probability sum_k <psi|A_k^dag A_k|psi> of the channel's Kraus operators.
 
-    ``state`` must be a (d,) vector in the codespace.
+    ``state`` must be a (d,) vector in the codespace that passes ``linalg.bounded``.
     """
-    state = np.asarray(state, dtype=complex)
+    state = bounded(np.asarray(state, dtype=complex), "state")
     if not code.contains(state):
         raise ValueError("state does not lie in the codespace")
-    total = 0.0
-    with np.errstate(all="ignore"):
-        for image in _images(errors.stack, state[:, None])[..., 0]:
-            total += float(np.real(np.vdot(image, image)))
-    return _finite(total, "detection probability")
+    return sum(float(np.vdot(v, v).real) for v in _images(errors.stack, state[:, None])[..., 0])

@@ -20,6 +20,7 @@ EIGENVALUE_CLAMP_TOL = 1e-10  # psd_sqrt sets eigenvalues below this to zero
 NEGATIVE_EIGENVALUE_TOL = 1e-8  # psd_sqrt raises on an eigenvalue below -this
 PHASE_PIVOT_TOL = 1e-12  # hermitian_eig makes each eigenvector's first entry above this real > 0
 ORTHONORMAL_TOL = 1e-10  # max-norm |B^dag B - I| that restrict accepts of its basis B
+WEIGHT_BOUND = 1e140  # largest sum |m_i|**2 that bounded admits; its square is still finite
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -64,6 +65,14 @@ def max_abs(m: np.ndarray) -> float:
 def assert_finite(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(np.asarray(m).view(float))):
         raise ValueError("non-finite entries")
+    return m
+
+
+def bounded(m: np.ndarray, what: str) -> np.ndarray:
+    """``m``, or ``ValueError`` naming ``what`` unless sum |m_i|**2 <= WEIGHT_BOUND (NaN fails)."""
+    if not np.vdot(m, m).real <= WEIGHT_BOUND:
+        raise ValueError("%s must be finite, with squared moduli summing to at most %g"
+                         % (what, WEIGHT_BOUND))
     return m
 
 

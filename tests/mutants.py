@@ -75,15 +75,13 @@ MUTANTS = (
     Mutant("scaling-zero-floor-exclusive", "conditions.py",
            "(columns <= ZERO_FLOOR).all(axis=0)", "(columns < ZERO_FLOOR).all(axis=0)",
            "tests/test_conditions.py"),
-    Mutant("detectable-zero-floor-exclusive", "conditions.py",
-           "if np.all(residuals <= ZERO_FLOOR):", "if np.all(residuals < ZERO_FLOOR):",
+    Mutant("detectable-floor-exclusive", "conditions.py",
+           "zero = columns <= ZERO_FLOOR", "zero = columns < ZERO_FLOOR",
            "tests/test_conditions.py"),
-    Mutant("detectable-residual-floor-exclusive", "conditions.py",
-           "np.any(residuals <= ZERO_FLOOR) or", "np.any(residuals < ZERO_FLOOR) or",
-           "tests/test_conditions.py"),
-    Mutant("detectable-amplitude-floor-exclusive", "conditions.py",
-           "np.any(lams <= ZERO_FLOOR)", "np.any(lams < ZERO_FLOOR)",
-           "tests/test_conditions.py"),
+    # A one-entry stack of 1e70 sits exactly on WEIGHT_BOUND.
+    Mutant("weight-gate-exclusive", "linalg.py",
+           "np.vdot(m, m).real <= WEIGHT_BOUND", "np.vdot(m, m).real < WEIGHT_BOUND",
+           "tests/test_channels.py"),
     Mutant("hermiticity-gate-exclusive", "linalg.py",
            "if not max_abs(m - dagger(m)) <= HERMITICITY_TOL:",
            "if not max_abs(m - dagger(m)) < HERMITICITY_TOL:",
@@ -146,13 +144,6 @@ MUTANTS = (
     Mutant("baseline-prob-from-g00-alone", "fidelity.py",
            "prob = (g00 + g11).real / 2", "prob = g00.real",
            "tests/test_kernel_oracle.py"),
-    Mutant("baseline-overflow-unnamed", "fidelity.py",
-           "    except OverflowError:", "    except ZeroDivisionError:",
-           "tests/test_fidelity.py"),
-    # An overflowed A^dag A then reads as a non-unitary branch of finite trace.
-    Mutant("baseline-non-finite-unchecked", "fidelity.py",
-           "if not (math.isfinite(prob) and math.isfinite(total)):", "if False:",
-           "tests/test_fidelity.py"),
     Mutant("channel-stack-writeable", "channels.py",
            "stack.flags.writeable = False", "stack.flags.writeable = True",
            "tests/test_channels.py"),
@@ -198,16 +189,18 @@ MUTANTS = (
     Mutant("search-gram-trusts-index-pair", "conditions.py",
            "columns = _pair_columns().get(pair)", "columns = np.subtract(pair.index_pair, 1)",
            "tests/test_conditions.py"),
-    # Unchecked, a NaN violation reads as "not correctable, no witness".
-    Mutant("kl-violations-non-finite-unchecked", "conditions.py",
-           'return _finite(violations, "Knill-Laflamme violation")', "return violations",
+    # Ungated, a NaN error set reads as "not correctable, no witness", kl_gram's diag_eigs
+    # (nan, nan) and a detection probability nan; a NaN recovery as "not trace preserving".
+    Mutant("weight-gate-dropped", "channels.py",
+           '        bounded(stack, "Kraus operators")\n', "",
+           "tests/test_channels.py"),
+    # Ungated, a NaN error reads DetectabilityReport(nan, nan), a 1e200 state's images overflow.
+    Mutant("detectability-error-ungated", "conditions.py",
+           'bounded(np.asarray(a, dtype=complex), "error operator")', "np.asarray(a, dtype=complex)",
            "tests/test_conditions.py"),
-    # Unchecked, a NaN entry reads diag_eigs (nan, nan) and a detection probability nan.
-    Mutant("kl-gram-non-finite-unchecked", "conditions.py",
-           '    _finite(grams, "Knill-Laflamme block")\n', "",
-           "tests/test_conditions.py"),
-    Mutant("detection-probability-non-finite-unchecked", "conditions.py",
-           'return _finite(total, "detection probability")', "return total",
+    Mutant("detection-state-ungated", "conditions.py",
+           'state = bounded(np.asarray(state, dtype=complex), "state")',
+           "state = np.asarray(state, dtype=complex)",
            "tests/test_conditions.py"),
     # The slice relies on enlarge listing the weight <= 1 labels first.
     Mutant("weight-le1-rows-shifted", "conditions.py",
@@ -216,10 +209,9 @@ MUTANTS = (
     Mutant("residue-largest-eigenvalue-unchecked", "recovery.py",
            "if not abs(p_l - eigs[-1]) <= EIGENVALUE_MATCH_TOL:", "if False:",
            "tests/test_recovery.py"),
-    # NaN fails every comparison, so only the `not dev <= TOL` form rejects it.
-    Mutant("codeword-gate-lets-nan-through", "codes.py",
-           "if not abs(np.linalg.norm(v) - 1.0) <= CODEWORD_TOL:",
-           "if abs(np.linalg.norm(v) - 1.0) > CODEWORD_TOL:",
+    # Ungated, the norm of a 1e200 codeword warns of overflow before the named error.
+    Mutant("codeword-gate-dropped", "codes.py",
+           'np.linalg.norm(bounded(v, "codewords"))', "np.linalg.norm(v)",
            "tests/test_codes.py"),
     # The codes' tolerance gates, each hit by an input exactly on its tolerance.
     Mutant("codespace-gate-exclusive", "codes.py",
@@ -276,6 +268,10 @@ MUTANTS = (
            "if rank < degree + 1:", "if rank < degree - 1:",
            "tests/test_fidelity.py"),
     # An error that kills a codespace direction leaves a singular value outside the band.
+    # No test passed r = 0 to the sweep's (0, 1] check.
+    Mutant("fletcher-radius-zero-accepted", "fletcher.py",
+           "if not 0.0 < r <= 1.0:", "if not 0.0 <= r <= 1.0:",
+           "tests/test_fletcher.py"),
     Mutant("residue-band-widened", "recovery.py",
            "upper = np.sqrt(p_l) - np.sqrt(lambda_l * p_l)", "upper = np.sqrt(p_l) + np.sqrt(lambda_l * p_l)",
            "tests/test_recovery.py"),

@@ -6,7 +6,11 @@ import pytest
 import qecwb as q
 from qecwb.channels import _enlarge_pair, _product_gathers
 from qecwb.cli import _trace_preserving
-from qecwb.linalg import PAULI_X, PAULI_Z, dagger, max_abs
+from qecwb.linalg import PAULI_X, PAULI_Z, WEIGHT_BOUND, dagger, max_abs
+from qecwb.recovery import RecoveryOperation
+
+# The one entry gate's message, raised by every construction of a channel or recovery.
+WEIGHT_ERROR = r"Kraus operators must be finite, with squared moduli summing to at most 1e\+140"
 
 
 def test_bitflip_limits_and_matrix():
@@ -117,6 +121,26 @@ def test_channel_owns_one_read_only_stack():
 def test_channel_rejects_empty_or_mis_shaped_stack(n_qubits, labels, ops):
     with pytest.raises(ValueError, match="channel needs"):
         q.KrausChannel(n_qubits, labels, ops)
+
+
+@pytest.mark.parametrize("ops", [
+    [np.diag([np.nan, 0.0])],
+    [np.diag([np.inf, 0.0])],
+    [np.diag([0.0, complex(0.0, -np.inf)])],
+    [np.diag([np.nextafter(1e70, np.inf), 0.0])],  # one entry just above the bound
+    [np.diag([1e70, 0.0])] * 2,  # each operator on the bound, their sum above it
+], ids=["nan", "inf", "-infj", "above-bound", "sum-above-bound"])
+def test_channel_and_recovery_refuse_a_stack_beyond_the_weight_bound(ops):
+    for build in (q.KrausChannel, RecoveryOperation):
+        with pytest.raises(ValueError, match=WEIGHT_ERROR):
+            build(1, tuple("ab"[:len(ops)]), ops)
+
+
+def test_weight_gate_includes_its_bound():
+    # 1e70 squares to exactly 1e140: a one-entry stack of 1e70 sits on the bound
+    assert 1e70 * 1e70 == WEIGHT_BOUND
+    for build in (q.KrausChannel, RecoveryOperation):
+        assert build(1, ("a",), [np.diag([1e70, 0.0])]).stack[0, 0, 0] == 1e70
 
 
 def test_enlarge_validates_input():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -167,7 +168,7 @@ NAN_STATE = np.full(8, np.nan, dtype=complex)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: q.QuantumCode(3, NAN_STATE, ket("111")), "codewords must be normalized"),
+    (lambda: q.QuantumCode(3, NAN_STATE, ket("111")), "codewords must be finite"),
     (lambda: restrict(np.eye(8), [NAN_STATE]), "basis is not orthonormal"),
     (lambda: q.polar_decompose(np.eye(8), np.outer(NAN_STATE, NAN_STATE)),
      "p must be an orthogonal projector"),
@@ -175,6 +176,16 @@ NAN_STATE = np.full(8, np.nan, dtype=complex)
 def test_nan_fails_deviation_gates(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_codeword_beyond_the_weight_bound_is_named_before_its_norm():
+    # ungated, np.linalg.norm of it warns "overflow encountered in dot" before the norm check
+    big = ket("000")
+    big[0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="codewords must be finite"):
+            q.QuantumCode(3, big, ket("111"))
 
 
 def test_self_complementary_basis():

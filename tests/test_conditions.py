@@ -7,6 +7,7 @@ import pytest
 import qecwb as q
 from qecwb.conditions import EXACT_TOL, FIRST_ORDER_SLOPE, ZERO_FLOOR, _gram_blocks, weight_le1_ad_errors
 from qecwb.linalg import _images, max_abs
+from test_channels import WEIGHT_ERROR
 
 
 def subset(channel, rows):
@@ -411,26 +412,47 @@ def damping_with_entry(value):
     return q.KrausChannel(4, q.conditions.WEIGHT_LE1_LABELS, stack)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, -np.inf), 1e200],
-                         ids=["nan", "inf", "-inf", "-infj", "overflow"])
+NOT_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, -np.inf), 1e200],
+                                     ids=["nan", "inf", "-inf", "-infj", "overflow"])
+
+
+@NOT_FINITE
 def test_error_sets_that_are_not_finite_are_named(value):
     # NaN fails every comparison: unchecked, the verdict read (False, nan, None), kl_gram's
-    # diag_eigs (nan, nan) and the detection probability nan.  The named error must also
-    # come before numpy's warning of inf * 0 in the products.
+    # diag_eigs (nan, nan) and the detection probability nan.  The channel's entry gate
+    # refuses each error set before any kernel, and before numpy's warning of inf * 0.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="Knill-Laflamme violation is not finite"):
+        with pytest.raises(ValueError, match=WEIGHT_ERROR):
             q.exact_correctable(q.repetition3(), entry_errors(value))
-        with pytest.raises(ValueError, match="Knill-Laflamme violation is not finite"):
+        with pytest.raises(ValueError, match=WEIGHT_ERROR):
             q.violation_order(lambda g: (q.repetition3(), entry_errors(value)))
-        with pytest.raises(ValueError, match="Knill-Laflamme violation is not finite"):
+        with pytest.raises(ValueError, match=WEIGHT_ERROR):
             q.exact_correctable(q.leung4(), damping_with_entry(value))
-        with pytest.raises(ValueError, match="Knill-Laflamme block is not finite"):
+        with pytest.raises(ValueError, match=WEIGHT_ERROR):
             q.kl_gram(q.repetition3(), entry_errors(value))
-        with pytest.raises(ValueError, match="Knill-Laflamme block is not finite"):
+        with pytest.raises(ValueError, match=WEIGHT_ERROR):
             q.kl_gram(q.leung4(), damping_with_entry(value))
-        with pytest.raises(ValueError, match="detection probability is not finite"):
+        with pytest.raises(ValueError, match=WEIGHT_ERROR):
             q.detection_probability(q.repetition3(), entry_errors(value), q.repetition3().zero_logical)
+
+
+@NOT_FINITE
+def test_a_raw_error_or_state_that_is_not_finite_is_named(value):
+    # Unchecked, a NaN error read DetectabilityReport(nan, nan) and first-order detectability
+    # False; a state of 1e200 lies in the repetition code exactly, and its images overflow.
+    error = np.eye(16, dtype=complex)
+    error[3, 5] = value
+    state = np.zeros(8, dtype=complex)
+    state[0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="error operator must be finite"):
+            q.detectability(q.leung4(), error)
+        with pytest.raises(ValueError, match="error operator must be finite"):
+            q.detectable_to_first_order(lambda g: (q.leung4(), error))
+        with pytest.raises(ValueError, match="state must be finite"):
+            q.detection_probability(q.repetition3(), bitflip_errors(0.1), state)
 
 
 # Three samples, one from each of the code search's ranges, and three triples

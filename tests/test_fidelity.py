@@ -5,6 +5,7 @@ import qecwb as q
 from qecwb.channels import KrausChannel
 from qecwb.fidelity import _channel_factors, _recovery_factors
 from qecwb.recovery import RecoveryOperation
+from test_channels import WEIGHT_ERROR
 
 
 def qec_recovery_fidelity_closed(gamma):
@@ -160,10 +161,9 @@ def test_fidelity_rejects_code_of_another_dimension():
 def test_fidelity_rejects_recovery_with_nan_entry():
     ops = [op.copy() for op in q.repetition_recovery().operators()]
     ops[1][0, 4] = np.nan
-    rec = RecoveryOperation(3, tuple("r%d" % k for k in range(len(ops))), ops)
-    assert np.isnan(rec.completeness_defect())
-    with pytest.raises(ValueError, match="not trace preserving"):
-        q.entanglement_fidelity(q.repetition3(), rec, q.enlarge(q.bitflip_single(0.1), 3))
+    # its completeness defect would be NaN; the recovery is refused before the fidelity's gate
+    with pytest.raises(ValueError, match=WEIGHT_ERROR):
+        RecoveryOperation(3, tuple("r%d" % k for k in range(len(ops))), ops)
 
 
 def test_fidelity_bounds_across_triples():
@@ -211,9 +211,20 @@ def test_baseline_values():
 
 @pytest.mark.parametrize("entry", [1e200, -1e200j, 2e154])
 def test_baseline_names_a_trace_too_large_to_square(entry):
-    channel = KrausChannel(1, ("a",), [np.diag([entry, 0.0])])
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="trace is too large to square"):
-        q.baseline_no_qec(channel)
+    # Python's abs(trace) ** 2 raises OverflowError above about 1.3e154; no such channel is built
+    with pytest.raises(ValueError, match=WEIGHT_ERROR):
+        q.baseline_no_qec(KrausChannel(1, ("a",), [np.diag([entry, 0.0])]))
+
+
+def test_baseline_of_the_largest_admitted_unitary_branch_is_finite():
+    # A unitary branch c I weighs |tr A|**2 = 4 c**2 by p = c**2, so its baseline c**4 is quartic
+    # in the entries.  Just below the bound (weight 2 c**2 = 9.8e139) it is finite; 1e78 I, of
+    # weight 2e156, would overflow it to inf and is refused.
+    c = 7e69
+    channel = KrausChannel(1, ("a",), [c * np.eye(2)])
+    assert q.baseline_no_qec(channel) == pytest.approx(c ** 4, rel=1e-15)
+    with pytest.raises(ValueError, match=WEIGHT_ERROR):
+        KrausChannel(1, ("a",), [1e78 * np.eye(2)])
 
 
 def test_threshold_analysis_bitflip():
@@ -349,6 +360,5 @@ def test_threshold_analysis_rejects_non_finite_curve_values(coded, baseline):
     [np.diag([1.3e154, 0.0])] * 2,  # each squared trace is finite, their sum is not
 ], ids=["gram-overflow", "nan", "inf", "sum-overflow"])
 def test_baseline_names_a_value_that_is_not_finite(stack):
-    channel = KrausChannel(1, tuple("ab"[:len(stack)]), stack)
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="or the sum is not finite"):
-        q.baseline_no_qec(channel)
+    with pytest.raises(ValueError, match=WEIGHT_ERROR):
+        q.baseline_no_qec(KrausChannel(1, tuple("ab"[:len(stack)]), stack))

@@ -138,8 +138,9 @@ def test_radius_sweep_monotone_and_capped():
     values = [f for _, f in sweep]
     assert all(b > a for a, b in zip(values, values[1:]))
     assert abs(values[-1] - q.closed_form_optimum(gamma).f_star) <= 1e-12
-    with pytest.raises(ValueError):
-        q.radius_sweep(gamma, [1.5])
+    for radius in (1.5, 0.0):
+        with pytest.raises(ValueError, match=r"radii must lie in \(0, 1\]"):
+            q.radius_sweep(gamma, [radius])
 
 
 def test_radius_sweep_leading_coefficient():
