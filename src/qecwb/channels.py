@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -26,10 +27,6 @@ class KrausTerm(_Frozen):
     """One Kraus operator with its label (the bitstring of error positions)."""
 
     _fields = ("label", "op")
-
-    def __init__(self, label: str, op: np.ndarray):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "op", op)
 
 
 class KrausChannel(_Frozen):
@@ -59,9 +56,7 @@ class KrausChannel(_Frozen):
             raise ValueError("a channel needs one label per Kraus operator")
         bounded(stack, "Kraus operators")
         stack.flags.writeable = False
-        object.__setattr__(self, "n_qubits", n_qubits)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "stack", stack)
+        vars(self).update(n_qubits=n_qubits, labels=labels, stack=stack)
 
     @property
     def dim(self) -> int:
@@ -119,21 +114,18 @@ def ad_single(gamma: float) -> KrausChannel:
     return KrausChannel(1, ("0", "1"), pair)
 
 
-def _label_order_key(label: str) -> tuple:
-    # ascending weight; within a weight, higher-index bitstrings first, which
-    # puts "1000" before "0100" and "1100" before "1010" etc.
-    return (label.count("1"), tuple(-int(c) for c in label))
-
-
 @lru_cache(maxsize=None)
 def _label_order(n: int) -> tuple[tuple[str, ...], np.ndarray]:
     """Label of every n-qubit product in output order, and its row in ``np.kron`` order.
 
-    In ``np.kron`` order (the order ``_product_gathers`` forms before its
-    last step) the product for label ``b`` is row int(b, 2).
+    Labels ascend in weight; within a weight the error positions run through
+    ``combinations`` in order, which puts "1000" before "0100" and "1100"
+    before "1010".  In ``np.kron`` order (the order ``_product_gathers`` forms
+    before its last step) the product for label ``b`` is row int(b, 2).
     """
-    labels = sorted((format(i, "0%db" % n) for i in range(2 ** n)), key=_label_order_key)
-    return tuple(labels), np.array([int(label, 2) for label in labels])
+    labels = tuple("".join("1" if i in errors else "0" for i in range(n))
+                   for weight in range(n + 1) for errors in combinations(range(n), weight))
+    return labels, np.array([int(label, 2) for label in labels])
 
 
 # Holds one sweep point's channel plus the three gammas of a pair
@@ -160,12 +152,15 @@ def enlarge(channel: KrausChannel, n: int) -> KrausChannel:
     bytes of the single-qubit operators (never on p or gamma, which do not
     name the channel), so a sweep that applies one channel to several
     recoveries, or a search that reuses three damping sets over 28 code
-    pairs, builds each set once.  Writing to an operator raises
-    ``ValueError``, as does an ``n`` that is not a positive integer (bool or 3.0).
+    pairs, builds each set once.  Writing to an operator raises ``ValueError``,
+    as does an ``n`` that is not a positive integer (bool or 3.0) or is above 4:
+    a product of five entries the entry gate admits (each up to 1e70) can overflow.
     """
     if channel.n_qubits != 1:
         raise ValueError("enlarge expects a single-qubit channel")
     n = qubit_count(n)  # a numpy integer keys the caches as the equal int
+    if n > 4:
+        raise ValueError("enlarge builds at most 4 qubits")
     if n == 1:
         return channel
     if channel.labels != ("0", "1"):  # the constructor has checked the 2 x 2 shape

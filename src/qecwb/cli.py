@@ -178,6 +178,12 @@ def _adapted_recovery(gamma: float):
     return fletcher_recovery(opt.a_bar, opt.b_bar)
 
 
+# ad-fidelity's recovery at gamma for each --recovery kind but "fletcher-opt"; the lambdas look
+# their builder up when called, so a rebound module name (a tracer's wrapper) is seen
+_AD_RECOVERIES = {"qec": lambda gamma: standard_ad_recovery(gamma),
+                  "cp": lambda gamma: cp_recovery(), "fletcher": _adapted_recovery}
+
+
 def cmd_bitflip(args) -> Report:
     """Fidelity table over ``--grid``; threshold and useful range use 101 points on [0, 1]."""
     tol = _tolerance()
@@ -236,20 +242,13 @@ def cmd_ad_fidelity(args) -> Report:
             optima.append(closed_form_optimum(g))
             f = optima[-1].f_star
         else:
-            if kind == "qec":
-                rec = standard_ad_recovery(g)
-            elif kind == "cp":
-                rec = cp_recovery()
-            else:
-                rec = _adapted_recovery(g)
+            rec = _AD_RECOVERIES[kind](g)
             checks.append(_complete("%s recovery (gamma=%g) completeness" % (kind, g), rec, tol))
             f = entanglement_fidelity(code, rec, channel).value
         rows.append([g, f])
-    fit = None
+    fit, footer = None, []
     if in_series_domain(grid):
         fit = second_order_coeff(dict(zip(grid, (f for _, f in rows))).__getitem__, grid)
-    footer = []
-    if fit is not None:
         footer = ["c%d = %s" % (k, _num(c)) for k, c in enumerate((fit.c0, fit.c1, fit.c2))]
     json_obj = {
         "recovery": kind,
@@ -451,11 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ad-fidelity", help="damping fidelity table over gamma")
     common(p, grid=True)
-    p.add_argument(
-        "--recovery",
-        choices=("qec", "cp", "fletcher", "fletcher-opt"),
-        default="qec",
-    )
+    p.add_argument("--recovery", choices=(*_AD_RECOVERIES, "fletcher-opt"), default="qec")
     p.set_defaults(func=cmd_ad_fidelity)
 
     p = sub.add_parser("enumerate", help="classify the 28 self-complementary pairs")

@@ -47,11 +47,11 @@ class QuantumCode(_Frozen):
         if not abs(np.vdot(zero, one)) <= CODEWORD_TOL:
             raise ValueError("codewords must be orthogonal")
         iso = np.stack([zero, one], axis=1)
-        object.__setattr__(self, "n_qubits", n_qubits)
-        for name, value in (("zero_logical", zero), ("one_logical", one),
-                            ("projector", iso @ dagger(iso)), ("isometry", iso)):
+        projector = iso @ dagger(iso)
+        for value in (zero, one, projector, iso):
             value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        vars(self).update(n_qubits=n_qubits, zero_logical=zero, one_logical=one,
+                          projector=projector, isometry=iso)
 
     @property
     def codewords(self) -> tuple[np.ndarray, np.ndarray]:
@@ -73,7 +73,7 @@ class SelfComplementaryPair(QuantumCode):
     def __init__(self, n_qubits: int, zero_logical: np.ndarray, one_logical: np.ndarray, *,
                  index_pair: tuple[int, int]):
         super().__init__(n_qubits, zero_logical, one_logical)
-        object.__setattr__(self, "index_pair", index_pair)
+        vars(self)["index_pair"] = index_pair
 
     def as_code(self) -> QuantumCode:
         """The pair itself: a pair is its code."""

@@ -50,11 +50,6 @@ class KLGram(_Frozen):
 
     _fields = ("labels", "blocks", "diag_eigs")
 
-    def __init__(self, labels: tuple[str, ...], blocks: dict, diag_eigs: dict):
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "diag_eigs", diag_eigs)
-
 
 class CorrectabilityVerdict(NamedTuple):
     exact: bool
@@ -83,6 +78,8 @@ class PairClassification(NamedTuple):
 def detectability(code: QuantumCode, a: np.ndarray) -> DetectabilityReport:
     """Residual of P A P = lambda P, lambda = tr(PAP)/tr(P); exactly detectable if <= EXACT_TOL."""
     p = code.projector
+    if np.shape(a) != p.shape:
+        raise ValueError("code and error dimensions differ")
     pap = p @ bounded(np.asarray(a, dtype=complex), "error operator") @ p
     lam = complex(np.trace(pap) / np.trace(p).real)
     return DetectabilityReport(lam, float(max_abs(pap - lam * p)))

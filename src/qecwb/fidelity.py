@@ -57,11 +57,6 @@ class FidelityResult(_Frozen):
 
     _fields = ("value", "table", "row_keys")
 
-    def __init__(self, value: float, table: np.ndarray, row_keys: tuple[Union[int, str], ...]):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "row_keys", row_keys)
-
     @cached_property
     def terms(self) -> tuple[TermContribution, ...]:
         return tuple(

@@ -159,8 +159,8 @@ def radius_sweep(gamma: float, radii: Sequence[float]) -> list[tuple[float, floa
 
     The optimizer direction is unchanged, (r, r(1-gamma)**2) up to norm, and
     the linear gain scales with r, so the optimum increases strictly with
-    the allowed radius; the remaining weight sits in the (inert) imaginary
-    parts, keeping the recovery trace preserving.
+    the allowed radius.  The imaginary parts, which do not enter the
+    fidelity, can fill the rest of the unit sphere; they are left at zero.
     """
     _check_damping(gamma)
     c2 = (1.0 - gamma) ** 2
@@ -169,9 +169,6 @@ def radius_sweep(gamma: float, radii: Sequence[float]) -> list[tuple[float, floa
     for r in radii:
         if not 0.0 < r <= 1.0:
             raise ValueError("radii must lie in (0, 1]")
-        a_r = r / scale
-        b_r = r * c2 / scale
-        pad = math.sqrt(max(1.0 - r * r, 0.0))
-        params = FletcherParams(a_r, pad, b_r, 0.0)
+        params = FletcherParams(r / scale, 0.0, r * c2 / scale, 0.0)
         out.append((float(r), fletcher_fidelity_closed(params, gamma)))
     return out

@@ -28,9 +28,15 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class _Frozen:
-    """Base of the array holders: ``__init__`` sets each field once, ``==`` is identity,
+    """Base of the array holders: ``__init__`` binds one value per name in ``_fields``, in
+    order (a checking constructor updates ``vars(self)`` once instead), ``==`` is identity,
     assignment and deletion raise ``AttributeError`` (``cached_property`` writes ``__dict__``),
     and the repr lists each subclass's ``_fields`` as ``Name(field=value, ...)``."""
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError("%s takes %d fields" % (type(self).__qualname__, len(self._fields)))
+        vars(self).update(zip(self._fields, values))
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)

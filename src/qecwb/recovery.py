@@ -49,19 +49,11 @@ class PolarDecomposition(_Frozen):
 
     _fields = ("u", "j")
 
-    def __init__(self, u: np.ndarray, j: np.ndarray):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "j", j)
-
 
 class ResidueResult(_Frozen):
     """Deviation of sqrt(P A^dag A P) from a multiple of the projector."""
 
     _fields = ("pi", "bound_ok")
-
-    def __init__(self, pi: np.ndarray, bound_ok: bool):
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "bound_ok", bound_ok)
 
 
 class RecoveryOperation(KrausChannel):
@@ -110,6 +102,14 @@ def _complete_basis(seed: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
     return full
 
 
+def _square_pair(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``p`` as complex arrays; ``ValueError`` unless both are d x d for one d."""
+    a, p = np.asarray(a, dtype=complex), np.asarray(p, dtype=complex)
+    if a.shape != p.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ValueError("error and projector dimensions differ")
+    return a, p
+
+
 def polar_decompose(a: np.ndarray, p: np.ndarray) -> PolarDecomposition:
     """Polar factorization of an error against a codespace projector.
 
@@ -120,8 +120,7 @@ def polar_decompose(a: np.ndarray, p: np.ndarray) -> PolarDecomposition:
     term.  Off the subspace touched by P and A P this makes U the identity,
     and the construction is deterministic even when A P is singular.
     """
-    a = np.asarray(a, dtype=complex)
-    p = np.asarray(p, dtype=complex)
+    a, p = _square_pair(a, p)
     if not max_abs([p @ p - p, p - dagger(p)]) <= PROJECTOR_TOL:
         raise ValueError("p must be an orthogonal projector")
     dim = a.shape[0]
@@ -148,8 +147,7 @@ def residue(a: np.ndarray, p: np.ndarray, p_l: float, lambda_l: float) -> Residu
     ``RESIDUE_FLOOR`` of the restricted P A^dag A P, or ``ValueError`` is raised;
     ``bound_ok`` says whether pi's singular values lie in [0, sqrt(p_l) - sqrt(lambda_l p_l)].
     """
-    a = np.asarray(a, dtype=complex)
-    p = np.asarray(p, dtype=complex)
+    a, p = _square_pair(a, p)
     restricted = p @ dagger(a) @ a @ p
     root = psd_sqrt(restricted)
     eigs = np.linalg.eigvalsh(0.5 * (restricted + dagger(restricted)))

@@ -4,8 +4,9 @@ Each mutant is one exact text edit of one module under ``src/qecwb/`` and the
 test file that must fail on it.  ``python tests/mutants.py`` copies ``src/``
 into a fresh temporary directory for each mutant, applies the edit there and
 runs that test file against the copy.  A mutant is killed when pytest exits
-with status 1 (tests ran and at least one failed); a collection error or a
-crash does not count.  An edit whose text does not occur exactly once also
+with status 1 (tests ran and at least one failed) and no ``NameError`` shows
+in its output; a collection error, a crash or an edit that only breaks a
+name does not count.  An edit whose text does not occur exactly once also
 fails, so the list cannot go stale unnoticed.  The script exits nonzero
 unless every mutant is killed.
 
@@ -163,12 +164,24 @@ MUTANTS = (
            "tests/test_codes.py"),
     # A pair's codewords are its code's arrays, frozen by QuantumCode's constructor.
     Mutant("pair-codeword-writeable", "codes.py",
-           "value.flags.writeable = False", 'value.flags.writeable = name == "zero_logical"',
+           "value.flags.writeable = False", "value.flags.writeable = value is zero",
            "tests/test_codes.py"),
     # Every named code is real, so only the complex-amplitude code sees this.
     Mutant("code-projector-drops-conjugate", "codes.py",
-           '("projector", iso @ dagger(iso))', '("projector", iso @ iso.T)',
+           "projector = iso @ dagger(iso)", "projector = iso @ iso.T",
            "tests/test_codes.py"),
+    # Unchecked, a result holder built with a value too few or too many drops or lacks a field.
+    Mutant("frozen-field-count-unchecked", "linalg.py",
+           "if len(values) != len(self._fields):", "if False:",
+           "tests/test_records.py"),
+    # Five factors of an entry on the weight bound overflow before the entry gate sees them.
+    Mutant("enlarge-qubit-cap-dropped", "channels.py",
+           "    if n > 4:\n", "    if False:\n",
+           "tests/test_channels.py"),
+    # Unchecked, an 8 x 8 error against a 16-dimensional code ends in numpy's matmul error.
+    Mutant("detectability-dimension-unchecked", "conditions.py",
+           "    if np.shape(a) != p.shape:\n", "    if False:\n",
+           "tests/test_conditions.py"),
     # A Gram keyed on the first sample's channel alone: a second sweep that shares that
     # sample reads the first sweep's blocks (with two samples, the wrong shape), and
     # cache_clear still empties it.
@@ -304,6 +317,8 @@ def survives(mutant: Mutant) -> Optional[str]:
                              cwd=tmp, env=env, capture_output=True, text=True)
         if run.returncode != 1:
             return "pytest exited %d on %s" % (run.returncode, mutant.tests)
+        if "NameError" in run.stdout:
+            return "%s failed on a NameError, not on a check" % mutant.tests
     return None
 
 

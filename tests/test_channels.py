@@ -156,6 +156,17 @@ def test_enlarge_validates_input():
         q.enlarge(relabeled, 2)
 
 
+def test_enlarge_refuses_more_than_four_qubits_before_any_product():
+    # on the weight bound: four factors stay finite and meet the gate, five overflow
+    on_bound = q.KrausChannel(1, ("0", "1"), [np.diag([1e70, 0.0]), np.zeros((2, 2))])
+    with pytest.raises(ValueError, match=WEIGHT_ERROR):
+        q.enlarge(on_bound, 4)
+    for channel in (on_bound, q.bitflip_single(0.1)):
+        with pytest.raises(ValueError, match="at most 4 qubits"):
+            q.enlarge(channel, 5)
+    assert q.enlarge(q.bitflip_single(0.1), 4).stack.shape == (16, 16, 16)
+
+
 BAD_QUBIT_COUNTS = (3.0, 2.5, True, False, np.True_, "3", None)
 
 

@@ -110,6 +110,13 @@ def test_detectability_scalar_multiples():
         assert q.detectability(code, phase * a).residual <= EXACT_TOL
 
 
+@pytest.mark.parametrize("a", [np.eye(8), np.ones((16, 8)), np.ones(16)],
+                         ids=["small", "rectangular", "vector"])
+def test_detectability_names_mismatched_dimensions(a):
+    with pytest.raises(ValueError, match="code and error dimensions differ"):
+        q.detectability(q.leung4(), a)
+
+
 def test_kl_gram_repetition_code():
     p = 0.2
     gram = q.kl_gram(q.repetition3(), bitflip_errors(p))

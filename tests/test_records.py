@@ -111,6 +111,19 @@ def test_pair_index_is_keyword_only():
         q.SelfComplementaryPair(4, *q.leung4().codewords, (1, 6))
 
 
+@pytest.mark.parametrize("name", ["KrausTerm", "KLGram", "FidelityResult", "PolarDecomposition",
+                                  "ResidueResult"])
+def test_result_holders_bind_one_value_per_field_through_the_base(name):
+    record = ARRAY_HOLDERS[name]()
+    cls, values = type(record), [getattr(record, field) for field in record._fields]
+    assert "__init__" not in vars(cls)
+    rebuilt = cls(*values)
+    assert all(getattr(rebuilt, field) is value for field, value in zip(cls._fields, values))
+    for wrong in (values[:-1], values + [None]):
+        with pytest.raises(TypeError, match="%s takes %d fields" % (name, len(values))):
+            cls(*wrong)
+
+
 REPRS = [
     (lambda: q.bitflip_single(0.5),
      "KrausChannel(n_qubits=1, labels=('0', '1'), stack=array([[[0.70710678+0.j, 0.        +0.j],\n"

@@ -80,6 +80,26 @@ def test_polar_rejects_non_projector():
         q.polar_decompose(np.eye(4, dtype=complex), 2.0 * np.eye(4, dtype=complex))
 
 
+MISMATCHED = pytest.mark.parametrize("a, p", [
+    (np.eye(8), q.leung4().projector),
+    (q.leung4().projector, np.eye(8)),
+    (np.ones((16, 8)), q.leung4().projector),
+    (np.ones((16, 8)), np.ones((16, 8))),
+], ids=["small-error", "small-projector", "rectangular-error", "rectangular-both"])
+
+
+@MISMATCHED
+def test_polar_names_mismatched_dimensions(a, p):
+    with pytest.raises(ValueError, match="error and projector dimensions differ"):
+        q.polar_decompose(a, p)
+
+
+@MISMATCHED
+def test_residue_names_mismatched_dimensions(a, p):
+    with pytest.raises(ValueError, match="error and projector dimensions differ"):
+        q.residue(a, p, 1.0, 1.0)
+
+
 def test_polar_exact_case_collapses_to_projective_recovery():
     # for the repetition code the polar route reproduces the projective
     # recovery operators up to a global phase
