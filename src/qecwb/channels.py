@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import PAULI_I, PAULI_X, PAULI_Z, _Frozen, bounded, completeness_defect, qubit_count
+from .linalg import PAULI_X, PAULI_Z, _Frozen, bounded, completeness_defect, qubit_count
 
 CHANNEL_TOL = 1e-12  # largest completeness defect of a trace-preserving channel (certify, the CLI)
 
@@ -80,25 +80,29 @@ class ChannelCertificate(NamedTuple):
     unital: bool
 
 
-_FLIP_PAIRS = np.array([[PAULI_I, PAULI_X], [PAULI_I, PAULI_Z]])  # the pairs (I, X) and (I, Z)
-_FLIP_PAIRS.flags.writeable = False
-
-
-def _two_outcome_channel(p: float, pair: np.ndarray) -> KrausChannel:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("error probability must lie in [0, 1]")
-    scales = np.array([math.sqrt(1 - p), math.sqrt(p)])
-    return KrausChannel(1, ("0", "1"), scales[:, None, None] * pair)
+def _single_qubit_channel(rate: float, what: str, flip: Optional[np.ndarray]) -> KrausChannel:
+    """Kraus pair diag(sqrt(1-rate), sqrt(1-rate)) and sqrt(rate) * flip for a Pauli ``flip``;
+    for ``flip`` None, damping's diag(1, sqrt(1-rate)) and sqrt(rate)|0><1|."""
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError("%s must lie in [0, 1]" % what)
+    keep, jump = math.sqrt(1.0 - rate), math.sqrt(rate)
+    pair = np.zeros((2, 2, 2), dtype=complex)
+    if flip is None:
+        pair[0, 0, 0], pair[0, 1, 1], pair[1, 0, 1] = 1.0, keep, jump
+    else:
+        pair[0, 0, 0] = pair[0, 1, 1] = keep
+        pair[1] = jump * flip  # the whole product, so sqrt(-0.0) = -0.0 reaches the zero entries
+    return KrausChannel(1, ("0", "1"), pair)
 
 
 def bitflip_single(p: float) -> KrausChannel:
     """Bit-flip channel: rho -> (1-p) rho + p X rho X."""
-    return _two_outcome_channel(p, _FLIP_PAIRS[0])
+    return _single_qubit_channel(p, "error probability", PAULI_X)
 
 
 def phaseflip_single(p: float) -> KrausChannel:
     """Phase-flip (dephasing) channel: rho -> (1-p) rho + p Z rho Z."""
-    return _two_outcome_channel(p, _FLIP_PAIRS[1])
+    return _single_qubit_channel(p, "error probability", PAULI_Z)
 
 
 def ad_single(gamma: float) -> KrausChannel:
@@ -107,11 +111,7 @@ def ad_single(gamma: float) -> KrausChannel:
     Kraus pair diag(1, sqrt(1-gamma)) and sqrt(gamma)|0><1|; the second
     operator is not a Pauli (the channel is nonunital).
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("damping rate must lie in [0, 1]")
-    pair = np.zeros((2, 2, 2), dtype=complex)
-    pair[0, 0, 0], pair[0, 1, 1], pair[1, 0, 1] = 1.0, math.sqrt(1.0 - gamma), math.sqrt(gamma)
-    return KrausChannel(1, ("0", "1"), pair)
+    return _single_qubit_channel(gamma, "damping rate", None)
 
 
 @lru_cache(maxsize=None)

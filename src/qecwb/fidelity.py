@@ -80,11 +80,12 @@ class SeriesEstimate(NamedTuple):
 # one damping sweep point (a new standard and adapted one, the shared
 # code-projected one); one channel covers the point's shared channel.
 @lru_cache(maxsize=3)
-def _recovery_factors(code: QuantumCode, recovery: RecoveryOperation) -> np.ndarray:
-    """Read-only (K, 2, d) stack of V^dag R_k."""
+def _recovery_factors(code: QuantumCode, recovery: RecoveryOperation) -> tuple[np.ndarray, tuple]:
+    """Read-only (K, 2, d) stack of V^dag R_k, and each row's key: k, or "O" for the leftover."""
     left = code.isometry.conj().T @ recovery.stack
     left.flags.writeable = False
-    return left
+    leftover = recovery.leftover is not None
+    return left, tuple(range(len(left) - leftover)) + ("O",) * leftover
 
 
 @lru_cache(maxsize=1)
@@ -108,10 +109,8 @@ def entanglement_fidelity(
         raise ValueError("code, recovery and channel dimensions differ")
     if not recovery.completeness_defect() <= TRACE_PRESERVING_TOL:
         raise ValueError("recovery is not trace preserving")
-    leftover = recovery.leftover is not None
-    row_keys = tuple(range(len(recovery.stack) - leftover)) + ("O",) * leftover
-    table = np.einsum("kia,lai->kl", _recovery_factors(code, recovery),
-                      _channel_factors(code, errors))
+    left, row_keys = _recovery_factors(code, recovery)
+    table = np.einsum("kia,lai->kl", left, _channel_factors(code, errors))
     value = 0.25 * float(np.vdot(table, table).real)
     return FidelityResult(value, table, row_keys)
 
@@ -146,7 +145,7 @@ def baseline_no_qec(channel: KrausChannel) -> float:
     for ((g00, g01), (g10, g11)), ((a00, _), (_, a11)) in zip(
             (stack.conj().transpose(0, 2, 1) @ stack).tolist(), stack.tolist()):
         prob = (g00 + g11).real / 2
-        unitary = all(abs(d) <= UNITARY_BRANCH_TOL for d in (g00 - prob, g01, g10, g11 - prob))
+        unitary = max(abs(g00 - prob), abs(g01), abs(g10), abs(g11 - prob)) <= UNITARY_BRANCH_TOL
         total += (prob if unitary else 1.0) * abs(a00 + a11) ** 2
     return 0.25 * total
 
@@ -199,24 +198,25 @@ def threshold_analysis(
     Reports the contiguous range from grid[0] on which the coded fidelity
     stays at or above the baseline less ``USEFUL_SLACK``, and the first
     crossing of 1 - F(p) = p bisected to ``THRESHOLD_TOL`` (grid[-1] when
-    none).  Each curve is evaluated once per grid point; only the bisection
-    evaluates more.  A grid ``sweep_grid`` rejects, and a non-finite curve
-    value, raise ``ValueError``.
+    none).  Each curve is evaluated once per grid point, at a Python float (never a numpy
+    scalar); only the bisection evaluates more, at Python floats too.  A grid ``sweep_grid``
+    rejects, and a non-finite curve value, raise ``ValueError``.
     """
     grid = sweep_grid(grid)
-    coded = _finite(np.array([fidelity_curve(p) for p in grid], dtype=float), "curve values")
-    base = _finite(np.array([baseline_curve(p) for p in grid], dtype=float), "curve values")
+    points = grid.tolist()
+    coded = _finite(np.array([fidelity_curve(p) for p in points], dtype=float), "curve values")
+    base = _finite(np.array([baseline_curve(p) for p in points], dtype=float), "curve values")
     harmful = coded < base - USEFUL_SLACK
     last_useful = int(np.argmax(harmful)) - 1 if harmful.any() else len(grid) - 1
-    useful = (float(grid[0]), float(grid[last_useful])) if last_useful >= 0 else None
+    useful = (points[0], points[last_useful]) if last_useful >= 0 else None
 
     margin = grid - (1.0 - coded)
     crossings = np.flatnonzero((margin[1:] < -CROSSING_MARGIN) & (margin[:-1] >= 0))
-    threshold = float(grid[-1])
+    threshold = points[-1]
     if crossings.size:
         i = int(crossings[0])
         threshold = _bisect_root(lambda p: p - (1.0 - fidelity_curve(p)),
-                                 float(grid[i]), float(grid[i + 1]), float(margin[i]))
+                                 points[i], points[i + 1], float(margin[i]))
     return ThresholdReport(useful, threshold)
 
 
@@ -230,10 +230,10 @@ def second_order_coeff(
 ) -> SeriesEstimate:
     """Least-squares series coefficients of a sampled fidelity curve.
 
-    Fits a cubic polynomial on the sample grid (quadratic when only three
-    samples are supplied) and reports the constant, linear, and quadratic
-    coefficients; the cubic term absorbs the higher-order tail so the
-    quadratic coefficient is recovered to ~1e-3 on grids in (0, 1e-2].
+    Fits a cubic polynomial to the curve at each sample, called with a Python float (never a
+    numpy scalar), or a quadratic when only three samples are supplied, and reports the
+    constant, linear, and quadratic coefficients; the cubic term absorbs the higher-order tail
+    so the quadratic coefficient is recovered to ~1e-3 on grids in (0, 1e-2].
     ``residual`` is the largest deviation of the fitted polynomial from the
     samples.  A sample outside ``in_series_domain`` or a non-finite value raises ``ValueError``.
     """
@@ -242,7 +242,7 @@ def second_order_coeff(
         raise ValueError("need >= 3 strictly positive samples, all <= 1e-2")
     if np.any(np.diff(gammas) <= 0):
         raise ValueError("samples must be distinct")
-    values = _finite(np.array([curve(g) for g in gammas], dtype=float), "curve values")
+    values = _finite(np.array([curve(g) for g in gammas.tolist()], dtype=float), "curve values")
     degree = 3 if len(gammas) >= 4 else 2
     design = np.vander(gammas, degree + 1, increasing=True)
     coeffs, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)

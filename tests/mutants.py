@@ -120,9 +120,28 @@ MUTANTS = (
            "return fletcher_recovery(1 / np.sqrt(2), 1 / np.sqrt(2))",
            "return fletcher_recovery(1 / np.sqrt(2), -1 / np.sqrt(2))",
            "tests/test_recovery.py"),
+    # The row keys are formed once per recovery, next to V^dag R_k in its memo.
     Mutant("leftover-row-key-dropped", "fidelity.py",
            '("O",) * leftover', "()",
            "tests/test_fidelity.py"),
+    # numpy scalars reach the curves: a callback's 1 - p and math.sqrt leave Python floats.
+    Mutant("sweep-points-numpy-scalars", "fidelity.py",
+           "grid.tolist()", "list(grid)",
+           "tests/test_fidelity.py"),
+    # Each step transposes the product so far, so on four qubits damping's |0><1| enters as |1><0|
+    # on qubits 1 and 3 alone: a permuted code and recovery under the same channel read another fidelity.
+    Mutant("enlarge-product-transposed-each-step", "channels.py",
+           "left = ((a // 2 * k + r // 2) * k + c // 2).ravel()",
+           "left = ((a // 2 * k + c // 2) * k + r // 2).ravel()",
+           "tests/test_fidelity.py"),
+    # Real inputs cannot tell; a complex error or projector gives a U that neither factors nor is unitary.
+    Mutant("polar-outer-unconjugated", "recovery.py",
+           "u += np.outer(e, d.conj())", "u += np.outer(e, d)",
+           "tests/test_recovery.py"),
+    Mutant("psd-sqrt-drops-conjugate", "linalg.py",
+           "root = (vectors * np.sqrt(values)) @ dagger(vectors)",
+           "root = (vectors * np.sqrt(values)) @ vectors.T",
+           "tests/test_linalg.py"),
     Mutant("leftover-allowed-anywhere", "recovery.py",
            'if "O" in self.labels[:-1]:', "if False:",
            "tests/test_recovery.py"),

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from qecwb.channels import KrausChannel
 from qecwb.fidelity import _channel_factors, _recovery_factors
 from qecwb.recovery import RecoveryOperation
 from test_channels import WEIGHT_ERROR
+from test_kernel_oracle import permute_qubits_matrix
 
 
 def qec_recovery_fidelity_closed(gamma):
@@ -134,11 +137,27 @@ def test_one_channel_gives_each_code_its_own_fidelity():
     assert leung != grassl
 
 
+def test_fidelity_is_unchanged_under_every_qubit_permutation():
+    gamma = 0.1
+    code, recovery = q.leung4(), q.standard_ad_recovery(gamma)
+    channel = q.enlarge(q.ad_single(gamma), 4)
+    expected = q.entanglement_fidelity(code, recovery, channel).value
+    for perm in permutations(range(4)):
+        m = permute_qubits_matrix(perm, 4)  # real, so its inverse is m.T
+        moved = q.QuantumCode(4, m @ code.zero_logical, m @ code.one_logical)
+        moved_recovery = RecoveryOperation(4, recovery.labels, m @ recovery.stack @ m.T)
+        moved_channel = KrausChannel(4, channel.labels, m @ channel.stack @ m.T)
+        # damping acts alike on every qubit, so moving the channel only reorders its operators
+        for errors in (moved_channel, channel):
+            value = q.entanglement_fidelity(moved, moved_recovery, errors).value
+            assert abs(value - expected) <= 1e-13, perm
+
+
 def test_cached_factors_are_read_only():
     recoveries, channel = damping_point(0.1)
     for rec in recoveries:
         q.entanglement_fidelity(q.leung4(), rec, channel)
-        for factors in (_recovery_factors(q.leung4(), rec), _channel_factors(q.leung4(), channel)):
+        for factors in (_recovery_factors(q.leung4(), rec)[0], _channel_factors(q.leung4(), channel)):
             with pytest.raises(ValueError):
                 factors[0, 0, 0] = 0.0
 
@@ -362,3 +381,19 @@ def test_threshold_analysis_rejects_non_finite_curve_values(coded, baseline):
 def test_baseline_names_a_value_that_is_not_finite(stack):
     with pytest.raises(ValueError, match=WEIGHT_ERROR):
         q.baseline_no_qec(KrausChannel(1, tuple("ab"[:len(stack)]), stack))
+
+
+def test_sweeps_call_their_curves_at_python_floats():
+    seen = []
+
+    def recorded(curve):
+        def call(x):
+            seen.append(type(x))
+            return curve(x)
+        return call
+
+    q.threshold_analysis(recorded(bitflip_coded), recorded(bitflip_baseline), np.linspace(0.0, 1.0, 11))
+    bisected = len(seen) - 2 * 11
+    q.second_order_coeff(recorded(lambda g: 1 - 2 * g**2), np.logspace(-4, -2, 5))
+    assert bisected > 0 and len(seen) == 2 * 11 + bisected + 5
+    assert set(seen) == {float}

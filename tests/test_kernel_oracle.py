@@ -25,7 +25,10 @@ step in ``numeric_optimum``.  Byte for byte, they also check
 ``completeness_defect`` against its ``np.eye`` form, the damping recoveries'
 stacks against their conversion from operator lists (the standard member's
 parameters from numpy's norm form), and the single-qubit
-channels against nested lists and one ``np.sqrt`` call.  Random
+channels against nested lists and one ``np.sqrt`` call.  Exactly, they check
+``classify_pair``'s verdicts and witnesses, and its slopes to 0.01, against the
+weight <= 1 damping Knill-Laflamme blocks written as integer polynomials in
+sqrt(gamma), whose lowest nonzero powers are the exact orders.  Random
 single-qubit channels are cut from random 4 x 2 isometries, random
 recoveries from random (K d) x d isometries on three and four qubits.
 """
@@ -33,7 +36,7 @@ recoveries from random (K d) x d isometries on three and four qubits.
 import math
 import warnings
 from functools import reduce
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -701,6 +704,60 @@ def test_classify_pair_matches_per_pair_fits(gammas):
         assert (got.slope is None) == (slope is None)
         if slope is not None:
             assert abs(got.slope - slope) <= TOL
+
+
+# Each per-qubit damping factor A_a^dag A_b as integer coefficients of 1, s, s**2 in
+# s = sqrt(gamma): diag(1, 1 - s**2), s|0><1|, s|1><0| and s**2|1><1|; sqrt(1 - gamma) never enters.
+DAMPING_FACTOR_POLYS = {
+    (0, 0): np.array([[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, -1]]]),
+    (0, 1): np.array([[[0, 0, 0], [0, 1, 0]], [[0, 0, 0], [0, 0, 0]]]),
+    (1, 0): np.array([[[0, 0, 0], [0, 0, 0]], [[0, 1, 0], [0, 0, 0]]]),
+    (1, 1): np.array([[[0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 1]]]),
+}
+
+
+def poly_kron(x, y):
+    """Kronecker product of two matrices of integer polynomials, (rows, cols, coefficients)."""
+    out = np.zeros((x.shape[0] * y.shape[0], x.shape[1] * y.shape[1], x.shape[2] + y.shape[2] - 1),
+                   dtype=np.int64)
+    for i, j in product(range(x.shape[2]), range(y.shape[2])):
+        out[..., i + j] += np.kron(x[..., i], y[..., j])
+    return out
+
+
+def weight_le1_damping_grams():
+    """Each label pair l <= m of the weight <= 1 errors, row-major, with A_l^dag A_m in s."""
+    return [((l, m), reduce(poly_kron, (DAMPING_FACTOR_POLYS[int(a), int(b)] for a, b in zip(l, m))))
+            for l, m in combinations_with_replacement(q.conditions.WEIGHT_LE1_LABELS, 2)]
+
+
+def exact_classify(pair, grams):
+    """(good, witness, overall order in gamma) from the pair's KL blocks under ``grams`` as integer
+    polynomials in s; a violation's lowest nonzero power of s is twice its exact order in gamma."""
+    codewords = np.zeros((16, 2), dtype=np.int64)  # unnormalized |x> + |complement of x>
+    for column, index in enumerate(pair.index_pair):
+        x = int(q.codes.SELF_COMPLEMENTARY_STRINGS[index - 1], 2)
+        codewords[[x, x ^ 15], column] = 1
+    powers = []
+    for labels, gram in grams:
+        block = np.einsum("ri,rck,cj->ijk", codewords, gram, codewords)
+        violation = np.array([block[0, 1], block[1, 0], block[0, 0] - block[1, 1]])
+        nonzero = np.flatnonzero(violation.any(axis=0))
+        powers.append((int(nonzero[0]) if nonzero.size else None, labels))
+    failing = [pair_labels for power, pair_labels in powers if power is not None and power < 4]
+    present = [power for power, _ in powers if power is not None]
+    return not failing, failing[-1] if failing else None, min(present) / 2 if present else None
+
+
+def test_classify_pair_matches_exact_integer_orders():
+    grams, orders = weight_le1_damping_grams(), set()
+    for pair in q.enumerate_pairs():
+        got = q.classify_pair(pair)
+        good, witness, order = exact_classify(pair, grams)
+        assert (got.good, got.witness) == (good, witness), pair.index_pair
+        assert order is not None and abs(got.slope - order) <= 0.01, pair.index_pair
+        orders.add(order)
+    assert orders == {0.5, 1.0, 2.0}
 
 
 @oracle_settings

@@ -107,6 +107,17 @@ def test_psd_sqrt_spectrum_of_damped_product():
     assert np.max(np.abs(np.sort(values) - expected)) <= 1e-12
 
 
+def test_psd_sqrt_matches_scipy_sqrtm():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        d = int(rng.choice((2, 4, 8, 16)))
+        b = random_complex(rng, d, d)
+        m = b @ dagger(b)
+        expected = scipy_linalg.sqrtm(m)
+        assert max_abs(psd_sqrt(m) - expected) <= 1e-12 * max_abs(expected), seed
+
+
 def test_psd_sqrt_rejects_negative():
     with pytest.raises(ValueError):
         psd_sqrt(np.diag([1.0, -0.5]).astype(complex))

@@ -4,6 +4,7 @@ import pytest
 import qecwb as q
 from qecwb.linalg import completeness_defect, dagger, ket, max_abs, restrict
 from qecwb.recovery import RecoveryOperation, _damping_fixed
+from test_kernel_oracle import random_isometry
 
 
 def ad_op(gamma, label):
@@ -64,6 +65,19 @@ def test_polar_consistency_for_correctable_errors():
         pol = q.polar_decompose(a, code.projector)
         assert max_abs(a @ code.projector - pol.u @ pol.j) <= 1e-9
         assert max_abs(pol.u @ dagger(pol.u) - np.eye(16)) <= 1e-9
+
+
+def test_polar_factors_random_errors_against_projectors_of_random_rank():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        d = int(rng.choice((2, 4, 8, 16)))
+        # singular values in [0.1, 1] keep A P's nonzero ones there, well above KERNEL_TOL
+        a = (random_isometry(rng, d, d) * rng.uniform(0.1, 1.0, d)) @ dagger(random_isometry(rng, d, d))
+        v = random_isometry(rng, d, int(rng.integers(1, d + 1)))
+        p = v @ dagger(v)
+        pol = q.polar_decompose(a, p)
+        assert max_abs(a @ p - pol.u @ pol.j) <= 1e-13, seed
+        assert max_abs(pol.u @ dagger(pol.u) - np.eye(d)) <= 1e-13, seed
 
 
 def test_polar_is_deterministic():
