@@ -128,10 +128,12 @@ def _label_order(n: int) -> tuple[tuple[str, ...], np.ndarray]:
     return labels, np.array([int(label, 2) for label in labels])
 
 
-# Holds one sweep point's channel plus the three gammas of a pair
-# classification with room to spare; a 4-qubit entry is 16 operators of
-# 16 x 16 complex entries, 64 KiB, so the cache stays at or below 512 KiB.
-_ENLARGE_CACHE_SIZE = 8
+# Holds one sweep's channels: a table of up to 16 points and the analysis pass
+# that revisits them (an LRU cache smaller than the sweep evicts each point just
+# before it is read again), plus the three gammas of a pair classification.  A
+# 4-qubit entry is 16 operators of 16 x 16 complex entries, 64 KiB, and its A_l V
+# in fidelity's cache of the same size 8 KiB, so both stay under 2.3 MiB.
+_ENLARGE_CACHE_SIZE = 32
 
 
 def enlarge(channel: KrausChannel, n: int) -> KrausChannel:
@@ -148,11 +150,12 @@ def enlarge(channel: KrausChannel, n: int) -> KrausChannel:
     order: its result is the ``stack``; ``kraus`` views its rows when read.
 
     For n >= 2 the result is shared and read-only: the last
-    ``_ENLARGE_CACHE_SIZE`` (8) enlargements are kept, keyed on ``n`` and the
+    ``_ENLARGE_CACHE_SIZE`` (32) enlargements are kept, keyed on ``n`` and the
     bytes of the single-qubit operators (never on p or gamma, which do not
     name the channel), so a sweep that applies one channel to several
-    recoveries, or a search that reuses three damping sets over 28 code
-    pairs, builds each set once.  Writing to an operator raises ``ValueError``,
+    recoveries, a table whose threshold analysis revisits its points, or a
+    search that reuses three damping sets over 28 code pairs, builds each set
+    once.  Writing to an operator raises ``ValueError``,
     as does an ``n`` that is not a positive integer (bool or 3.0) or is above 4:
     a product of five entries the entry gate admits (each up to 1e70) can overflow.
     """

@@ -12,7 +12,11 @@ recovery, when present, adds one more row to the table, keyed "O".  Both
 factor stacks are read-only arrays kept in two small caches keyed on the
 identity of the (code, recovery) and (code, channel) objects, so a sweep
 that applies one channel to several recoveries forms A_l V once per point,
-and a shared recovery forms V^dag R_k once.
+and a shared recovery forms V^dag R_k once.  The A_l V cache holds as many
+channels as ``enlarge``'s cache (32): one sweep's table and the analysis
+pass that revisits its points, so a channel ``enlarge`` still holds has its
+A_l V too.  A 4-qubit channel is a 64 KiB stack with an 8 KiB A_l V, so the
+two caches stay under 2.3 MiB; a 3-qubit pair takes 10 KiB.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .channels import KrausChannel
+from .channels import _ENLARGE_CACHE_SIZE, KrausChannel
 from .codes import QuantumCode
 from .linalg import _Frozen, _images
 from .recovery import RecoveryOperation
@@ -78,7 +82,7 @@ class SeriesEstimate(NamedTuple):
 # Keyed on the objects, which compare by identity; a cache holds its keys, so
 # an identity cannot be reused while its entry lives.  Three recoveries cover
 # one damping sweep point (a new standard and adapted one, the shared
-# code-projected one); one channel covers the point's shared channel.
+# code-projected one); the channels are those enlarge keeps, one sweep's worth.
 @lru_cache(maxsize=3)
 def _recovery_factors(code: QuantumCode, recovery: RecoveryOperation) -> tuple[np.ndarray, tuple]:
     """Read-only (K, 2, d) stack of V^dag R_k, and each row's key: k, or "O" for the leftover."""
@@ -88,7 +92,7 @@ def _recovery_factors(code: QuantumCode, recovery: RecoveryOperation) -> tuple[n
     return left, tuple(range(len(left) - leftover)) + ("O",) * leftover
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=_ENLARGE_CACHE_SIZE)
 def _channel_factors(code: QuantumCode, channel: KrausChannel) -> np.ndarray:
     """Read-only (L, d, 2) stack of A_l V."""
     right = _images(channel.stack, code.isometry)

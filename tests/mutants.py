@@ -272,7 +272,7 @@ MUTANTS = (
            "tests/test_linalg.py"),
     # A V cached per channel: a second code under the same channel reads the first code's V.
     Mutant("channel-factors-keyed-on-channel-alone", "fidelity.py",
-           "@lru_cache(maxsize=1)\n"
+           "@lru_cache(maxsize=_ENLARGE_CACHE_SIZE)\n"
            "def _channel_factors(code: QuantumCode, channel: KrausChannel) -> np.ndarray:\n"
            '    """Read-only (L, d, 2) stack of A_l V."""\n'
            "    right = _images(channel.stack, code.isometry)\n",
@@ -307,6 +307,21 @@ MUTANTS = (
     Mutant("residue-band-widened", "recovery.py",
            "upper = np.sqrt(p_l) - np.sqrt(lambda_l * p_l)", "upper = np.sqrt(p_l) + np.sqrt(lambda_l * p_l)",
            "tests/test_recovery.py"),
+    # Eight entries hold half of a 16-point table: its threshold pass rebuilds every channel.
+    Mutant("enlarge-cache-holds-eight", "channels.py",
+           "_ENLARGE_CACHE_SIZE = 32", "_ENLARGE_CACHE_SIZE = 8",
+           "tests/test_fidelity.py"),
+    # A golden-section bracket stepped the wrong way; the final parabolic step cannot recover it.
+    Mutant("golden-section-c-outside-bracket", "fletcher.py",
+           "            c = hi - GOLDEN * (hi - lo)", "            c = hi + GOLDEN * (hi - lo)",
+           "tests/test_fletcher.py"),
+    Mutant("golden-section-d-outside-bracket", "fletcher.py",
+           "            d = lo + GOLDEN * (hi - lo)", "            d = lo - GOLDEN * (hi - lo)",
+           "tests/test_fletcher.py"),
+    # A radius exactly 1 + RADIUS_SLACK is accepted.
+    Mutant("fletcher-radius-gate-exclusive", "fletcher.py",
+           "if not self.radius <= 1.0 + RADIUS_SLACK:", "if not self.radius < 1.0 + RADIUS_SLACK:",
+           "tests/test_fletcher.py"),
 )
 
 

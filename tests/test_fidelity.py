@@ -397,3 +397,30 @@ def test_sweeps_call_their_curves_at_python_floats():
     q.second_order_coeff(recorded(lambda g: 1 - 2 * g**2), np.logspace(-4, -2, 5))
     assert bisected > 0 and len(seen) == 2 * 11 + bisected + 5
     assert set(seen) == {float}
+
+
+def test_threshold_grid_pass_reuses_the_tables_channels():
+    # A table of 16 bit-flip points, then the threshold analysis over the same 16: the grid pass
+    # finds every channel and its A_l V still cached; only the bisection's new points miss.
+    code, recovery = q.repetition3(), q.repetition_recovery()
+    grid = np.linspace(0.013, 0.987, 16).tolist()
+    coded_calls = []
+
+    def coded(p):
+        coded_calls.append(p)
+        return q.entanglement_fidelity(code, recovery, q.enlarge(q.bitflip_single(p), 3)).value
+
+    q.channels._enlarge_pair.cache_clear()
+    _channel_factors.cache_clear()
+    for p in grid:
+        coded(p)
+    enlarge_misses = q.channels._enlarge_pair.cache_info().misses
+    factor_misses = _channel_factors.cache_info().misses
+    assert enlarge_misses == factor_misses == len(grid)
+    coded_calls.clear()
+    report = q.threshold_analysis(coded, lambda p: q.baseline_no_qec(q.bitflip_single(p)), grid)
+    assert coded_calls[:len(grid)] == grid and abs(report.failure_threshold - 0.5) <= 1e-10
+    bisected = len(coded_calls) - len(grid)
+    assert bisected > 0
+    assert q.channels._enlarge_pair.cache_info().misses - enlarge_misses == bisected
+    assert _channel_factors.cache_info().misses - factor_misses == bisected

@@ -44,7 +44,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qecwb as q
-from qecwb.channels import KrausChannel
+from qecwb.channels import _ENLARGE_CACHE_SIZE, KrausChannel
 from qecwb.conditions import _fit_slope, _gram_blocks
 from qecwb.fidelity import THRESHOLD_TOL, _channel_factors
 from qecwb.linalg import _images, completeness_defect, dagger, ket, max_abs
@@ -409,7 +409,7 @@ def test_enlarge_matches_per_label_kron(seed, n):
     batched = q.enlarge(channel, n)
     hit = q.enlarge(channel, n)
     assert hit is batched
-    for _ in range(9):  # one more distinct channel than the cache holds
+    for _ in range(_ENLARGE_CACHE_SIZE + 1):  # one more distinct channel than the cache holds
         q.enlarge(random_single_channel(rng), n)
     rebuilt = q.enlarge(channel, n)
     assert rebuilt is not batched
