@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import PAULI_X, PAULI_Z, _Frozen, bounded, completeness_defect, qubit_count
+from .linalg import PAULI_X, PAULI_Z, _Frozen, bounded, completeness_defect, qubit_count, real_rate
 
 CHANNEL_TOL = 1e-12  # largest completeness defect of a trace-preserving channel (certify, the CLI)
 
@@ -80,36 +80,51 @@ class ChannelCertificate(NamedTuple):
     unital: bool
 
 
-def _single_qubit_channel(rate: float, what: str, flip: Optional[np.ndarray]) -> KrausChannel:
-    """Kraus pair diag(sqrt(1-rate), sqrt(1-rate)) and sqrt(rate) * flip for a Pauli ``flip``;
-    for ``flip`` None, damping's diag(1, sqrt(1-rate)) and sqrt(rate)|0><1|."""
+# Holds one sweep's channels, single-qubit or enlarged: a table of up to 16 points and the
+# analysis pass that revisits them (an LRU cache smaller than the sweep evicts each point
+# just before it is read again), plus the three gammas of a pair classification.  A 4-qubit
+# entry is 16 operators of 16 x 16 complex entries, 64 KiB, its A_l V in fidelity's cache
+# of the same size 8 KiB, and a single-qubit channel under 2 KiB: all stay under 2.4 MiB.
+_ENLARGE_CACHE_SIZE = 32
+
+
+def _single_qubit_channel(rate: float, what: str, flip: Optional[str]) -> KrausChannel:
+    """The shared channel at ``rate`` as a Python float; ``ValueError`` unless it lies in [0, 1]."""
+    rate = real_rate(rate)
     if not 0.0 <= rate <= 1.0:
         raise ValueError("%s must lie in [0, 1]" % what)
+    return _single_qubit_pair(rate, math.copysign(1.0, rate), flip)
+
+
+@lru_cache(maxsize=_ENLARGE_CACHE_SIZE)
+def _single_qubit_pair(rate: float, sign: float, flip: Optional[str]) -> KrausChannel:
+    """Pair diag(sqrt(1-r), sqrt(1-r)), sqrt(r) * Pauli ``flip`` ("X" or "Z"), or for None damping's
+    diag(1, sqrt(1-r)), sqrt(r)|0><1|, at r = ``rate``; ``sign`` keys -0.0 apart from 0.0."""
     keep, jump = math.sqrt(1.0 - rate), math.sqrt(rate)
     pair = np.zeros((2, 2, 2), dtype=complex)
     if flip is None:
         pair[0, 0, 0], pair[0, 1, 1], pair[1, 0, 1] = 1.0, keep, jump
     else:
         pair[0, 0, 0] = pair[0, 1, 1] = keep
-        pair[1] = jump * flip  # the whole product, so sqrt(-0.0) = -0.0 reaches the zero entries
+        pair[1] = jump * (PAULI_X if flip == "X" else PAULI_Z)  # so sqrt(-0.0) reaches the zeros
     return KrausChannel(1, ("0", "1"), pair)
 
 
 def bitflip_single(p: float) -> KrausChannel:
-    """Bit-flip channel: rho -> (1-p) rho + p X rho X."""
-    return _single_qubit_channel(p, "error probability", PAULI_X)
+    """Bit-flip channel: rho -> (1-p) rho + p X rho X, one shared channel per rate."""
+    return _single_qubit_channel(p, "error probability", "X")
 
 
 def phaseflip_single(p: float) -> KrausChannel:
-    """Phase-flip (dephasing) channel: rho -> (1-p) rho + p Z rho Z."""
-    return _single_qubit_channel(p, "error probability", PAULI_Z)
+    """Phase-flip (dephasing) channel: rho -> (1-p) rho + p Z rho Z, one shared channel per rate."""
+    return _single_qubit_channel(p, "error probability", "Z")
 
 
 def ad_single(gamma: float) -> KrausChannel:
     """Amplitude damping channel with damping rate ``gamma``.
 
     Kraus pair diag(1, sqrt(1-gamma)) and sqrt(gamma)|0><1|; the second
-    operator is not a Pauli (the channel is nonunital).
+    operator is not a Pauli (the channel is nonunital).  One shared channel per rate.
     """
     return _single_qubit_channel(gamma, "damping rate", None)
 
@@ -126,14 +141,6 @@ def _label_order(n: int) -> tuple[tuple[str, ...], np.ndarray]:
     labels = tuple("".join("1" if i in errors else "0" for i in range(n))
                    for weight in range(n + 1) for errors in combinations(range(n), weight))
     return labels, np.array([int(label, 2) for label in labels])
-
-
-# Holds one sweep's channels: a table of up to 16 points and the analysis pass
-# that revisits them (an LRU cache smaller than the sweep evicts each point just
-# before it is read again), plus the three gammas of a pair classification.  A
-# 4-qubit entry is 16 operators of 16 x 16 complex entries, 64 KiB, and its A_l V
-# in fidelity's cache of the same size 8 KiB, so both stay under 2.3 MiB.
-_ENLARGE_CACHE_SIZE = 32
 
 
 def enlarge(channel: KrausChannel, n: int) -> KrausChannel:

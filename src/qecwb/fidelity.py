@@ -131,6 +131,7 @@ def nonvanishing_terms(
             for l, trace in enumerate(row) if 0.25 * abs(trace) ** 2 > tol]
 
 
+@lru_cache(maxsize=_ENLARGE_CACHE_SIZE)
 def baseline_no_qec(channel: KrausChannel) -> float:
     """Single-qubit fidelity without coding: (1/4) sum_k |Tr A_k|**2.
 
@@ -138,6 +139,7 @@ def baseline_no_qec(channel: KrausChannel) -> float:
     with the branch probability as a linear weight on the bare unitary, so
     the bit-flip channel yields (1-p)**2 = 1 - 2p + p**2; non-unitary Kraus
     operators such as the damping pair enter with their literal traces.
+    The last 32 are kept, keyed on the channel's identity: a builder's shared channel is read once.
     """
     if channel.n_qubits != 1:
         raise ValueError("baseline is defined for single-qubit channels")

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
+from .linalg import real_rate
+
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_STEPS = 200  # golden-section contractions numeric_optimum makes at most
 GOLDEN_WIDTH = 1e-12  # interval width at which numeric_optimum stops contracting
@@ -67,6 +69,7 @@ class Optimum(NamedTuple):
 
 def base_fidelity(gamma: float) -> float:
     """The parameter-independent part F0 of the adapted-recovery fidelity."""
+    gamma = _check_damping(gamma)
     c = 1.0 - gamma
     return 0.25 * (
         (1.0 + c**4) / 2.0
@@ -77,9 +80,12 @@ def base_fidelity(gamma: float) -> float:
     )
 
 
-def _check_damping(gamma: float) -> None:
+def _check_damping(gamma: float) -> float:
+    """``gamma`` as a Python float (``real_rate``); ``ValueError`` unless it lies in [0, 1)."""
+    gamma = real_rate(gamma)
     if not 0.0 <= gamma < 1.0:
         raise ValueError("damping rate must lie in [0, 1)")
+    return gamma
 
 
 def _linear_term(a_re: float, b_re: float, c: float, c3: float) -> float:
@@ -95,13 +101,13 @@ def fletcher_fidelity_closed(params: FletcherParams, gamma: float) -> float:
     matrix-trace evaluation of the ten-operator recovery; ``FletcherParams``
     has checked the radius on construction.
     """
-    c = 1.0 - gamma
+    c = 1.0 - _check_damping(gamma)
     return base_fidelity(gamma) + _linear_term(params.a_re, params.b_re, c, c**3)
 
 
 def closed_form_optimum(gamma: float) -> Optimum:
     """Analytic maximizer over the unit sphere: real positive (a, b)."""
-    _check_damping(gamma)
+    gamma = _check_damping(gamma)
     c = 1.0 - gamma
     c2 = c**2
     scale = math.sqrt(1.0 + c2 * c2)
@@ -121,7 +127,7 @@ def numeric_optimum(gamma: float) -> Optimum:
     ~sqrt(eps) in the angle, so a final three-point parabolic step on a wide
     stencil pins the vertex down to ~1e-12.
     """
-    _check_damping(gamma)
+    gamma = _check_damping(gamma)
     f0, damped, damped3 = base_fidelity(gamma), 2.0 * (1.0 - gamma), 2.0 * (1.0 - gamma) ** 3
     cos, sin = math.cos, math.sin
 
@@ -162,7 +168,7 @@ def radius_sweep(gamma: float, radii: Sequence[float]) -> list[tuple[float, floa
     the allowed radius.  The imaginary parts, which do not enter the
     fidelity, can fill the rest of the unit sphere; they are left at zero.
     """
-    _check_damping(gamma)
+    gamma = _check_damping(gamma)
     c2 = (1.0 - gamma) ** 2
     scale = math.sqrt(1.0 + c2 * c2)
     out = []

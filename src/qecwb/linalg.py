@@ -8,6 +8,7 @@ scalability.
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Sequence
 
@@ -55,6 +56,13 @@ def qubit_count(n) -> int:
     if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)) or n < 1:
         raise ValueError("the number of qubits must be a positive integer")
     return int(n)
+
+
+def real_rate(x) -> float:
+    """``x`` as a Python float, so a narrow numpy float computes in double precision; NaN, which
+    every range check refuses, unless a real number (numpy's too, not bool); floats skip the ABC."""
+    real = isinstance(x, float) or not isinstance(x, bool) and isinstance(x, numbers.Real)
+    return float(x) if real else math.nan
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

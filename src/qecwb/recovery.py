@@ -243,7 +243,7 @@ def standard_ad_recovery(gamma: float) -> RecoveryOperation:
     (operator 2 and the four double-damping operators) out into the leftover.
     The codespace projector itself is not among the operators.
     """
-    _check_damping(gamma)
+    gamma = _check_damping(gamma)
     c2 = (1.0 - gamma) ** 2
     # bit for bit numpy's (1, c2) / norm(|0000> + c2 |1111>), which multiplies by 1 / norm
     scale = 1.0 / math.sqrt(1.0 + c2 * c2)

@@ -322,6 +322,21 @@ MUTANTS = (
     Mutant("fletcher-radius-gate-exclusive", "fletcher.py",
            "if not self.radius <= 1.0 + RADIUS_SLACK:", "if not self.radius < 1.0 + RADIUS_SLACK:",
            "tests/test_fletcher.py"),
+    # -0.0 == 0.0, so without the sign the -0.0 channel, whose jump operator holds -0.0
+    # entries, and the 0.0 channel share one cache entry: whichever came first.
+    Mutant("single-channel-key-drops-sign", "channels.py",
+           "math.copysign(1.0, rate)", "1.0",
+           "tests/test_channels.py"),
+    # A float16 rate computes 1 - rate in float16 while math.sqrt(rate) sees the exact
+    # value: the channel misses its trace-preservation gate and keys apart from float(rate).
+    Mutant("rate-kept-in-input-precision", "linalg.py",
+           "return float(x) if real else math.nan", "return x if real else math.nan",
+           "tests/test_channels.py"),
+    # base_fidelity(nan) returns nan, and a rate above 1 a number.
+    Mutant("closed-form-rate-unchecked", "fletcher.py",
+           "    gamma = _check_damping(gamma)\n    c = 1.0 - gamma\n    return 0.25 * (",
+           "    c = 1.0 - gamma\n    return 0.25 * (",
+           "tests/test_fletcher.py"),
 )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qecwb as q
-from qecwb.channels import _enlarge_pair, _product_gathers
+from qecwb.channels import CHANNEL_TOL, _enlarge_pair, _product_gathers, _single_qubit_pair
 from qecwb.cli import _trace_preserving
 from qecwb.linalg import PAULI_X, PAULI_Z, WEIGHT_BOUND, dagger, max_abs
 from qecwb.recovery import RecoveryOperation
@@ -30,6 +30,42 @@ def test_bitflip_rejects_out_of_range():
         q.bitflip_single(-0.1)
     with pytest.raises(ValueError):
         q.bitflip_single(1.1)
+
+
+SINGLE_QUBIT_BUILDERS = [q.bitflip_single, q.phaseflip_single, q.ad_single]
+BUILDER_IDS = ["bitflip", "phaseflip", "damping"]
+NOT_REAL_RATES = (True, False, np.True_, "0.1", 0.1 + 0j, np.complex128(0.1))
+NOT_REAL_IDS = ["true", "false", "numpy-bool", "str", "complex", "numpy-complex"]
+
+
+@pytest.mark.parametrize("build", SINGLE_QUBIT_BUILDERS, ids=BUILDER_IDS)
+def test_single_qubit_builders_share_one_bit_identical_channel_per_rate(build):
+    for rate in (0.0, -0.0, 5e-324, 0.1, np.float64(0.1), 1, 1.0):
+        _single_qubit_pair.cache_clear()
+        fresh = build(float(rate)).stack.tobytes()
+        _single_qubit_pair.cache_clear()
+        channel = build(rate)
+        assert channel.stack.tobytes() == fresh
+        assert build(rate) is channel and build(float(rate)) is channel
+    zero, negative = build(0.0), build(-0.0)  # equal keys but for the sign
+    assert negative is not zero and negative is build(-0.0)
+    assert negative.stack.tobytes() != zero.stack.tobytes()
+
+
+@pytest.mark.parametrize("rate", [np.float32(0.1), np.float16(0.1)], ids=["float32", "float16"])
+@pytest.mark.parametrize("build", SINGLE_QUBIT_BUILDERS, ids=BUILDER_IDS)
+def test_narrow_precision_rates_build_the_channel_of_their_exact_value(build, rate):
+    # in its own precision 1 - rate rounds apart from the exact value math.sqrt(rate) sees
+    channel = build(rate)
+    assert channel is build(float(rate))
+    assert channel.completeness_defect() <= CHANNEL_TOL and q.certify(channel).trace_preserving
+
+
+@pytest.mark.parametrize("rate", NOT_REAL_RATES, ids=NOT_REAL_IDS)
+@pytest.mark.parametrize("build", SINGLE_QUBIT_BUILDERS, ids=BUILDER_IDS)
+def test_single_qubit_builders_refuse_rates_that_are_not_real_numbers(build, rate):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        build(rate)
 
 
 def test_phaseflip_matrix_and_identity_limit():

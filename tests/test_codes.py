@@ -150,11 +150,12 @@ def test_pairs_and_their_codes_are_built_once_and_read_only():
     lambda: q.QuantumCode(3, ket("000"), ket("111")),
     lambda: q.SelfComplementaryPair(4, *q.leung4().codewords, index_pair=(1, 6)),
     lambda: q.standard_ad_recovery(0.1),
-    lambda: q.ad_single(0.1).kraus[0],
+    # the builders share one channel per rate, so these build a fresh channel each call
+    lambda: q.KrausChannel(1, ("0", "1"), q.ad_single(0.1).stack).kraus[0],
     lambda: q.polar_decompose(np.eye(4), np.eye(4)),
     lambda: q.residue(np.eye(4), np.eye(4), 1.0, 1.0),
     lambda: q.kl_gram(q.leung4(), q.weight_le1_ad_errors(0.1)),
-    lambda: q.bitflip_single(0.1),
+    lambda: q.KrausChannel(1, ("0", "1"), q.bitflip_single(0.1).stack),
     lambda: q.entanglement_fidelity(q.repetition3(), q.repetition_recovery(),
                                     q.enlarge(q.bitflip_single(0.1), 3)),
 ], ids=["code", "pair", "recovery", "kraus-term", "polar", "residue", "kl-gram", "channel", "fidelity"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qecwb as q
-from qecwb.channels import KrausChannel
+from qecwb.channels import KrausChannel, _single_qubit_pair
 from qecwb.fidelity import _channel_factors, _recovery_factors
 from qecwb.recovery import RecoveryOperation
 from test_channels import WEIGHT_ERROR
@@ -401,7 +401,8 @@ def test_sweeps_call_their_curves_at_python_floats():
 
 def test_threshold_grid_pass_reuses_the_tables_channels():
     # A table of 16 bit-flip points, then the threshold analysis over the same 16: the grid pass
-    # finds every channel and its A_l V still cached; only the bisection's new points miss.
+    # finds every single-qubit channel, its baseline, its enlargement and its A_l V still cached;
+    # only the bisection's new points miss.
     code, recovery = q.repetition3(), q.repetition_recovery()
     grid = np.linspace(0.013, 0.987, 16).tolist()
     coded_calls = []
@@ -410,17 +411,20 @@ def test_threshold_grid_pass_reuses_the_tables_channels():
         coded_calls.append(p)
         return q.entanglement_fidelity(code, recovery, q.enlarge(q.bitflip_single(p), 3)).value
 
-    q.channels._enlarge_pair.cache_clear()
-    _channel_factors.cache_clear()
+    def baseline(p):
+        return q.baseline_no_qec(q.bitflip_single(p))
+
+    caches = (_single_qubit_pair, q.channels._enlarge_pair, _channel_factors, q.baseline_no_qec)
+    for cache in caches:
+        cache.cache_clear()
     for p in grid:
-        coded(p)
-    enlarge_misses = q.channels._enlarge_pair.cache_info().misses
-    factor_misses = _channel_factors.cache_info().misses
-    assert enlarge_misses == factor_misses == len(grid)
+        coded(p), baseline(p)
+    misses = [cache.cache_info().misses for cache in caches]
+    assert misses == [len(grid)] * 4
     coded_calls.clear()
-    report = q.threshold_analysis(coded, lambda p: q.baseline_no_qec(q.bitflip_single(p)), grid)
+    report = q.threshold_analysis(coded, baseline, grid)
     assert coded_calls[:len(grid)] == grid and abs(report.failure_threshold - 0.5) <= 1e-10
     bisected = len(coded_calls) - len(grid)
     assert bisected > 0
-    assert q.channels._enlarge_pair.cache_info().misses - enlarge_misses == bisected
-    assert _channel_factors.cache_info().misses - factor_misses == bisected
+    added = [cache.cache_info().misses - before for cache, before in zip(caches, misses)]
+    assert added == [bisected, bisected, bisected, 0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qecwb as q
+from qecwb.fidelity import TRACE_PRESERVING_TOL
 
 
 def random_unit_params(rng):
@@ -36,12 +37,33 @@ def test_params_reject_nan(coords):
         q.FletcherParams(*coords)
 
 
-@pytest.mark.parametrize("gamma", [NAN, -0.5, 1.0, 2.0])
+@pytest.mark.parametrize("gamma", [NAN, -0.5, 1.0, 2.0, True, np.False_, "0.1", 0.1 + 0j],
+                         ids=["nan", "-0.5", "1.0", "2.0", "bool", "numpy-bool", "str", "complex"])
 def test_optimum_searches_reject_bad_damping(gamma):
     for search in (q.closed_form_optimum, q.numeric_optimum, lambda g: q.radius_sweep(g, [0.5]),
-                   q.standard_ad_recovery):
+                   q.standard_ad_recovery, q.base_fidelity,
+                   lambda g: q.fletcher_fidelity_closed(q.FletcherParams(1, 0, 0, 0), g)):
         with pytest.raises(ValueError, match=r"damping rate must lie in \[0, 1\)"):
             search(gamma)
+
+
+@pytest.mark.parametrize("rate", [np.float32(0.1), np.float16(0.1)], ids=["float32", "float16"])
+def test_narrow_precision_damping_rates_compute_at_their_exact_value(rate):
+    # in its own precision 1 - rate rounds apart from the exact value math.sqrt(rate) sees
+    gamma = float(rate)
+    params = q.FletcherParams(0.6, 0.0, 0.8, 0.0)
+    for f in (q.closed_form_optimum, q.numeric_optimum, lambda g: q.radius_sweep(g, [0.5])[0],
+              q.base_fidelity, lambda g: q.fletcher_fidelity_closed(params, g)):
+        value = f(rate)
+        values = value if isinstance(value, tuple) else (value,)
+        assert value == f(gamma) and all(type(v) is float for v in values)
+    optimum = q.closed_form_optimum(rate)
+    assert q.fletcher_recovery(optimum.a_bar, optimum.b_bar).completeness_defect() <= TRACE_PRESERVING_TOL
+    recovery = q.standard_ad_recovery(rate)
+    assert np.array_equal(recovery.stack, q.standard_ad_recovery(gamma).stack)
+    errors = q.enlarge(q.ad_single(rate), 4)
+    assert q.entanglement_fidelity(q.leung4(), recovery, errors).value == q.entanglement_fidelity(
+        q.leung4(), q.standard_ad_recovery(gamma), errors).value
 
 
 def test_closed_form_matches_matrix_route():
