@@ -7,6 +7,8 @@ the n-qubit products by flat indices built once per n.  Labels of enlarged
 operators are bitstrings of error positions ("0100" = error on qubit 2), with
 qubit 1 the leftmost character and the leftmost Kronecker factor, so basis
 kets read off directly from labels; the 1s of a label count its error weight.
+Memos key their roots on values (a single-qubit channel on its rate) and every
+derived memo on the object it derives from, so a rate names its channel once.
 """
 
 from __future__ import annotations
@@ -158,11 +160,11 @@ def enlarge(channel: KrausChannel, n: int) -> KrausChannel:
 
     For n >= 2 the result is shared and read-only: the last
     ``_ENLARGE_CACHE_SIZE`` (32) enlargements are kept, keyed on ``n`` and the
-    bytes of the single-qubit operators (never on p or gamma, which do not
-    name the channel), so a sweep that applies one channel to several
-    recoveries, a table whose threshold analysis revisits its points, or a
-    search that reuses three damping sets over 28 code pairs, builds each set
-    once.  Writing to an operator raises ``ValueError``,
+    single-qubit channel object (never on p or gamma, which do not name the
+    channel; two equal channels built apart get two byte-identical enlargements),
+    so a sweep that applies one channel to several recoveries, a table whose
+    threshold analysis revisits its points, or a search that reuses three damping
+    sets over 28 code pairs, builds each set once.  Writing to an operator raises ``ValueError``,
     as does an ``n`` that is not a positive integer (bool or 3.0) or is above 4:
     a product of five entries the entry gate admits (each up to 1e70) can overflow.
     """
@@ -175,7 +177,7 @@ def enlarge(channel: KrausChannel, n: int) -> KrausChannel:
         return channel
     if channel.labels != ("0", "1"):  # the constructor has checked the 2 x 2 shape
         raise ValueError("enlarge expects the single-qubit labels ('0', '1')")
-    return _enlarge_pair(n, channel.stack.tobytes())
+    return _enlarge_pair(n, channel)
 
 
 @lru_cache(maxsize=None)
@@ -197,9 +199,9 @@ def _product_gathers(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 @lru_cache(maxsize=_ENLARGE_CACHE_SIZE)
-def _enlarge_pair(n: int, pair_bytes: bytes) -> KrausChannel:
-    """The read-only n-qubit products of the (2, 2, 2) operator pair in ``pair_bytes``."""
-    pair = stack = np.frombuffer(pair_bytes, dtype=complex)
+def _enlarge_pair(n: int, channel: KrausChannel) -> KrausChannel:
+    """The read-only n-qubit products of the channel's (2, 2, 2) operator pair."""
+    pair = stack = channel.stack.reshape(-1)
     for left, right in _product_gathers(n):
         stack = stack[left] * pair[right]
     return KrausChannel(n, _label_order(n)[0], stack.reshape(2 ** n, 2 ** n, -1))

@@ -26,7 +26,7 @@ import numpy as np
 from .channels import KrausChannel, ad_single, enlarge
 from .codes import QuantumCode, SelfComplementaryPair, _candidate_states, _pair_columns
 from .fidelity import SERIES_NOISE_MAX
-from .linalg import _Frozen, _images, bounded, max_abs
+from .linalg import _Frozen, _images, bounded, max_abs, real_rate
 
 EXACT_TOL = 1e-10  # largest Knill-Laflamme violation exact_correctable calls exact
 ZERO_FLOOR = 1e-13  # a violation or residual at or below this counts as zero
@@ -106,7 +106,7 @@ def _fit_slope(gammas: Sequence[float], values) -> np.ndarray:
 
 
 def _noise_samples(gammas: Sequence[float]) -> tuple[float, ...]:
-    gammas = tuple(float(g) for g in gammas)
+    gammas = tuple(real_rate(g) for g in gammas)
     if len(set(gammas)) < 2 or not all(0.0 < g <= SERIES_NOISE_MAX for g in gammas):
         raise ValueError("need >= 2 distinct noise samples in (0, 1e-2], got %r" % (gammas,))
     return gammas
@@ -238,13 +238,6 @@ def weight_le1_ad_errors(gamma: float) -> KrausChannel:
     return KrausChannel(4, WEIGHT_LE1_LABELS, _weight_le1_rows(enlarge(ad_single(gamma), 4)))
 
 
-@lru_cache(maxsize=8)
-def _damping(gamma: float) -> KrausChannel:
-    """``ad_single`` of a validated (positive, finite) sample, shared by the calls of a search.
-    Kept beside ``ad_single``'s cache: a hit skips the builder's checks (slower on a search)."""
-    return ad_single(gamma)
-
-
 def _sweep_rows(enlarged: Sequence[KrausChannel]) -> np.ndarray:
     """The (G, 5, 16, 16) weight <= 1 rows of a sweep's enlarged channels."""
     return np.stack([_weight_le1_rows(channel) for channel in enlarged])
@@ -271,7 +264,7 @@ def classify_pair(
     worst pair violation, ``violation_order``'s) come from one fit.
     """
     gammas = _noise_samples(gammas)
-    enlarged = [enlarge(_damping(g), 4) for g in gammas]
+    enlarged = [enlarge(ad_single(g), 4) for g in gammas]
     columns = _pair_columns().get(pair)
     grams = (_gram_blocks(_images(_sweep_rows(enlarged), pair.isometry)) if columns is None
              else _search_gram(*enlarged)[..., columns[:, None], columns])

@@ -29,7 +29,7 @@ import numpy as np
 
 from .channels import _ENLARGE_CACHE_SIZE, KrausChannel
 from .codes import QuantumCode
-from .linalg import _Frozen, _images
+from .linalg import _Frozen, _images, real_rate
 from .recovery import RecoveryOperation
 
 TermKey = tuple[Union[int, str], int]
@@ -126,7 +126,11 @@ def nonvanishing_terms(
 
     Leftover-projector rows are bookkept separately in the term table and
     are not part of the (k, l) lattice returned here.  Keys come row by row.
+    ``tol`` must be a finite real number >= 0 (read by ``real_rate``), or ``ValueError`` is raised.
     """
+    tol = real_rate(tol)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tol must be a finite number >= 0")
     return [(k, l) for k, row in zip(result.row_keys, result.table.tolist()) if k != "O"
             for l, trace in enumerate(row) if 0.25 * abs(trace) ** 2 > tol]
 
@@ -168,8 +172,15 @@ def _finite(values: np.ndarray, name: str) -> np.ndarray:
 
 
 def sweep_grid(grid: Sequence[float]) -> np.ndarray:
-    """``grid`` as a float array; raises ``ValueError`` if empty, non-finite or not increasing."""
-    grid = np.asarray(grid, dtype=float)
+    """``grid`` as a float array; raises ``ValueError`` unless a one-dimensional sequence, or if
+    empty, not increasing or holding a value ``real_rate`` does not read as a finite number."""
+    try:
+        flat = np.ndim(grid) == 1
+    except ValueError:  # a ragged nesting
+        flat = False
+    if not flat:
+        raise ValueError("grid must be a one-dimensional sequence")
+    grid = np.array([real_rate(x) for x in grid])
     if grid.size == 0:
         raise ValueError("grid is empty")
     _finite(grid, "grid values")
@@ -206,12 +217,12 @@ def threshold_analysis(
     crossing of 1 - F(p) = p bisected to ``THRESHOLD_TOL`` (grid[-1] when
     none).  Each curve is evaluated once per grid point, at a Python float (never a numpy
     scalar); only the bisection evaluates more, at Python floats too.  A grid ``sweep_grid``
-    rejects, and a non-finite curve value, raise ``ValueError``.
+    rejects, and a curve value that ``real_rate`` does not read as finite, raise ``ValueError``.
     """
     grid = sweep_grid(grid)
     points = grid.tolist()
-    coded = _finite(np.array([fidelity_curve(p) for p in points], dtype=float), "curve values")
-    base = _finite(np.array([baseline_curve(p) for p in points], dtype=float), "curve values")
+    coded = _finite(np.array([real_rate(fidelity_curve(p)) for p in points]), "curve values")
+    base = _finite(np.array([real_rate(baseline_curve(p)) for p in points]), "curve values")
     harmful = coded < base - USEFUL_SLACK
     last_useful = int(np.argmax(harmful)) - 1 if harmful.any() else len(grid) - 1
     useful = (points[0], points[last_useful]) if last_useful >= 0 else None
@@ -221,7 +232,7 @@ def threshold_analysis(
     threshold = points[-1]
     if crossings.size:
         i = int(crossings[0])
-        threshold = _bisect_root(lambda p: p - (1.0 - fidelity_curve(p)),
+        threshold = _bisect_root(lambda p: p - (1.0 - real_rate(fidelity_curve(p))),
                                  points[i], points[i + 1], float(margin[i]))
     return ThresholdReport(useful, threshold)
 
@@ -241,14 +252,15 @@ def second_order_coeff(
     constant, linear, and quadratic coefficients; the cubic term absorbs the higher-order tail
     so the quadratic coefficient is recovered to ~1e-3 on grids in (0, 1e-2].
     ``residual`` is the largest deviation of the fitted polynomial from the
-    samples.  A sample outside ``in_series_domain`` or a non-finite value raises ``ValueError``.
+    samples.  A sample outside ``in_series_domain`` or a value that is not a finite real number
+    (both read by ``real_rate``) raises ``ValueError``.
     """
-    gammas = np.asarray(sorted(gammas), dtype=float)
+    gammas = np.array(sorted(map(real_rate, gammas)))
     if not in_series_domain(gammas):
         raise ValueError("need >= 3 strictly positive samples, all <= 1e-2")
     if np.any(np.diff(gammas) <= 0):
         raise ValueError("samples must be distinct")
-    values = _finite(np.array([curve(g) for g in gammas.tolist()], dtype=float), "curve values")
+    values = _finite(np.array([real_rate(curve(g)) for g in gammas.tolist()]), "curve values")
     degree = 3 if len(gammas) >= 4 else 2
     design = np.vander(gammas, degree + 1, increasing=True)
     coeffs, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)

@@ -172,9 +172,9 @@ def radius_sweep(gamma: float, radii: Sequence[float]) -> list[tuple[float, floa
     c2 = (1.0 - gamma) ** 2
     scale = math.sqrt(1.0 + c2 * c2)
     out = []
-    for r in radii:
+    for r in map(real_rate, radii):
         if not 0.0 < r <= 1.0:
             raise ValueError("radii must lie in (0, 1]")
         params = FletcherParams(r / scale, 0.0, r * c2 / scale, 0.0)
-        out.append((float(r), fletcher_fidelity_closed(params, gamma)))
+        out.append((r, fletcher_fidelity_closed(params, gamma)))
     return out

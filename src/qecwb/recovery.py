@@ -34,6 +34,7 @@ from .linalg import (
     ket,
     max_abs,
     psd_sqrt,
+    real_rate,
 )
 
 KERNEL_TOL = 1e-10
@@ -144,10 +145,12 @@ def residue(a: np.ndarray, p: np.ndarray, p_l: float, lambda_l: float) -> Residu
     """Residue pi = sqrt(P A^dag A P) - sqrt(lambda * p) P.
 
     ``p_l`` must be the largest and ``lambda_l * p_l`` the smallest eigenvalue above
-    ``RESIDUE_FLOOR`` of the restricted P A^dag A P, or ``ValueError`` is raised;
+    ``RESIDUE_FLOOR`` of the restricted P A^dag A P, each read by ``real_rate``, or
+    ``ValueError`` is raised;
     ``bound_ok`` says whether pi's singular values lie in [0, sqrt(p_l) - sqrt(lambda_l p_l)].
     """
     a, p = _square_pair(a, p)
+    p_l, lambda_l = real_rate(p_l), real_rate(lambda_l)
     restricted = p @ dagger(a) @ a @ p
     root = psd_sqrt(restricted)
     eigs = np.linalg.eigvalsh(0.5 * (restricted + dagger(restricted)))

@@ -337,6 +337,24 @@ MUTANTS = (
            "    gamma = _check_damping(gamma)\n    c = 1.0 - gamma\n    return 0.25 * (",
            "    c = 1.0 - gamma\n    return 0.25 * (",
            "tests/test_fletcher.py"),
+    # One enlargement per qubit count: the phase-flip set reads the bit-flip products.
+    Mutant("enlarge-keyed-on-n-alone", "channels.py",
+           "    return _enlarge_pair(n, channel)\n",
+           "    return _BY_N.setdefault(n, _enlarge_pair(n, channel))\n\n\n_BY_N = {}\n",
+           "tests/test_channels.py"),
+    # float() lets a complex sample end in TypeError and a bool pass as 0 or 1.
+    Mutant("noise-samples-read-by-float", "conditions.py",
+           "    gammas = tuple(real_rate(g) for g in gammas)\n",
+           "    gammas = tuple(float(g) for g in gammas)\n",
+           "tests/test_fidelity.py"),
+    # A (1, 2) grid reads as a report of pairs; a scalar grid ends in TypeError.
+    Mutant("grid-dimension-ungated", "fidelity.py",
+           "    if not flat:\n", "    if False:\n",
+           "tests/test_fidelity.py"),
+    # A NaN tol lists no term, a vacuous pass; -1.0 lists the exact zeros.
+    Mutant("nonvanishing-tol-ungated", "fidelity.py",
+           "    if not 0.0 <= tol < math.inf:\n", "    if False:\n",
+           "tests/test_fidelity.py"),
 )
 
 

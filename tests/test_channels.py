@@ -121,6 +121,16 @@ def test_enlarge_keys_on_operators_not_on_the_parameter():
         assert max_abs(ops["111"] - expected) <= 1e-15
 
 
+def test_enlarge_keys_its_memo_on_the_channel_object():
+    # a builder's shared channel names one enlargement; an equal channel built apart gets its own
+    shared = q.ad_single(0.1)
+    assert q.enlarge(shared, 4) is q.enlarge(q.ad_single(0.1), 4)
+    twin = q.KrausChannel(1, shared.labels, shared.stack)
+    apart = q.enlarge(twin, 4)
+    assert apart is not q.enlarge(shared, 4) and apart is q.enlarge(twin, 4)
+    assert apart.stack.tobytes() == q.enlarge(shared, 4).stack.tobytes()
+
+
 def test_enlarged_operators_are_read_only():
     op = q.enlarge(q.ad_single(0.1), 4).kraus[3].op
     with pytest.raises(ValueError):

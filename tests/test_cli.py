@@ -77,6 +77,10 @@ def test_ad_fidelity_footers(capsys):
         assert abs(payload["fit"]["c2"] - c2) <= 1e-2
         assert abs(payload["fit"]["c0"] - 1.0) <= 1e-6
     assert "optima" in payload  # fletcher-opt report
+    # a grid outside the series domain (two samples, or one above 1e-2) has no fit
+    for grid in ("1e-3,2e-3", "0.5"):
+        code, out = run_cli(capsys, "ad-fidelity", "--grid", grid, "--format", "json")
+        assert code == 0 and json.loads(out)["fit"] is None
     entry = payload["optima"][0]
     assert abs(entry["f_star_closed"] - entry["f_star_numeric"]) <= 1e-10
     assert entry["delta"] <= 1e-10

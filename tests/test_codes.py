@@ -22,6 +22,11 @@ def test_repetition3_projector():
     assert abs(np.vdot(code.zero_logical, code.one_logical)) <= 1e-12
 
 
+def test_code_refuses_codewords_of_the_wrong_dimension():
+    with pytest.raises(ValueError, match="codeword dimension mismatch"):
+        q.QuantumCode(2, np.ones(4) / 2, np.ones(8) / np.sqrt(8))
+
+
 def test_four_qubit_codes_share_plus_state():
     plus = (ket("0000") + ket("1111")) / np.sqrt(2)
     for code in (q.leung4(), q.grassl4(), q.third4()):

@@ -474,7 +474,6 @@ def classify_all(gammas, cold=False):
     for pair in q.enumerate_pairs():
         if cold:
             q.conditions._search_gram.cache_clear()
-            q.conditions._damping.cache_clear()
         results.append(q.classify_pair(pair, gammas))
     return results
 

@@ -336,6 +336,11 @@ def test_second_order_coeff_validates_grid(capfd):
     assert capfd.readouterr().err == ""  # no LAPACK lines from a fit that must not run
 
 
+def test_second_order_coeff_rejects_a_repeated_sample():
+    with pytest.raises(ValueError, match="samples must be distinct"):
+        q.second_order_coeff(lambda g: 1.0, [1e-3, 1e-2, 1e-3, 2e-3])
+
+
 def test_second_order_coeff_rejects_non_finite_samples():
     with pytest.raises(ValueError, match="curve values must be finite"):
         q.second_order_coeff(lambda g: float("nan"), np.logspace(-4, -2, 9))
@@ -355,7 +360,12 @@ def bitflip_baseline(p):
     ([], "grid is empty"),
     ([0.0, float("nan"), 1.0], "grid values must be finite"),
     ([0.0, 0.5, float("inf")], "grid values must be finite"),
-], ids=["descending", "repeated", "empty", "nan", "inf"])
+    # a (1, 2) grid once read as the report ((0.1, 0.2), (0.1, 0.2)), threshold (0.1, 0.2)
+    ([[0.1, 0.2]], "grid must be a one-dimensional sequence"),
+    ([[0.1], [0.2]], "grid must be a one-dimensional sequence"),
+    ([[0.1], 0.2], "grid must be a one-dimensional sequence"),
+    (0.1, "grid must be a one-dimensional sequence"),
+], ids=["descending", "repeated", "empty", "nan", "inf", "row", "column", "ragged", "scalar"])
 def test_threshold_analysis_rejects_bad_grids(grid, message):
     with pytest.raises(ValueError, match=message):
         q.threshold_analysis(bitflip_coded, bitflip_baseline, grid)
@@ -370,6 +380,60 @@ def test_threshold_analysis_rejects_bad_grids(grid, message):
 def test_threshold_analysis_rejects_non_finite_curve_values(coded, baseline):
     with pytest.raises(ValueError, match="curve values must be finite"):
         q.threshold_analysis(coded, baseline, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("inf")], ids=["negative", "inf"])
+def test_nonvanishing_terms_needs_a_finite_non_negative_tol(tol):
+    # -1.0 once listed every one of a table's (k, l), exact zeros included
+    result = q.entanglement_fidelity(q.leung4(), q.cp_recovery(), q.enlarge(q.ad_single(0.1), 4))
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        q.nonvanishing_terms(result, tol)
+    assert len(q.nonvanishing_terms(result, 0.0)) == 12 < result.table.size == 160
+
+
+NOT_REAL = [None, "a", 1j, [[1e-4, 1e-3]], float("nan")]
+
+
+def _four_qubit_family(g):
+    return q.leung4(), q.weight_le1_ad_errors(g)
+
+
+# Each entry point with one scalar replaced by x, and the message it raises for x.
+SCALAR_ENTRY_POINTS = {
+    "classify_pair": (lambda x: q.classify_pair(q.enumerate_pairs()[0], [x, 1e-3]),
+                      "need >= 2 distinct noise samples"),
+    "violation_order": (lambda x: q.violation_order(_four_qubit_family, [x, 1e-3]),
+                        "need >= 2 distinct noise samples"),
+    "radius_sweep": (lambda x: q.radius_sweep(0.1, [x]), r"radii must lie in \(0, 1\]"),
+    "residue-p_l": (lambda x: q.residue(np.eye(4), np.eye(4), x, 1.0),
+                    "p_l must equal the largest restricted eigenvalue"),
+    "residue-lambda_l": (lambda x: q.residue(np.eye(4), np.eye(4), 1.0, x),
+                         r"lambda_l \* p_l must equal the smallest restricted eigenvalue"),
+    "threshold-coded": (lambda x: q.threshold_analysis(lambda p: x, bitflip_baseline, [0.1, 0.2]),
+                        "curve values must be finite"),
+    "threshold-baseline": (lambda x: q.threshold_analysis(bitflip_coded, lambda p: x, [0.1, 0.2]),
+                           "curve values must be finite"),
+    "threshold-grid": (lambda x: q.threshold_analysis(bitflip_coded, bitflip_baseline, x),
+                       "grid must be a one-dimensional sequence"),
+    "threshold-grid-value": (lambda x: q.threshold_analysis(bitflip_coded, bitflip_baseline, [0.1, x]),
+                             "grid (must be a one-dimensional sequence|values must be finite)"),
+    "second_order_coeff": (lambda x: q.second_order_coeff(lambda g: x, [1e-4, 1e-3, 1e-2]),
+                           "curve values must be finite"),
+    "second_order_coeff-sample": (lambda x: q.second_order_coeff(lambda g: 1.0, [1e-4, 1e-3, x]),
+                                  "need >= 3 strictly positive samples"),
+    "nonvanishing_terms": (lambda x: q.nonvanishing_terms(
+        q.entanglement_fidelity(q.repetition3(), q.repetition_recovery(),
+                                q.enlarge(q.bitflip_single(0.1), 3)), x),
+        "tol must be a finite number >= 0"),
+}
+
+
+@pytest.mark.parametrize("x", NOT_REAL, ids=["none", "str", "complex", "nested", "nan"])
+@pytest.mark.parametrize("entry", sorted(SCALAR_ENTRY_POINTS))
+def test_entry_points_refuse_scalars_that_are_not_real_numbers(entry, x):
+    call, message = SCALAR_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=message):
+        call(x)
 
 
 @pytest.mark.parametrize("stack", [
