@@ -10,10 +10,11 @@ are O(1) does not spoil first-order protection, while any O(gamma) or
 O(sqrt(gamma)) violation does.  A candidate pair is a code; it is classified
 against the weight <= 1 damping errors, the first rows of the enlarged stack.
 A search forms the Gram of the eight candidate states once per gamma triple,
-keyed on the three channels ``classify_pair`` still asks ``enlarge`` for; a pair
-``enumerate_pairs`` shares reads its blocks at its two state columns, a
-hand-built pair uses its own codewords.  Every product is finite: the errors
-pass ``KrausChannel``'s entry gate, and a raw error or state ``linalg.bounded``.
+keyed on the three channels ``classify_pair`` still asks ``enlarge`` for, and
+reads each pair ``enumerate_pairs`` shares at its two state columns into that
+pair's violation columns; a hand-built pair uses its own codewords.  Every
+product is finite: the errors pass ``KrausChannel``'s entry gate, and a raw
+error or state ``linalg.bounded``.
 """
 
 from __future__ import annotations
@@ -156,10 +157,10 @@ def _upper_pair(labels: tuple[str, ...], k: int) -> tuple[str, str]:
 def _pair_violations(grams: np.ndarray) -> np.ndarray:
     """max(|b01|, |b10|, |b00 - b11|) of each block, in ``_upper_index`` order.
 
-    ``grams`` is (G, L, L, 2, 2); the result is (G, L (L + 1) / 2).
+    ``grams`` is (..., L, L, 2, 2); the result is (..., L (L + 1) / 2).
     """
-    rows, cols = _upper_index(grams.shape[1])
-    b = grams[:, rows, cols]
+    rows, cols = _upper_index(grams.shape[-3])
+    b = grams[..., rows, cols, :, :]
     off = np.maximum(np.abs(b[..., 0, 1]), np.abs(b[..., 1, 0]))
     return np.maximum(off, np.abs(b[..., 0, 0] - b[..., 1, 1]))
 
@@ -170,10 +171,14 @@ def _violations(problems) -> np.ndarray:
     return _pair_violations(_gram_blocks(images))
 
 
-def _scaling_orders(gammas: tuple[float, ...], violations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slope and all-zero flag of each pair's violation across a sweep, the (G, P) columns
-    in ``_upper_index`` order, then of the worst pair's: every column from one fit."""
-    columns = np.concatenate([violations, violations.max(axis=1, keepdims=True)], axis=1)
+def _sweep_columns(violations: np.ndarray) -> np.ndarray:
+    """The (..., G, P + 1) columns of a sweep's (..., G, P) pair violations in ``_upper_index``
+    order: each pair's, then the worst pair's."""
+    return np.concatenate([violations, violations.max(axis=-1, keepdims=True)], axis=-1)
+
+
+def _scaling_orders(gammas: tuple[float, ...], columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slope and all-zero flag of each column of a (G, P + 1) ``_sweep_columns``, all from one fit."""
     return _fit_slope(gammas, columns), (columns <= ZERO_FLOOR).all(axis=0)
 
 
@@ -224,7 +229,7 @@ def violation_order(
     """
     gammas = _noise_samples(gammas)
     violations = _violations([(e.stack, c.isometry) for c, e in map(family, gammas)])
-    slopes, vanishing = _scaling_orders(gammas, violations)
+    slopes, vanishing = _scaling_orders(gammas, _sweep_columns(violations))
     return ViolationOrder(True, None) if vanishing[-1] else ViolationOrder(False, float(slopes[-1]))
 
 
@@ -244,12 +249,17 @@ def _sweep_rows(enlarged: Sequence[KrausChannel]) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _search_gram(*enlarged: KrausChannel) -> np.ndarray:
-    """Read-only (G, 5, 5, 8, 8) blocks of the eight candidate states under a sweep's weight
-    <= 1 rows, one Gram per sweep, keyed on the channels by identity (``KrausChannel`` compares so)."""
+def _search_columns(*enlarged: KrausChannel) -> dict:
+    """Each shared pair's read-only (G, 16) ``_sweep_columns``, keyed as ``_pair_columns`` is:
+    from its blocks at its two state columns of one (G, 5, 5, 8, 8) Gram of the eight candidate
+    states under a sweep's weight <= 1 rows.  One sweep, keyed on its channels by identity
+    (``KrausChannel`` compares so); the fits and verdicts stay per pair."""
     gram = _gram_blocks(_images(_sweep_rows(enlarged), _candidate_states()))
-    gram.flags.writeable = False
-    return gram
+    states = np.array(list(_pair_columns().values()))
+    blocks = np.moveaxis(gram[..., states[:, :, None], states[:, None, :]], -3, 0)
+    columns = _sweep_columns(_pair_violations(blocks))
+    columns.flags.writeable = False
+    return dict(zip(_pair_columns(), columns))
 
 
 def classify_pair(
@@ -265,11 +275,9 @@ def classify_pair(
     """
     gammas = _noise_samples(gammas)
     enlarged = [enlarge(ad_single(g), 4) for g in gammas]
-    columns = _pair_columns().get(pair)
-    grams = (_gram_blocks(_images(_sweep_rows(enlarged), pair.isometry)) if columns is None
-             else _search_gram(*enlarged)[..., columns[:, None], columns])
-    violations = _pair_violations(grams)
-    slopes, vanishing = _scaling_orders(gammas, violations)
+    columns = (_search_columns(*enlarged)[pair] if pair in _pair_columns() else _sweep_columns(
+        _pair_violations(_gram_blocks(_images(_sweep_rows(enlarged), pair.isometry)))))
+    slopes, vanishing = _scaling_orders(gammas, columns)
     failing = np.flatnonzero(~vanishing[:-1] & (slopes[:-1] < FIRST_ORDER_SLOPE))
     slope = None if vanishing[-1] else float(slopes[-1])
     witness = _upper_pair(WEIGHT_LE1_LABELS, failing[-1]) if failing.size else None

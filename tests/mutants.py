@@ -201,25 +201,27 @@ MUTANTS = (
     Mutant("detectability-dimension-unchecked", "conditions.py",
            "    if np.shape(a) != p.shape:\n", "    if False:\n",
            "tests/test_conditions.py"),
-    # A Gram keyed on the first sample's channel alone: a second sweep that shares that
-    # sample reads the first sweep's blocks (with two samples, the wrong shape), and
+    # A search memo keyed on the first sample's channel alone: a second sweep that shares
+    # that sample reads the first sweep's columns (with two samples, the wrong shape), and
     # cache_clear still empties it.
     Mutant("search-rows-keyed-on-first-channel", "conditions.py",
            "@lru_cache(maxsize=1)\n"
-           "def _search_gram(*enlarged: KrausChannel) -> np.ndarray:\n",
+           "def _search_columns(*enlarged: KrausChannel) -> dict:\n",
            "class _AnyRest(tuple):\n"
            "    __hash__, __eq__ = (lambda self: 0), (lambda self, other: True)\n\n\n"
-           "def _search_gram(first, *rest):\n"
-           "    return _gram_by_first(first, _AnyRest(rest))\n\n\n"
-           "_search_gram.cache_clear = lambda: _gram_by_first.cache_clear()\n\n\n"
+           "def _search_columns(first, *rest):\n"
+           "    return _columns_by_first(first, _AnyRest(rest))\n\n\n"
+           "_search_columns.cache_clear = lambda: _columns_by_first.cache_clear()\n\n\n"
            "@lru_cache(maxsize=1)\n"
-           "def _gram_by_first(first, rest) -> np.ndarray:\n"
+           "def _columns_by_first(first, rest) -> dict:\n"
            "    enlarged = (first, *rest)\n",
            "tests/test_conditions.py"),
     # A hand-built pair whose codewords are not those of its index pair reads another
-    # pair's blocks, or columns the Gram does not have.
+    # pair's columns.
     Mutant("search-gram-trusts-index-pair", "conditions.py",
-           "columns = _pair_columns().get(pair)", "columns = np.subtract(pair.index_pair, 1)",
+           "_search_columns(*enlarged)[pair] if pair in _pair_columns()",
+           "_search_columns(*enlarged)[shared[pair.index_pair]]"
+           " if pair.index_pair in (shared := {p.index_pair: p for p in _pair_columns()})",
            "tests/test_conditions.py"),
     # Ungated, a NaN error set reads as "not correctable, no witness", kl_gram's diag_eigs
     # (nan, nan) and a detection probability nan; a NaN recovery as "not trace preserving".

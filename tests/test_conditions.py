@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import qecwb as q
-from qecwb.conditions import EXACT_TOL, FIRST_ORDER_SLOPE, ZERO_FLOOR, _gram_blocks, weight_le1_ad_errors
-from qecwb.linalg import _images, max_abs
+from qecwb.conditions import EXACT_TOL, FIRST_ORDER_SLOPE, ZERO_FLOOR, weight_le1_ad_errors
+from qecwb.linalg import max_abs
 from test_channels import WEIGHT_ERROR
 
 
@@ -473,12 +473,12 @@ def classify_all(gammas, cold=False):
     results = []
     for pair in q.enumerate_pairs():
         if cold:
-            q.conditions._search_gram.cache_clear()
+            q.conditions._search_columns.cache_clear()
         results.append(q.classify_pair(pair, gammas))
     return results
 
 
-def test_search_gram_from_a_warm_memo_equal_a_cold_one():
+def test_search_columns_from_a_warm_memo_equal_a_cold_one():
     cold = {gammas: classify_all(gammas, cold=True) for gammas in [TRIPLE] + SHARING}
     for gammas in SHARING:
         assert classify_all(TRIPLE) == cold[TRIPLE]
@@ -487,14 +487,13 @@ def test_search_gram_from_a_warm_memo_equal_a_cold_one():
     assert classify_all(TRIPLE) == cold[TRIPLE]
 
 
-def test_search_gram_is_the_read_only_gram_of_the_candidate_states():
-    gram = q.conditions._search_gram(*(q.enlarge(q.ad_single(g), 4) for g in TRIPLE))
-    assert not gram.flags.writeable and gram.shape == (3, 5, 5, 8, 8)
-    rows = np.stack([weight_le1_ad_errors(g).stack for g in TRIPLE])
-    expected = _gram_blocks(_images(rows, q.codes._candidate_states()))
-    assert gram.tobytes() == expected.tobytes()
-    with pytest.raises(ValueError):
-        gram[0, 0, 0, 0, 0] = 0.0
+def test_search_columns_hold_each_shared_pairs_read_only_columns():
+    search = q.conditions._search_columns(*(q.enlarge(q.ad_single(g), 4) for g in TRIPLE))
+    assert list(search) == list(q.codes._pair_columns())  # the shared pairs, by identity
+    for columns in search.values():
+        assert not columns.flags.writeable and columns.shape == (3, 16)
+        with pytest.raises(ValueError):
+            columns[0, 0] = 0.0
 
 
 def hand_built(codewords_of, index_pair):
@@ -520,7 +519,7 @@ def test_hand_built_pairs_are_classified_from_their_own_codewords(gammas, codewo
     pair, shared = hand_built(codewords_of, index_pair)
     for cold in (True, False):
         if cold:
-            q.conditions._search_gram.cache_clear()
+            q.conditions._search_columns.cache_clear()
         got, expected = q.classify_pair(pair, gammas), q.classify_pair(shared, gammas)
         assert got.index_pair == index_pair
         assert classification_bits(got) == classification_bits(expected), cold

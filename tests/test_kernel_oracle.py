@@ -45,7 +45,7 @@ from hypothesis import strategies as st
 
 import qecwb as q
 from qecwb.channels import _ENLARGE_CACHE_SIZE, KrausChannel
-from qecwb.conditions import _fit_slope, _gram_blocks
+from qecwb.conditions import _fit_slope, _gram_blocks, _pair_violations, _sweep_columns
 from qecwb.fidelity import THRESHOLD_TOL, _channel_factors
 from qecwb.linalg import _images, completeness_defect, dagger, ket, max_abs
 from qecwb.recovery import RecoveryOperation
@@ -660,23 +660,23 @@ def test_gram_blocks_equal_direct_contraction_at_the_search_corners():
 
 
 @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
-def test_search_gram_blocks_equal_each_shared_pairs_own_blocks_bit_for_bit(cold):
-    # A search reads a pair's blocks at its state columns i - 1, j - 1 of one Gram.
+def test_search_columns_equal_each_shared_pairs_own_columns_bit_for_bit(cold):
+    # A search reads each pair's violation columns from its blocks at state columns
+    # i - 1, j - 1 of one Gram; a pair alone forms its own Gram.
     for gammas in [TRIPLE] + SHARING:
         enlarged = [q.enlarge(q.ad_single(g), 4) for g in gammas]
         rows = np.stack([q.weight_le1_ad_errors(g).stack for g in gammas])
-        q.conditions._search_gram.cache_clear()
+        q.conditions._search_columns.cache_clear()
         for pair in q.enumerate_pairs():
             if cold:
-                q.conditions._search_gram.cache_clear()
+                q.conditions._search_columns.cache_clear()
             else:
                 q.classify_pair(pair, gammas)
-            misses = q.conditions._search_gram.cache_info().misses
-            i, j = np.subtract(pair.index_pair, 1)
-            blocks = q.conditions._search_gram(*enlarged)[..., [[i], [j]], [i, j]]
-            assert q.conditions._search_gram.cache_info().misses == misses + cold
-            expected = _gram_blocks(_images(rows, pair.isometry))
-            assert blocks.tobytes() == expected.tobytes(), (gammas, pair.index_pair)
+            misses = q.conditions._search_columns.cache_info().misses
+            columns = q.conditions._search_columns(*enlarged)[pair]
+            assert q.conditions._search_columns.cache_info().misses == misses + cold
+            expected = _sweep_columns(_pair_violations(_gram_blocks(_images(rows, pair.isometry))))
+            assert columns.tobytes() == expected.tobytes(), (gammas, pair.index_pair)
 
 
 @oracle_settings
