@@ -129,12 +129,6 @@ def _pairs() -> tuple[SelfComplementaryPair, ...]:
                  for i, j in combinations(range(len(states)), 2))
 
 
-@lru_cache(maxsize=None)
-def _pair_columns() -> dict:
-    """Each shared pair's two ``_candidate_states`` columns, keyed by identity (pairs compare so)."""
-    return {pair: np.subtract(pair.index_pair, 1) for pair in _pairs()}
-
-
 def permutation_equivalent(c1: QuantumCode, c2: QuantumCode) -> Optional[tuple[int, ...]]:
     """Search all qubit permutations mapping the codespace of c1 onto c2's.
 

@@ -11,10 +11,12 @@ O(sqrt(gamma)) violation does.  A candidate pair is a code; it is classified
 against the weight <= 1 damping errors, the first rows of the enlarged stack.
 A search forms the Gram of the eight candidate states once per gamma triple,
 keyed on the three channels ``classify_pair`` still asks ``enlarge`` for, and
-reads each pair ``enumerate_pairs`` shares at its two state columns into that
-pair's violation columns; a hand-built pair uses its own codewords.  Every
-product is finite: the errors pass ``KrausChannel``'s entry gate, and a raw
-error or state ``linalg.bounded``.
+reads each pair ``enumerate_pairs`` shares at its state columns
+``index_pair - 1`` into that pair's violation columns, keyed by the pair
+itself; a hand-built pair uses its own codewords.  Every verdict calls the
+same two kernels, ``_gram_blocks`` then ``_pair_violations``, on its images.
+Every product is finite: the errors pass ``KrausChannel``'s entry gate, and a
+raw error or state ``linalg.bounded``.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .channels import KrausChannel, ad_single, enlarge
-from .codes import QuantumCode, SelfComplementaryPair, _candidate_states, _pair_columns
+from .codes import QuantumCode, SelfComplementaryPair, _candidate_states, _pairs
 from .fidelity import SERIES_NOISE_MAX
-from .linalg import _Frozen, _images, bounded, max_abs, real_rate
+from .linalg import _Frozen, _images, _real_rates, bounded, max_abs
 
 EXACT_TOL = 1e-10  # largest Knill-Laflamme violation exact_correctable calls exact
 ZERO_FLOOR = 1e-13  # a violation or residual at or below this counts as zero
@@ -107,7 +109,7 @@ def _fit_slope(gammas: Sequence[float], values) -> np.ndarray:
 
 
 def _noise_samples(gammas: Sequence[float]) -> tuple[float, ...]:
-    gammas = tuple(real_rate(g) for g in gammas)
+    gammas = tuple(_real_rates(gammas, "noise samples"))
     if len(set(gammas)) < 2 or not all(0.0 < g <= SERIES_NOISE_MAX for g in gammas):
         raise ValueError("need >= 2 distinct noise samples in (0, 1e-2], got %r" % (gammas,))
     return gammas
@@ -165,12 +167,6 @@ def _pair_violations(grams: np.ndarray) -> np.ndarray:
     return np.maximum(off, np.abs(b[..., 0, 0] - b[..., 1, 1]))
 
 
-def _violations(problems) -> np.ndarray:
-    """(G, P) ``_pair_violations`` of each sample's (stack, isometry) images."""
-    images = np.array([_images(stack, isometry) for stack, isometry in problems])
-    return _pair_violations(_gram_blocks(images))
-
-
 def _sweep_columns(violations: np.ndarray) -> np.ndarray:
     """The (..., G, P + 1) columns of a sweep's (..., G, P) pair violations in ``_upper_index``
     order: each pair's, then the worst pair's."""
@@ -207,7 +203,7 @@ def exact_correctable(code: QuantumCode, errors: KrausChannel) -> Correctability
     most ``EXACT_TOL``; the witness is the first pair (l <= m, row-major)
     achieving it, or None when every pair satisfies the conditions exactly.
     """
-    violations = _violations([(errors.stack, code.isometry)])[0]
+    violations = _pair_violations(_gram_blocks(_images(errors.stack, code.isometry)[None]))[0]
     k = int(np.argmax(violations))
     worst = float(violations[k])
     witness = _upper_pair(errors.labels, k) if worst > 0.0 else None
@@ -228,8 +224,8 @@ def violation_order(
     raise ``ValueError``, also for an exact set.
     """
     gammas = _noise_samples(gammas)
-    violations = _violations([(e.stack, c.isometry) for c, e in map(family, gammas)])
-    slopes, vanishing = _scaling_orders(gammas, _sweep_columns(violations))
+    images = np.array([_images(e.stack, c.isometry) for c, e in map(family, gammas)])
+    slopes, vanishing = _scaling_orders(gammas, _sweep_columns(_pair_violations(_gram_blocks(images))))
     return ViolationOrder(True, None) if vanishing[-1] else ViolationOrder(False, float(slopes[-1]))
 
 
@@ -250,16 +246,16 @@ def _sweep_rows(enlarged: Sequence[KrausChannel]) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _search_columns(*enlarged: KrausChannel) -> dict:
-    """Each shared pair's read-only (G, 16) ``_sweep_columns``, keyed as ``_pair_columns`` is:
-    from its blocks at its two state columns of one (G, 5, 5, 8, 8) Gram of the eight candidate
-    states under a sweep's weight <= 1 rows.  One sweep, keyed on its channels by identity
-    (``KrausChannel`` compares so); the fits and verdicts stay per pair."""
+    """Each shared pair's read-only (G, 16) ``_sweep_columns``, keyed by the pair (pairs compare by
+    identity): its blocks at state columns ``index_pair - 1`` of one (G, 5, 5, 8, 8) Gram of the
+    eight candidate states under a sweep's weight <= 1 rows.  One sweep, keyed on its channels by
+    identity too (``KrausChannel`` compares so); the fits and verdicts stay per pair."""
     gram = _gram_blocks(_images(_sweep_rows(enlarged), _candidate_states()))
-    states = np.array(list(_pair_columns().values()))
+    states = np.subtract([pair.index_pair for pair in _pairs()], 1)
     blocks = np.moveaxis(gram[..., states[:, :, None], states[:, None, :]], -3, 0)
     columns = _sweep_columns(_pair_violations(blocks))
     columns.flags.writeable = False
-    return dict(zip(_pair_columns(), columns))
+    return dict(zip(_pairs(), columns))
 
 
 def classify_pair(
@@ -275,8 +271,9 @@ def classify_pair(
     """
     gammas = _noise_samples(gammas)
     enlarged = [enlarge(ad_single(g), 4) for g in gammas]
-    columns = (_search_columns(*enlarged)[pair] if pair in _pair_columns() else _sweep_columns(
-        _pair_violations(_gram_blocks(_images(_sweep_rows(enlarged), pair.isometry)))))
+    search = _search_columns(*enlarged)
+    columns = search[pair] if pair in search else _sweep_columns(
+        _pair_violations(_gram_blocks(_images(_sweep_rows(enlarged), pair.isometry))))
     slopes, vanishing = _scaling_orders(gammas, columns)
     failing = np.flatnonzero(~vanishing[:-1] & (slopes[:-1] < FIRST_ORDER_SLOPE))
     slope = None if vanishing[-1] else float(slopes[-1])

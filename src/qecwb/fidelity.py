@@ -29,7 +29,7 @@ import numpy as np
 
 from .channels import _ENLARGE_CACHE_SIZE, KrausChannel
 from .codes import QuantumCode
-from .linalg import _Frozen, _images, real_rate
+from .linalg import _Frozen, _images, _real_rates, real_rate
 from .recovery import RecoveryOperation
 
 TermKey = tuple[Union[int, str], int]
@@ -252,10 +252,10 @@ def second_order_coeff(
     constant, linear, and quadratic coefficients; the cubic term absorbs the higher-order tail
     so the quadratic coefficient is recovered to ~1e-3 on grids in (0, 1e-2].
     ``residual`` is the largest deviation of the fitted polynomial from the
-    samples.  A sample outside ``in_series_domain`` or a value that is not a finite real number
-    (both read by ``real_rate``) raises ``ValueError``.
+    samples.  A sample outside ``in_series_domain``, a value that is not a finite real number
+    (both read by ``real_rate``) or ``gammas`` that is not a sequence raises ``ValueError``.
     """
-    gammas = np.array(sorted(map(real_rate, gammas)))
+    gammas = np.array(sorted(_real_rates(gammas, "samples")))
     if not in_series_domain(gammas):
         raise ValueError("need >= 3 strictly positive samples, all <= 1e-2")
     if np.any(np.diff(gammas) <= 0):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .linalg import real_rate
+from .linalg import _real_rates, real_rate
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_STEPS = 200  # golden-section contractions numeric_optimum makes at most
@@ -172,7 +172,7 @@ def radius_sweep(gamma: float, radii: Sequence[float]) -> list[tuple[float, floa
     c2 = (1.0 - gamma) ** 2
     scale = math.sqrt(1.0 + c2 * c2)
     out = []
-    for r in map(real_rate, radii):
+    for r in _real_rates(radii, "radii"):
         if not 0.0 < r <= 1.0:
             raise ValueError("radii must lie in (0, 1]")
         params = FletcherParams(r / scale, 0.0, r * c2 / scale, 0.0)

@@ -65,6 +65,16 @@ def real_rate(x) -> float:
     return float(x) if real else math.nan
 
 
+def _real_rates(values, what: str) -> list[float]:
+    """Each entry of ``values`` read by ``real_rate``; ``ValueError`` naming ``what`` unless
+    ``values`` is iterable (a scalar, a 0-d array and None are not)."""
+    try:
+        entries = iter(values)
+    except TypeError:
+        raise ValueError("%s must be a sequence of numbers, got %r" % (what, values)) from None
+    return [real_rate(x) for x in entries]
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(m).conj().T

@@ -219,9 +219,9 @@ MUTANTS = (
     # A hand-built pair whose codewords are not those of its index pair reads another
     # pair's columns.
     Mutant("search-gram-trusts-index-pair", "conditions.py",
-           "_search_columns(*enlarged)[pair] if pair in _pair_columns()",
-           "_search_columns(*enlarged)[shared[pair.index_pair]]"
-           " if pair.index_pair in (shared := {p.index_pair: p for p in _pair_columns()})",
+           "search[pair] if pair in search",
+           "search[shared[pair.index_pair]]"
+           " if pair.index_pair in (shared := {p.index_pair: p for p in search})",
            "tests/test_conditions.py"),
     # Ungated, a NaN error set reads as "not correctable, no witness", kl_gram's diag_eigs
     # (nan, nan) and a detection probability nan; a NaN recovery as "not trace preserving".
@@ -346,7 +346,7 @@ MUTANTS = (
            "tests/test_channels.py"),
     # float() lets a complex sample end in TypeError and a bool pass as 0 or 1.
     Mutant("noise-samples-read-by-float", "conditions.py",
-           "    gammas = tuple(real_rate(g) for g in gammas)\n",
+           '    gammas = tuple(_real_rates(gammas, "noise samples"))\n',
            "    gammas = tuple(float(g) for g in gammas)\n",
            "tests/test_fidelity.py"),
     # A (1, 2) grid reads as a report of pairs; a scalar grid ends in TypeError.
@@ -356,6 +356,11 @@ MUTANTS = (
     # A NaN tol lists no term, a vacuous pass; -1.0 lists the exact zeros.
     Mutant("nonvanishing-tol-ungated", "fidelity.py",
            "    if not 0.0 <= tol < math.inf:\n", "    if False:\n",
+           "tests/test_fidelity.py"),
+    # Unguarded, a scalar given for a sequence of samples or radii ends in TypeError.
+    Mutant("samples-iteration-unguarded", "linalg.py",
+           "    try:\n        entries = iter(values)\n    except TypeError:\n",
+           "    entries = iter(values)\n    if False:\n",
            "tests/test_fidelity.py"),
 )
 

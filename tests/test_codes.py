@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -124,9 +125,13 @@ def test_candidate_states_are_the_read_only_columns_of_the_shared_pairs():
     for pair in q.enumerate_pairs():
         i, j = pair.index_pair
         assert pair.isometry.tobytes() == states[:, [i - 1, j - 1]].tobytes()
-        assert q.codes._pair_columns()[pair].tolist() == [i - 1, j - 1]
-    twin = q.SelfComplementaryPair(4, *q.enumerate_pairs()[0].codewords, index_pair=(1, 2))
-    assert twin not in q.codes._pair_columns()
+    shared = q.codes._pairs()
+    columns = np.subtract([pair.index_pair for pair in shared], 1)
+    assert columns.tolist() == [list(ij) for ij in combinations(range(8), 2)]
+    search = q.conditions._search_columns(*(q.enlarge(q.ad_single(g), 4) for g in (1e-4, 1e-3, 1e-2)))
+    assert list(search) == list(shared)  # keyed by the shared pairs themselves
+    twin = q.SelfComplementaryPair(4, *shared[0].codewords, index_pair=(1, 2))
+    assert twin not in search
 
 
 def test_candidate_states_are_built_on_first_use_not_at_import():

@@ -489,7 +489,7 @@ def test_search_columns_from_a_warm_memo_equal_a_cold_one():
 
 def test_search_columns_hold_each_shared_pairs_read_only_columns():
     search = q.conditions._search_columns(*(q.enlarge(q.ad_single(g), 4) for g in TRIPLE))
-    assert list(search) == list(q.codes._pair_columns())  # the shared pairs, by identity
+    assert list(search) == list(q.codes._pairs())  # the shared pairs, by identity (pairs compare so)
     for columns in search.values():
         assert not columns.flags.writeable and columns.shape == (3, 16)
         with pytest.raises(ValueError):

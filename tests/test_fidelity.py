@@ -436,6 +436,29 @@ def test_entry_points_refuse_scalars_that_are_not_real_numbers(entry, x):
         call(x)
 
 
+# Each sequence argument given the scalar x, and the message that names the argument.
+SEQUENCE_ENTRY_POINTS = {
+    "classify_pair": (lambda x: q.classify_pair(q.enumerate_pairs()[0], x),
+                      "noise samples must be a sequence of numbers"),
+    "violation_order": (lambda x: q.violation_order(_four_qubit_family, x),
+                        "noise samples must be a sequence of numbers"),
+    "radius_sweep": (lambda x: q.radius_sweep(0.1, x), "radii must be a sequence of numbers"),
+    "second_order_coeff": (lambda x: q.second_order_coeff(lambda g: 1.0, x),
+                           "samples must be a sequence of numbers"),
+    "threshold_analysis": (lambda x: q.threshold_analysis(bitflip_coded, bitflip_baseline, x),
+                           "grid must be a one-dimensional sequence"),
+}
+
+
+@pytest.mark.parametrize("x", [1e-3, np.float64(1e-3), np.array(1e-3), None],
+                         ids=["float", "float64", "0-d", "none"])
+@pytest.mark.parametrize("entry", sorted(SEQUENCE_ENTRY_POINTS))
+def test_sequence_arguments_refuse_a_scalar_by_name(entry, x):
+    call, message = SEQUENCE_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=message):  # a TypeError fails the test
+        call(x)
+
+
 @pytest.mark.parametrize("stack", [
     [[[0.5, 1e200], [0.0, 0.5]]],  # A^dag A overflows, the trace does not
     [np.diag([np.nan, 0.5])],
