@@ -10,11 +10,11 @@ are O(1) does not spoil first-order protection, while any O(gamma) or
 O(sqrt(gamma)) violation does.  A candidate pair is a code; it is classified
 against the weight <= 1 damping errors, the first rows of the enlarged stack.
 A search forms the Gram of the eight candidate states once per gamma triple,
-keyed on the three channels ``classify_pair`` still asks ``enlarge`` for, and
-reads each pair ``enumerate_pairs`` shares at its state columns
-``index_pair - 1`` into that pair's violation columns, keyed by the pair
-itself; a hand-built pair uses its own codewords.  Every verdict calls the
-same two kernels, ``_gram_blocks`` then ``_pair_violations``, on its images.
+keyed on the three channels ``classify_pair`` still asks ``enlarge`` for, reads
+each pair ``enumerate_pairs`` shares at its state columns ``index_pair - 1`` and
+fits all 28 pairs' violation columns in one ``_scaling_orders``, keyed by the pair
+itself; a hand-built pair fits its own codewords.  Every verdict calls the same
+two kernels, ``_gram_blocks`` then ``_pair_violations``, on its images.
 Every product is finite: the errors pass ``KrausChannel``'s entry gate, and a
 raw error or state ``linalg.bounded``.
 """
@@ -174,7 +174,7 @@ def _sweep_columns(violations: np.ndarray) -> np.ndarray:
 
 
 def _scaling_orders(gammas: tuple[float, ...], columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slope and all-zero flag of each column of a (G, P + 1) ``_sweep_columns``, all from one fit."""
+    """Slope and all-zero flag of each column of one or more ``_sweep_columns`` side by side: one fit."""
     return _fit_slope(gammas, columns), (columns <= ZERO_FLOOR).all(axis=0)
 
 
@@ -245,17 +245,18 @@ def _sweep_rows(enlarged: Sequence[KrausChannel]) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _search_columns(*enlarged: KrausChannel) -> dict:
-    """Each shared pair's read-only (G, 16) ``_sweep_columns``, keyed by the pair (pairs compare by
-    identity): its blocks at state columns ``index_pair - 1`` of one (G, 5, 5, 8, 8) Gram of the
-    eight candidate states under a sweep's weight <= 1 rows.  One sweep, keyed on its channels by
-    identity too (``KrausChannel`` compares so); the fits and verdicts stay per pair."""
+def _search_orders(gammas: tuple[float, ...], *enlarged: KrausChannel) -> dict:
+    """Each shared pair's read-only (16,) slopes and flags, keyed by the pair (pairs compare by
+    identity): one ``_scaling_orders`` of the 28 pairs' (G, 16) ``_sweep_columns`` side by side,
+    each from its blocks at state columns ``index_pair - 1`` of one (G, 5, 5, 8, 8) Gram of the
+    candidate states under a sweep's weight <= 1 rows.  Keyed on the sweep's channels by identity."""
     gram = _gram_blocks(_images(_sweep_rows(enlarged), _candidate_states()))
     states = np.subtract([pair.index_pair for pair in _pairs()], 1)
-    blocks = np.moveaxis(gram[..., states[:, :, None], states[:, None, :]], -3, 0)
-    columns = _sweep_columns(_pair_violations(blocks))
-    columns.flags.writeable = False
-    return dict(zip(_pairs(), columns))
+    blocks = np.moveaxis(gram[..., states[:, :, None], states[:, None, :]], -3, 1)
+    columns = _sweep_columns(_pair_violations(blocks)).reshape(len(gammas), -1)
+    slopes, vanishing = (fit.reshape(len(states), -1) for fit in _scaling_orders(gammas, columns))
+    slopes.flags.writeable = vanishing.flags.writeable = False
+    return dict(zip(_pairs(), zip(slopes, vanishing)))
 
 
 def classify_pair(
@@ -269,12 +270,13 @@ def classify_pair(
     (l, m) index order.  The pair slopes and the overall slope (of the
     worst pair violation, ``violation_order``'s) come from one fit.
     """
+    if not isinstance(pair, SelfComplementaryPair):
+        raise ValueError("classify_pair expects a SelfComplementaryPair, got %s" % type(pair).__name__)
     gammas = _noise_samples(gammas)
     enlarged = [enlarge(ad_single(g), 4) for g in gammas]
-    search = _search_columns(*enlarged)
-    columns = search[pair] if pair in search else _sweep_columns(
-        _pair_violations(_gram_blocks(_images(_sweep_rows(enlarged), pair.isometry))))
-    slopes, vanishing = _scaling_orders(gammas, columns)
+    search = _search_orders(gammas, *enlarged)
+    slopes, vanishing = search[pair] if pair in search else _scaling_orders(gammas, _sweep_columns(
+        _pair_violations(_gram_blocks(_images(_sweep_rows(enlarged), pair.isometry)))))
     failing = np.flatnonzero(~vanishing[:-1] & (slopes[:-1] < FIRST_ORDER_SLOPE))
     slope = None if vanishing[-1] else float(slopes[-1])
     witness = _upper_pair(WEIGHT_LE1_LABELS, failing[-1]) if failing.size else None

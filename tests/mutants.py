@@ -202,20 +202,24 @@ MUTANTS = (
            "    if np.shape(a) != p.shape:\n", "    if False:\n",
            "tests/test_conditions.py"),
     # A search memo keyed on the first sample's channel alone: a second sweep that shares
-    # that sample reads the first sweep's columns (with two samples, the wrong shape), and
-    # cache_clear still empties it.
+    # that sample reads the first sweep's slopes and flags, and cache_clear still empties it.
     Mutant("search-rows-keyed-on-first-channel", "conditions.py",
            "@lru_cache(maxsize=1)\n"
-           "def _search_columns(*enlarged: KrausChannel) -> dict:\n",
+           "def _search_orders(gammas: tuple[float, ...], *enlarged: KrausChannel) -> dict:\n",
            "class _AnyRest(tuple):\n"
            "    __hash__, __eq__ = (lambda self: 0), (lambda self, other: True)\n\n\n"
-           "def _search_columns(first, *rest):\n"
-           "    return _columns_by_first(first, _AnyRest(rest))\n\n\n"
-           "_search_columns.cache_clear = lambda: _columns_by_first.cache_clear()\n\n\n"
+           "def _search_orders(gammas, first, *rest):\n"
+           "    return _orders_by_first(first, _AnyRest((gammas, *rest)))\n\n\n"
+           "_search_orders.cache_clear = lambda: _orders_by_first.cache_clear()\n\n\n"
            "@lru_cache(maxsize=1)\n"
-           "def _columns_by_first(first, rest) -> dict:\n"
-           "    enlarged = (first, *rest)\n",
+           "def _orders_by_first(first, rest) -> dict:\n"
+           "    gammas, enlarged = rest[0], (first, *rest[1:])\n",
            "tests/test_conditions.py"),
+    # Each shared pair reads the next pair's slopes and flags (the last pair the first's).
+    Mutant("search-fit-slice-shifted", "conditions.py",
+           "(fit.reshape(len(states), -1) for fit in",
+           "(np.roll(fit, -16).reshape(len(states), -1) for fit in",
+           "tests/test_kernel_oracle.py"),
     # A hand-built pair whose codewords are not those of its index pair reads another
     # pair's columns.
     Mutant("search-gram-trusts-index-pair", "conditions.py",

@@ -128,7 +128,8 @@ def test_candidate_states_are_the_read_only_columns_of_the_shared_pairs():
     shared = q.codes._pairs()
     columns = np.subtract([pair.index_pair for pair in shared], 1)
     assert columns.tolist() == [list(ij) for ij in combinations(range(8), 2)]
-    search = q.conditions._search_columns(*(q.enlarge(q.ad_single(g), 4) for g in (1e-4, 1e-3, 1e-2)))
+    gammas = (1e-4, 1e-3, 1e-2)
+    search = q.conditions._search_orders(gammas, *(q.enlarge(q.ad_single(g), 4) for g in gammas))
     assert list(search) == list(shared)  # keyed by the shared pairs themselves
     twin = q.SelfComplementaryPair(4, *shared[0].codewords, index_pair=(1, 2))
     assert twin not in search

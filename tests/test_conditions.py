@@ -473,12 +473,12 @@ def classify_all(gammas, cold=False):
     results = []
     for pair in q.enumerate_pairs():
         if cold:
-            q.conditions._search_columns.cache_clear()
+            q.conditions._search_orders.cache_clear()
         results.append(q.classify_pair(pair, gammas))
     return results
 
 
-def test_search_columns_from_a_warm_memo_equal_a_cold_one():
+def test_search_orders_from_a_warm_memo_equal_a_cold_one():
     cold = {gammas: classify_all(gammas, cold=True) for gammas in [TRIPLE] + SHARING}
     for gammas in SHARING:
         assert classify_all(TRIPLE) == cold[TRIPLE]
@@ -487,13 +487,15 @@ def test_search_columns_from_a_warm_memo_equal_a_cold_one():
     assert classify_all(TRIPLE) == cold[TRIPLE]
 
 
-def test_search_columns_hold_each_shared_pairs_read_only_columns():
-    search = q.conditions._search_columns(*(q.enlarge(q.ad_single(g), 4) for g in TRIPLE))
+def test_search_orders_hold_each_shared_pairs_read_only_slopes_and_flags():
+    search = q.conditions._search_orders(TRIPLE, *(q.enlarge(q.ad_single(g), 4) for g in TRIPLE))
     assert list(search) == list(q.codes._pairs())  # the shared pairs, by identity (pairs compare so)
-    for columns in search.values():
-        assert not columns.flags.writeable and columns.shape == (3, 16)
-        with pytest.raises(ValueError):
-            columns[0, 0] = 0.0
+    for slopes, vanishing in search.values():
+        assert slopes.dtype == float and vanishing.dtype == bool
+        for fit in (slopes, vanishing):
+            assert not fit.flags.writeable and fit.shape == (16,)
+            with pytest.raises(ValueError):
+                fit[0] = fit[1]
 
 
 def hand_built(codewords_of, index_pair):
@@ -519,7 +521,7 @@ def test_hand_built_pairs_are_classified_from_their_own_codewords(gammas, codewo
     pair, shared = hand_built(codewords_of, index_pair)
     for cold in (True, False):
         if cold:
-            q.conditions._search_columns.cache_clear()
+            q.conditions._search_orders.cache_clear()
         got, expected = q.classify_pair(pair, gammas), q.classify_pair(shared, gammas)
         assert got.index_pair == index_pair
         assert classification_bits(got) == classification_bits(expected), cold
@@ -538,3 +540,19 @@ def test_classify_pair_asks_enlarge_once_per_sample(monkeypatch):
         del calls[:]
         q.classify_pair(pair, gammas)
         assert calls == [4, 4, 4], gammas
+
+
+def test_classify_pair_names_a_code_that_is_not_a_pair_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(q.conditions, "enlarge", lambda channel, n: calls.append(n))
+    for code in (q.leung4(), q.repetition3()):
+        with pytest.raises(ValueError, match="^classify_pair expects a SelfComplementaryPair, got "
+                                             "QuantumCode$"):
+            q.classify_pair(code)
+    assert calls == []
+
+
+def test_classify_pair_names_a_three_qubit_pair_by_its_dimension():
+    pair = q.SelfComplementaryPair(3, *q.repetition3().codewords, index_pair=(1, 2))
+    with pytest.raises(ValueError, match="code and error dimensions differ"):
+        q.classify_pair(pair)

@@ -12,7 +12,8 @@ per-operator products A_l V behind ``entanglement_fidelity`` (byte for byte),
 ``np.vdot`` blocks in ``kl_gram`` and the direct
 (G, L, d, 2) contraction in ``_gram_blocks`` (bitwise), the batched
 ``ops @ isometry`` product behind ``_images`` and ``np.polyfit`` behind
-``_fit_slope`` (byte for byte; where polyfit warns of rank, the fit raises), a strict ``>``
+``_fit_slope`` (byte for byte; where polyfit warns of rank, the fit raises), each shared
+pair's own fit behind the code search's one fit of all 28 (byte for byte), a strict ``>``
 scan over error pairs in ``exact_correctable``, one block set per gamma and
 one ``polyfit`` per error pair in ``classify_pair``, and one dense
 permutation matrix per candidate in ``permutation_equivalent``, a
@@ -45,7 +46,7 @@ from hypothesis import strategies as st
 
 import qecwb as q
 from qecwb.channels import _ENLARGE_CACHE_SIZE, KrausChannel
-from qecwb.conditions import _fit_slope, _gram_blocks, _pair_violations, _sweep_columns
+from qecwb.conditions import _fit_slope, _gram_blocks, _pair_violations, _scaling_orders, _sweep_columns
 from qecwb.fidelity import THRESHOLD_TOL, _channel_factors
 from qecwb.linalg import _images, completeness_defect, dagger, ket, max_abs
 from qecwb.recovery import RecoveryOperation
@@ -660,23 +661,25 @@ def test_gram_blocks_equal_direct_contraction_at_the_search_corners():
 
 
 @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
-def test_search_columns_equal_each_shared_pairs_own_columns_bit_for_bit(cold):
-    # A search reads each pair's violation columns from its blocks at state columns
-    # i - 1, j - 1 of one Gram; a pair alone forms its own Gram.
-    for gammas in [TRIPLE] + SHARING:
+def test_search_orders_equal_each_shared_pairs_own_fit_bit_for_bit(cold):
+    # A search fits all 28 pairs' violation columns side by side, each read from its blocks at
+    # state columns i - 1, j - 1 of one Gram; a pair alone forms its own Gram and fits it alone.
+    for gammas in [TRIPLE] + SHARING + list(product(*SEARCH_RANGES)) + [q.conditions.DEFAULT_GAMMAS]:
         enlarged = [q.enlarge(q.ad_single(g), 4) for g in gammas]
         rows = np.stack([q.weight_le1_ad_errors(g).stack for g in gammas])
-        q.conditions._search_columns.cache_clear()
+        q.conditions._search_orders.cache_clear()
         for pair in q.enumerate_pairs():
             if cold:
-                q.conditions._search_columns.cache_clear()
+                q.conditions._search_orders.cache_clear()
             else:
                 q.classify_pair(pair, gammas)
-            misses = q.conditions._search_columns.cache_info().misses
-            columns = q.conditions._search_columns(*enlarged)[pair]
-            assert q.conditions._search_columns.cache_info().misses == misses + cold
-            expected = _sweep_columns(_pair_violations(_gram_blocks(_images(rows, pair.isometry))))
-            assert columns.tobytes() == expected.tobytes(), (gammas, pair.index_pair)
+            misses = q.conditions._search_orders.cache_info().misses
+            slopes, vanishing = q.conditions._search_orders(gammas, *enlarged)[pair]
+            assert q.conditions._search_orders.cache_info().misses == misses + cold
+            columns = _sweep_columns(_pair_violations(_gram_blocks(_images(rows, pair.isometry))))
+            expected = _scaling_orders(gammas, columns)
+            assert slopes.tobytes() == expected[0].tobytes(), (gammas, pair.index_pair)
+            assert vanishing.tobytes() == expected[1].tobytes(), (gammas, pair.index_pair)
 
 
 @oracle_settings
