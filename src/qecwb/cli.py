@@ -305,7 +305,10 @@ def cmd_fig1(args) -> Report:
     if not 0.0 <= args.gamma_max < 1.0:
         raise SystemExit("error: --gamma-max must lie in [0, 1)")
     tol = _tolerance()
-    grid = np.linspace(0.0, args.gamma_max, args.points)
+    try:
+        grid = sweep_grid(np.linspace(0.0, args.gamma_max, args.points))
+    except ValueError as exc:
+        raise SystemExit("error: --gamma-max %r with --points %d: %s" % (args.gamma_max, args.points, exc))
     code = leung4()
     cp = cp_recovery()
     checks = [_complete("code-projected recovery completeness", cp, tol)]

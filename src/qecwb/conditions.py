@@ -9,12 +9,12 @@ noise parameter: a violation of order gamma**2 when the detection amplitudes
 are O(1) does not spoil first-order protection, while any O(gamma) or
 O(sqrt(gamma)) violation does.  A candidate pair is a code; it is classified
 against the weight <= 1 damping errors, the first rows of the enlarged stack.
-A search forms the Gram of the eight candidate states once per gamma triple,
-keyed on the three channels ``classify_pair`` still asks ``enlarge`` for, reads
-each pair ``enumerate_pairs`` shares at its state columns ``index_pair - 1`` and
-fits all 28 pairs' violation columns in one ``_scaling_orders``, keyed by the pair
-itself; a hand-built pair fits its own codewords.  Every verdict calls the same
-two kernels, ``_gram_blocks`` then ``_pair_violations``, on its images.
+``_pair_orders`` fits the violation columns of each column pair of a state matrix,
+and the worst pair's, in one ``_scaling_orders`` of one Gram under a sweep's weight
+<= 1 rows.  A search runs it on the eight candidate states at the 28 shared pairs'
+``index_pair``s once per gamma triple, keyed on the three channels ``classify_pair``
+still asks ``enlarge`` for; a hand-built pair runs it on its own two codewords.
+Every verdict calls ``_gram_blocks`` then ``_pair_violations`` on its images.
 Every product is finite: the errors pass ``KrausChannel``'s entry gate, and a
 raw error or state ``linalg.bounded``.
 """
@@ -167,15 +167,12 @@ def _pair_violations(grams: np.ndarray) -> np.ndarray:
     return np.maximum(off, np.abs(b[..., 0, 0] - b[..., 1, 1]))
 
 
-def _sweep_columns(violations: np.ndarray) -> np.ndarray:
-    """The (..., G, P + 1) columns of a sweep's (..., G, P) pair violations in ``_upper_index``
-    order: each pair's, then the worst pair's."""
-    return np.concatenate([violations, violations.max(axis=-1, keepdims=True)], axis=-1)
-
-
-def _scaling_orders(gammas: tuple[float, ...], columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slope and all-zero flag of each column of one or more ``_sweep_columns`` side by side: one fit."""
-    return _fit_slope(gammas, columns), (columns <= ZERO_FLOOR).all(axis=0)
+def _scaling_orders(gammas: tuple[float, ...], violations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slope and all-zero flag, (..., P + 1), of each pair's column of a sweep's (G, ..., P) pair
+    violations in ``_upper_index`` order, then of the worst pair's: one fit."""
+    columns = np.concatenate([violations, violations.max(axis=-1, keepdims=True)], axis=-1)
+    shape, columns = columns.shape[1:], columns.reshape(len(gammas), -1)
+    return _fit_slope(gammas, columns).reshape(shape), (columns <= ZERO_FLOOR).all(axis=0).reshape(shape)
 
 
 def kl_gram(code: QuantumCode, errors: KrausChannel) -> KLGram:
@@ -225,7 +222,7 @@ def violation_order(
     """
     gammas = _noise_samples(gammas)
     images = np.array([_images(e.stack, c.isometry) for c, e in map(family, gammas)])
-    slopes, vanishing = _scaling_orders(gammas, _sweep_columns(_pair_violations(_gram_blocks(images))))
+    slopes, vanishing = _scaling_orders(gammas, _pair_violations(_gram_blocks(images)))
     return ViolationOrder(True, None) if vanishing[-1] else ViolationOrder(False, float(slopes[-1]))
 
 
@@ -239,24 +236,26 @@ def weight_le1_ad_errors(gamma: float) -> KrausChannel:
     return KrausChannel(4, WEIGHT_LE1_LABELS, _weight_le1_rows(enlarge(ad_single(gamma), 4)))
 
 
-def _sweep_rows(enlarged: Sequence[KrausChannel]) -> np.ndarray:
-    """The (G, 5, 16, 16) weight <= 1 rows of a sweep's enlarged channels."""
-    return np.stack([_weight_le1_rows(channel) for channel in enlarged])
+def _pair_orders(gammas: tuple[float, ...], enlarged: Sequence[KrausChannel], states: np.ndarray,
+                 pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(P, 16) ``_scaling_orders`` of each 1-based (i, j) column pair of a (16, S) state matrix, each
+    from its blocks at columns i - 1, j - 1 of one (G, 5, 5, S, S) Gram of the states under the
+    sweep's weight <= 1 rows."""
+    rows = np.stack([_weight_le1_rows(channel) for channel in enlarged])
+    gram, columns = _gram_blocks(_images(rows, states)), np.subtract(pairs, 1)
+    blocks = np.moveaxis(gram[..., columns[:, :, None], columns[:, None, :]], -3, 1)
+    return _scaling_orders(gammas, _pair_violations(blocks))
 
 
 @lru_cache(maxsize=1)
 def _search_orders(gammas: tuple[float, ...], *enlarged: KrausChannel) -> dict:
     """Each shared pair's read-only (16,) slopes and flags, keyed by the pair (pairs compare by
-    identity): one ``_scaling_orders`` of the 28 pairs' (G, 16) ``_sweep_columns`` side by side,
-    each from its blocks at state columns ``index_pair - 1`` of one (G, 5, 5, 8, 8) Gram of the
-    candidate states under a sweep's weight <= 1 rows.  Keyed on the sweep's channels by identity."""
-    gram = _gram_blocks(_images(_sweep_rows(enlarged), _candidate_states()))
-    states = np.subtract([pair.index_pair for pair in _pairs()], 1)
-    blocks = np.moveaxis(gram[..., states[:, :, None], states[:, None, :]], -3, 1)
-    columns = _sweep_columns(_pair_violations(blocks)).reshape(len(gammas), -1)
-    slopes, vanishing = (fit.reshape(len(states), -1) for fit in _scaling_orders(gammas, columns))
+    identity): one ``_pair_orders`` of the candidate states at the 28 ``index_pair``s.  Keyed on
+    the sweep's channels by identity."""
+    pairs = _pairs()
+    slopes, vanishing = _pair_orders(gammas, enlarged, _candidate_states(), [p.index_pair for p in pairs])
     slopes.flags.writeable = vanishing.flags.writeable = False
-    return dict(zip(_pairs(), zip(slopes, vanishing)))
+    return dict(zip(pairs, zip(slopes, vanishing)))
 
 
 def classify_pair(
@@ -275,8 +274,8 @@ def classify_pair(
     gammas = _noise_samples(gammas)
     enlarged = [enlarge(ad_single(g), 4) for g in gammas]
     search = _search_orders(gammas, *enlarged)
-    slopes, vanishing = search[pair] if pair in search else _scaling_orders(gammas, _sweep_columns(
-        _pair_violations(_gram_blocks(_images(_sweep_rows(enlarged), pair.isometry)))))
+    slopes, vanishing = search[pair] if pair in search else (
+        fit[0] for fit in _pair_orders(gammas, enlarged, pair.isometry, [(1, 2)]))
     failing = np.flatnonzero(~vanishing[:-1] & (slopes[:-1] < FIRST_ORDER_SLOPE))
     slope = None if vanishing[-1] else float(slopes[-1])
     witness = _upper_pair(WEIGHT_LE1_LABELS, failing[-1]) if failing.size else None

@@ -50,6 +50,7 @@ CASES = (
         (["bitflip", "--grid", "0,nan"], {}),
         (["bitflip", "--grid", ""], {}),
         (["fig1", "--gamma-max", "1"], {}),
+        (["fig1", "--gamma-max", "0", "--points", "3"], {}),
         (["appendix-a", "--gamma", "0.9999991"], {}),
     ]
 )

@@ -217,9 +217,19 @@ MUTANTS = (
            "tests/test_conditions.py"),
     # Each shared pair reads the next pair's slopes and flags (the last pair the first's).
     Mutant("search-fit-slice-shifted", "conditions.py",
-           "(fit.reshape(len(states), -1) for fit in",
-           "(np.roll(fit, -16).reshape(len(states), -1) for fit in",
+           "dict(zip(pairs, zip(slopes, vanishing)))",
+           "dict(zip(pairs, zip(np.roll(slopes, -1, axis=0), np.roll(vanishing, -1, axis=0))))",
            "tests/test_kernel_oracle.py"),
+    # The worst pair's column is the least violated pair's: an error set with one exactly
+    # satisfied pair reads as exact, and a classified pair loses its overall slope.
+    Mutant("scaling-orders-worst-column-min", "conditions.py",
+           "violations.max(axis=-1, keepdims=True)", "violations.min(axis=-1, keepdims=True)",
+           "tests/test_conditions.py"),
+    # A hand-built pair reads the candidate states' first two columns, shared pair (1, 2)'s.
+    Mutant("hand-built-reads-candidate-states", "conditions.py",
+           "_pair_orders(gammas, enlarged, pair.isometry, [(1, 2)])",
+           "_pair_orders(gammas, enlarged, _candidate_states(), [(1, 2)])",
+           "tests/test_conditions.py"),
     # A hand-built pair whose codewords are not those of its index pair reads another
     # pair's columns.
     Mutant("search-gram-trusts-index-pair", "conditions.py",

@@ -281,6 +281,21 @@ def test_bad_gamma_max_fails_with_one_stderr_line(value):
     assert run_cli_process("fig1", "--gamma-max=" + value, "--points", "3") == expected
 
 
+@pytest.mark.parametrize("gamma_max, points", [("0", "3"), ("5e-324", "3"), ("-0.0", "2")])
+def test_fig1_grid_without_distinct_points_fails_with_one_stderr_line(gamma_max, points):
+    # np.linspace(0, gamma_max, points) repeats 0 here, or ends in -0.0 after 0.0.
+    expected = "error: --gamma-max %r with --points %s: grid must be strictly increasing\n" % (
+        float(gamma_max), points)
+    assert run_cli_process("fig1", "--gamma-max=" + gamma_max, "--points", points) == (1, "", expected)
+
+
+@pytest.mark.parametrize("gamma_max", ["0", "-0.0", "5e-324"])
+def test_fig1_single_point_grid_is_gamma_zero(capsys, gamma_max):
+    code, out = run_cli(capsys, "fig1", "--gamma-max=" + gamma_max, "--points", "1", "--format", "csv")
+    assert code == 0
+    assert [row["gamma"] for row in csv_rows(out)] == ["0"]
+
+
 @pytest.mark.parametrize("relative, code", [("missing/table.csv", errno.ENOENT), (".", errno.EISDIR)])
 def test_unwritable_out_fails_with_one_error_line(tmp_path, capsys, relative, code):
     target = tmp_path / relative

@@ -13,7 +13,8 @@ per-operator products A_l V behind ``entanglement_fidelity`` (byte for byte),
 (G, L, d, 2) contraction in ``_gram_blocks`` (bitwise), the batched
 ``ops @ isometry`` product behind ``_images`` and ``np.polyfit`` behind
 ``_fit_slope`` (byte for byte; where polyfit warns of rank, the fit raises), each shared
-pair's own fit behind the code search's one fit of all 28 (byte for byte), a strict ``>``
+pair's own fit behind the code search's one fit of all 28 (byte for byte), a code's own
+isometry behind its column pair among more states (byte for byte), a strict ``>``
 scan over error pairs in ``exact_correctable``, one block set per gamma and
 one ``polyfit`` per error pair in ``classify_pair``, and one dense
 permutation matrix per candidate in ``permutation_equivalent``, a
@@ -46,7 +47,7 @@ from hypothesis import strategies as st
 
 import qecwb as q
 from qecwb.channels import _ENLARGE_CACHE_SIZE, KrausChannel
-from qecwb.conditions import _fit_slope, _gram_blocks, _pair_violations, _scaling_orders, _sweep_columns
+from qecwb.conditions import ZERO_FLOOR, _fit_slope, _gram_blocks, _pair_orders, _pair_violations
 from qecwb.fidelity import THRESHOLD_TOL, _channel_factors
 from qecwb.linalg import _images, completeness_defect, dagger, ket, max_abs
 from qecwb.recovery import RecoveryOperation
@@ -676,10 +677,26 @@ def test_search_orders_equal_each_shared_pairs_own_fit_bit_for_bit(cold):
             misses = q.conditions._search_orders.cache_info().misses
             slopes, vanishing = q.conditions._search_orders(gammas, *enlarged)[pair]
             assert q.conditions._search_orders.cache_info().misses == misses + cold
-            columns = _sweep_columns(_pair_violations(_gram_blocks(_images(rows, pair.isometry))))
-            expected = _scaling_orders(gammas, columns)
-            assert slopes.tobytes() == expected[0].tobytes(), (gammas, pair.index_pair)
-            assert vanishing.tobytes() == expected[1].tobytes(), (gammas, pair.index_pair)
+            violations = _pair_violations(_gram_blocks(_images(rows, pair.isometry)))
+            columns = np.concatenate([violations, violations.max(axis=1, keepdims=True)], axis=1)
+            vanishing_columns = (columns <= ZERO_FLOOR).all(axis=0)
+            assert slopes.tobytes() == _fit_slope(gammas, columns).tobytes(), (gammas, pair.index_pair)
+            assert vanishing.tobytes() == vanishing_columns.tobytes(), (gammas, pair.index_pair)
+
+
+def test_pair_orders_of_extra_state_columns_equal_their_own_isometrys_bit_for_bit():
+    # A codeword scan appends its codes' codewords as columns beside the candidate states and
+    # reads each code at its own column pair; the other columns must not change its bits.
+    rng = np.random.default_rng(34)
+    twins = [q.SelfComplementaryPair(4, *p.codewords, index_pair=p.index_pair) for p in q.enumerate_pairs()]
+    for gammas in [TRIPLE] + SHARING + list(product(*SEARCH_RANGES)) + [q.conditions.DEFAULT_GAMMAS]:
+        enlarged = [q.enlarge(q.ad_single(g), 4) for g in gammas]
+        for code in twins + [random_code(rng, 4) for _ in range(4)]:
+            wider = np.column_stack([q.codes._candidate_states(), code.isometry])
+            got = _pair_orders(gammas, enlarged, wider, [(9, 10)])
+            expected = _pair_orders(gammas, enlarged, code.isometry, [(1, 2)])
+            for fit, own in zip(got, expected):
+                assert fit.shape == (1, 16) and fit.tobytes() == own.tobytes(), (gammas, code)
 
 
 @oracle_settings
