@@ -54,12 +54,11 @@ from . import (
     threshold_analysis,
 )
 from .channels import CHANNEL_TOL, certify
-from .fidelity import (SERIES_NOISE_MAX, TRACE_PRESERVING_TOL, USEFUL_SLACK, in_series_domain,
-                       sweep_grid)
+from .fidelity import (CROSSING_MARGIN, SERIES_NOISE_MAX, TRACE_PRESERVING_TOL, USEFUL_SLACK,
+                       in_series_domain, sweep_grid)
 from .linalg import dagger, ket, restrict
 from .recovery import RESIDUE_FLOOR
 
-BELOW_THRESHOLD_SLACK = 1e-12  # the bitflip row is below threshold while 1 - F <= p + this
 BOOKKEEPING_TOL = 1e-12  # certify: largest |sum of damping detection probabilities - 1|
 # appendix-a's domain, (1-gamma)^2 > RESIDUE_FLOOR, as its error message and --gamma help state it
 _APPENDIX_A_DOMAIN = "%g, i.e. gamma below about 1 - %s" % (
@@ -178,10 +177,15 @@ def _adapted_recovery(gamma: float):
     return fletcher_recovery(opt.a_bar, opt.b_bar)
 
 
-# ad-fidelity's recovery at gamma for each --recovery kind but "fletcher-opt"; the lambdas look
-# their builder up when called, so a rebound module name (a tracer's wrapper) is seen
-_AD_RECOVERIES = {"qec": lambda gamma: standard_ad_recovery(gamma),
-                  "cp": lambda gamma: cp_recovery(), "fletcher": _adapted_recovery}
+# each --recovery kind but "fletcher-opt": (its recovery at gamma, the gamma^2 coefficient c of the
+# paper's series 1 - c gamma^2); fig1's columns are these kinds.  The lambdas look their builder up
+# when called, so a rebound module name (a tracer's wrapper) is seen
+_AD_RECOVERIES = {"qec": (lambda gamma: standard_ad_recovery(gamma), 2.0),
+                  "cp": (lambda gamma: cp_recovery(), 1.75), "fletcher": (_adapted_recovery, 1.5)}
+
+
+def _recovery_check(kind: str, gamma: float, rec, tol: float) -> Check:
+    return _complete("%s recovery (gamma=%g) completeness" % (kind, gamma), rec, tol)
 
 
 def cmd_bitflip(args) -> Report:
@@ -206,8 +210,8 @@ def cmd_bitflip(args) -> Report:
     for p in grid:
         channel, f, b = point(p)
         checks.append(_trace_preserving("bitflip(p=%g)" % p, channel))
-        rows.append([p, f, b, 1.0 - f, float(f >= b - USEFUL_SLACK),
-                     float(1.0 - f <= p + BELOW_THRESHOLD_SLACK)])
+        rows.append([p, f, b, 1.0 - f, bool(f >= b - USEFUL_SLACK),
+                     bool(p - (1.0 - f) >= -CROSSING_MARGIN)])
     report = threshold_analysis(lambda p: point(p)[1], lambda p: point(p)[2],
                                 np.linspace(0.0, 1.0, 101))
     useful = report.coding_useful_range
@@ -217,13 +221,8 @@ def cmd_bitflip(args) -> Report:
         + ("none" if useful is None else "[%s, %s]" % (_num(useful[0]), _num(useful[1]))),
     ]
     header = ["p", "f_code", "f_baseline", "p_failure", "useful", "below_threshold"]
-    json_obj = {
-        "rows": [
-            dict(zip(header, r[:4]), useful=bool(r[4]), below_threshold=bool(r[5])) for r in rows
-        ],
-        "failure_threshold": report.failure_threshold,
-        "coding_useful_range": None if useful is None else list(useful),
-    }
+    json_obj = {"rows": [dict(zip(header, r)) for r in rows],
+                "failure_threshold": report.failure_threshold, "coding_useful_range": useful}
     return header, rows, footer, json_obj, checks
 
 
@@ -242,28 +241,24 @@ def cmd_ad_fidelity(args) -> Report:
             optima.append(closed_form_optimum(g))
             f = optima[-1].f_star
         else:
-            rec = _AD_RECOVERIES[kind](g)
-            checks.append(_complete("%s recovery (gamma=%g) completeness" % (kind, g), rec, tol))
+            rec = _AD_RECOVERIES[kind][0](g)
+            checks.append(_recovery_check(kind, g, rec, tol))
             f = entanglement_fidelity(code, rec, channel).value
         rows.append([g, f])
     fit, footer = None, []
     if in_series_domain(grid):
         fit = second_order_coeff(dict(zip(grid, (f for _, f in rows))).__getitem__, grid)
         footer = ["c%d = %s" % (k, _num(c)) for k, c in enumerate((fit.c0, fit.c1, fit.c2))]
-    json_obj = {
-        "recovery": kind,
-        "rows": [{"gamma": r[0], "fidelity": r[1]} for r in rows],
-        "fit": None
-        if fit is None
-        else {"c0": fit.c0, "c1": fit.c1, "c2": fit.c2, "residual": fit.residual},
-    }
+    header = ["gamma", "fidelity"]
+    json_obj = {"recovery": kind, "rows": [dict(zip(header, r)) for r in rows],
+                "fit": None if fit is None else fit._asdict()}
     if kind == "fletcher-opt":
         json_obj["optima"] = [
             {"gamma": g, "a_bar": c.a_bar, "b_bar": c.b_bar, "f_star_closed": c.f_star,
              "f_star_numeric": n.f_star, "delta": abs(c.f_star - n.f_star)}
             for g, c, n in zip(grid, optima, map(numeric_optimum, grid))
         ]
-    return ["gamma", "fidelity"], rows, footer, json_obj, checks
+    return header, rows, footer, json_obj, checks
 
 
 def cmd_enumerate(args) -> Report:
@@ -285,12 +280,7 @@ def cmd_enumerate(args) -> Report:
     ]
     json_obj = {
         "pairs": [
-            {
-                "indices": list(r.index_pair),
-                "good": r.good,
-                "witness": None if r.witness is None else list(r.witness),
-                "slope": r.slope,
-            }
+            {"indices": r.index_pair, "good": r.good, "witness": r.witness, "slope": r.slope}
             for r in results
         ],
         "good_count": len(good),
@@ -310,39 +300,21 @@ def cmd_fig1(args) -> Report:
     except ValueError as exc:
         raise SystemExit("error: --gamma-max %r with --points %d: %s" % (args.gamma_max, args.points, exc))
     code = leung4()
-    cp = cp_recovery()
-    checks = [_complete("code-projected recovery completeness", cp, tol)]
+    # the code-projected recovery does not depend on gamma: one check, the others at the end points
+    checks = [_complete("code-projected recovery completeness", _AD_RECOVERIES["cp"][0](0.0), tol)]
     rows = []
     for i, g in enumerate(grid):
         channel = enlarge(ad_single(g), 4)
         checks.append(_trace_preserving("damping(gamma=%g)" % g, channel))
-        qec = standard_ad_recovery(g)
-        fletcher = _adapted_recovery(g)
+        recs = {kind: build(g) for kind, (build, _) in _AD_RECOVERIES.items()}
         if i in (0, len(grid) - 1):
-            for kind, rec in (("qec", qec), ("fletcher", fletcher)):
-                checks.append(_complete("%s recovery (gamma=%g) completeness" % (kind, g), rec, tol))
-        rows.append(
-            [
-                g,
-                1.0 - 2.0 * g**2,
-                1.0 - 1.75 * g**2,
-                1.0 - 1.5 * g**2,
-                *(entanglement_fidelity(code, rec, channel).value for rec in (qec, cp, fletcher)),
-                baseline_no_qec(ad_single(g)),
-            ]
-        )
-    header = [
-        "gamma",
-        "qec_series",
-        "cp_series",
-        "fletcher_series",
-        "qec_exact",
-        "cp_exact",
-        "fletcher_exact",
-        "baseline",
-    ]
-    json_obj = {"rows": [dict(zip(header, r)) for r in rows]}
-    return header, rows, [], json_obj, checks
+            checks += [_recovery_check(kind, g, rec, tol) for kind, rec in recs.items() if kind != "cp"]
+        rows.append([g, *(1.0 - c * g**2 for _, c in _AD_RECOVERIES.values()),
+                     *(entanglement_fidelity(code, rec, channel).value for rec in recs.values()),
+                     baseline_no_qec(ad_single(g))])
+    header = ["gamma", *(k + "_series" for k in _AD_RECOVERIES), *(k + "_exact" for k in _AD_RECOVERIES),
+              "baseline"]
+    return header, rows, [], {"rows": [dict(zip(header, r)) for r in rows]}, checks
 
 
 def cmd_appendix_a(args) -> Report:
@@ -483,7 +455,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         header, rows, footer, json_obj, checks = args.func(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # numpy refuses a grid count too large to allocate
         raise SystemExit("error: %s" % exc)
     _emit(_render(args.format, header, rows, footer, json_obj), args.out)
     failed = [(name, deviation) for name, ok, deviation in checks if not ok]

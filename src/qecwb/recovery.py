@@ -28,6 +28,7 @@ from .codes import QuantumCode, leung4, repetition3
 from .fletcher import _check_damping
 from .linalg import (
     _Frozen,
+    bounded,
     dagger,
     gram_schmidt,
     hermitian_eig,
@@ -39,7 +40,7 @@ from .linalg import (
 
 KERNEL_TOL = 1e-10
 UNIT_CONSTRAINT_TOL = 1e-10  # largest | |a|**2 + |b|**2 - 1 | that fletcher_recovery accepts
-PROJECTOR_TOL = 1e-10  # max-norm |P^2 - P| and |P - P^dag| that polar_decompose accepts
+PROJECTOR_TOL = 1e-10  # max-norm |P^2 - P| and |P - P^dag| that polar_decompose and residue accept
 RESIDUE_FLOOR = 1e-12  # residue's nonzero-eigenvalue cut; appendix-a needs (1-gamma)^2 above it
 EIGENVALUE_MATCH_TOL = 1e-9  # residue's gate on |p_l - largest| and |lambda_l p_l - smallest|
 RESIDUE_BAND_SLACK = 1e-10  # residue's bound_ok allows singular values up to the band + this
@@ -104,11 +105,14 @@ def _complete_basis(seed: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
 
 
 def _square_pair(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a`` and ``p`` as complex arrays; ``ValueError`` unless both are d x d for one d."""
+    """``a`` and ``p`` as complex arrays; ``ValueError`` unless both are d x d for one d, ``a``
+    passes ``linalg.bounded`` and ``p`` is an orthogonal projector within ``PROJECTOR_TOL``."""
     a, p = np.asarray(a, dtype=complex), np.asarray(p, dtype=complex)
     if a.shape != p.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("error and projector dimensions differ")
-    return a, p
+    if not max_abs([p @ p - p, p - dagger(p)]) <= PROJECTOR_TOL:
+        raise ValueError("p must be an orthogonal projector")
+    return bounded(a, "error operator"), p
 
 
 def polar_decompose(a: np.ndarray, p: np.ndarray) -> PolarDecomposition:
@@ -122,8 +126,6 @@ def polar_decompose(a: np.ndarray, p: np.ndarray) -> PolarDecomposition:
     and the construction is deterministic even when A P is singular.
     """
     a, p = _square_pair(a, p)
-    if not max_abs([p @ p - p, p - dagger(p)]) <= PROJECTOR_TOL:
-        raise ValueError("p must be an orthogonal projector")
     dim = a.shape[0]
     j = psd_sqrt(p @ dagger(a) @ a @ p)
     values, vectors = hermitian_eig(j)

@@ -376,6 +376,29 @@ MUTANTS = (
            "    try:\n        entries = iter(values)\n    except TypeError:\n",
            "    entries = iter(values)\n    if False:\n",
            "tests/test_fidelity.py"),
+    # fig1's series columns come from the recovery table: cp must read 1 - (7/4) gamma^2.
+    Mutant("fig1-series-coefficients-swapped", "cli.py",
+           '"cp": (lambda gamma: cp_recovery(), 1.75), "fletcher": (_adapted_recovery, 1.5)}',
+           '"cp": (lambda gamma: cp_recovery(), 1.5), "fletcher": (_adapted_recovery, 1.75)}',
+           "tests/test_cli.py"),
+    # The gamma-free code-projected recovery is checked once, not again at each end point.
+    Mutant("fig1-checks-every-kind-at-the-ends", "cli.py",
+           "for kind, rec in recs.items() if kind != \"cp\"]", "for kind, rec in recs.items()]",
+           "tests/test_cli.py"),
+    # json.dumps refuses a numpy bool: the JSON rows are the printed cells.
+    Mutant("bitflip-cells-numpy-bool", "cli.py",
+           "bool(p - (1.0 - f) >= -CROSSING_MARGIN)", "p - (1.0 - f) >= -CROSSING_MARGIN",
+           "tests/test_cli.py"),
+    # The bitflip column and threshold_analysis decide one question with one margin.
+    Mutant("below-threshold-slack-widened", "cli.py",
+           "bool(p - (1.0 - f) >= -CROSSING_MARGIN)", "bool(p - (1.0 - f) >= -1e-12)",
+           "tests/test_cli.py"),
+    # residue shares polar_decompose's gate; ungated, residue(2A, 2P, ...) returns a result.
+    Mutant("residue-projector-ungated", "recovery.py",
+           "    if not max_abs([p @ p - p, p - dagger(p)]) <= PROJECTOR_TOL:\n"
+           '        raise ValueError("p must be an orthogonal projector")\n',
+           "",
+           "tests/test_recovery.py"),
 )
 
 

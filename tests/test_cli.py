@@ -61,6 +61,15 @@ def test_bitflip_table_values(capsys):
     assert any("failure_threshold = 0.5" in line for line in lines)
 
 
+def test_below_threshold_reads_the_crossing_margin_of_threshold_analysis(capsys):
+    # 1 - F - p is -2.2e-16, 5.0e-14 and 5.0e-13: only the first lies within CROSSING_MARGIN
+    argv = ("bitflip", "--grid", "0.5,0.5000000000001,0.500000000001")
+    _, out = run_cli(capsys, *argv, "--format", "csv")
+    assert [row["below_threshold"] for row in csv_rows(out)] == ["1", "0", "0"]
+    rows = json.loads(run_cli(capsys, *argv, "--format", "json")[1])["rows"]
+    assert [row["below_threshold"] for row in rows] == [True, False, False]
+
+
 def test_bitflip_threshold_value(capsys):
     code, out = run_cli(capsys, "bitflip", "--grid", "0,1", "--format", "json")
     payload = json.loads(out)
@@ -245,6 +254,11 @@ def test_invalid_grid_rejected(capsys):
         ["ad-fidelity", "--grid", "log:1e-4:1e-2"],
         ["fig1", "--points", "0"],
         ["fig1", "--points", "-3"],
+        # 10**17 float64 points are 710 PiB, more than even a 57-bit address space holds:
+        # numpy's MemoryError comes before anything is allocated, whatever the overcommit policy
+        ["bitflip", "--grid", "0:1:%d" % 10**17],
+        ["fig1", "--points", "%d" % 10**17],
+        ["ad-fidelity", "--grid", "log:1e-4:1e-2:%d" % 10**17],
     ],
 )
 def test_empty_or_malformed_grid_rejected(argv):

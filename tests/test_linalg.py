@@ -50,9 +50,10 @@ def test_nan_entry_fails_the_hermiticity_gate():
     # NaN fails every comparison, so only the `not dev <= TOL` form of the gate rejects it
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eig(nan_diagonal_eye())
-    with pytest.raises(ValueError, match="not Hermitian"):
+    # polar_decompose and residue refuse the same operator at their entry gate, before any product
+    with pytest.raises(ValueError, match="error operator must be finite"):
         q.polar_decompose(nan_diagonal_eye(), np.eye(4))
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(ValueError, match="error operator must be finite"):
         q.residue(nan_diagonal_eye(), np.eye(4), 1.0, 1.0)
 
 

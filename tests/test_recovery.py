@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,8 +92,24 @@ def test_polar_is_deterministic():
 
 
 def test_polar_rejects_non_projector():
-    with pytest.raises(ValueError):
-        q.polar_decompose(np.eye(4, dtype=complex), 2.0 * np.eye(4, dtype=complex))
+    a, p = np.eye(4, dtype=complex), 2.0 * np.eye(4, dtype=complex)
+    with pytest.raises(ValueError, match="p must be an orthogonal projector"):
+        q.polar_decompose(a, p)
+    # residue shares the gate; ungated, it reads P A^dag A P = 4 I and returns a result
+    with pytest.raises(ValueError, match="p must be an orthogonal projector"):
+        q.residue(a, p, 4.0, 1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e200], ids=["nan", "overflow"])
+def test_polar_and_residue_name_an_error_that_is_not_finite(value):
+    # ungated, P A^dag A P warns and ends in "matrix is not Hermitian"
+    a, p = np.array(ad_op(0.1, "0000")), q.leung4().projector
+    a[0, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: q.polar_decompose(a, p), lambda: q.residue(a, p, 1.0, 1.0)):
+            with pytest.raises(ValueError, match="error operator must be finite"):
+                call()
 
 
 MISMATCHED = pytest.mark.parametrize("a, p", [
